@@ -7,16 +7,15 @@ from .grid import (BoundaryData, DomainSpec, Grid, GridMismatchError,
                    ScalarField, VectorField, build_grid, discrete_norm,
                    divergence, gradient, integrate, laplacian_with_flux,
                    read_field_snapshot, write_field_snapshot)
-from .linstep import (LinearSolveReport, SolverError, helmholtz_project,
-                      step_neumann_heat, step_shifted_heat, step_stokes)
+from .linstep import (helmholtz_project, step_neumann_heat, step_shifted_heat,
+                      step_stokes)
 from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
 
 __all__ = [
     "BoundaryData", "DomainSpec", "Grid", "GridMismatchError", "ScalarField",
     "VectorField", "build_grid", "discrete_norm", "divergence", "gradient",
     "integrate", "laplacian_with_flux", "read_field_snapshot",
-    "write_field_snapshot", "LinearSolveReport", "SolverError",
-    "helmholtz_project", "step_neumann_heat", "step_shifted_heat",
-    "step_stokes", "EigenResult", "lambda_dirichlet", "lambda_neumann",
+    "write_field_snapshot", "helmholtz_project", "step_neumann_heat",
+    "step_shifted_heat", "step_stokes", "EigenResult", "lambda_dirichlet", "lambda_neumann",
     "__version__",
 ]

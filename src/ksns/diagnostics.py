@@ -304,14 +304,14 @@ def _boundary_gap(a, b) -> float:
 def boundary_residual(state: SimState, data: GivenData) -> float:
     """Max over boundary faces of |diffusive flux - chemotactic flux|.
 
-    A stepped state carries the flux pair its solve actually used, which is
-    compared directly (identical by construction).  For hand-built states
-    the detector falls back to the one-sided normal derivative of the
-    density against a freshly evaluated chemotactic flux.
+    A stepped state carries the residual its density solve measured: the
+    boundary source recovered from the solved field against the
+    chemotactic flux.  For hand-built states the detector falls back to the
+    one-sided normal derivative of the density against a freshly evaluated
+    chemotactic flux.
     """
-    if (state.bc_flux_diffusive is not None
-            and state.bc_flux_chemotactic is not None):
-        return _boundary_gap(state.bc_flux_diffusive, state.bc_flux_chemotactic)
+    if state.bc_residual is not None:
+        return state.bc_residual
     g = state.n.grid
     diff = boundary_normal_derivative_raw(g, state.n.values)
     chem = chemotactic_flux_raw(g, state.n.values, state.c.values, data.S,
@@ -368,18 +368,22 @@ def _difference_data(a: GivenData, b: GivenData) -> GivenData:
 
 def lipschitz_experiment(base: GivenData, perturbed: GivenData,
                          cfg: DiagnosticsConfig, T: float, dt: float,
-                         options=None) -> LipschitzResult:
+                         options=None, base_trajectory=None) -> LipschitzResult:
     """Ratio of the weighted norm of the trajectory difference to the
     smallness functional of the data difference.
 
     Runs both data sets with identical stepping, differences the
     trajectories in shifted variables, and guards the 0/0 case (identical
-    data) by returning ratio 0 with the degenerate flag set.
+    data) by returning ratio 0 with the degenerate flag set.  A caller
+    comparing several perturbations of one base passes the base run's
+    trajectory (same T, dt and options) as ``base_trajectory``.
     """
     from .integrator import RunOptions, run
 
     opts = options or RunOptions()
-    traj_a, _ = run(base, T, dt, opts)
+    traj_a = base_trajectory
+    if traj_a is None:
+        traj_a, _ = run(base, T, dt, opts)
     traj_b, _ = run(perturbed, T, dt, opts)
     if len(traj_a) != len(traj_b):
         raise ValueError("trajectory lengths differ; use identical strides")

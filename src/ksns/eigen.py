@@ -1,10 +1,13 @@
 """Smallest Laplacian eigenvalues: the two Poincare constants.
 
-``lambda_neumann`` computes the smallest nonzero eigenvalue of the
+``lambda_neumann`` returns the smallest nonzero eigenvalue of the
 zero-flux Laplacian restricted to mean-zero functions, ``lambda_dirichlet``
-the smallest eigenvalue with homogeneous Dirichlet data.  Both use inverse
-power iteration with a conjugate-gradient inner solve; the Neumann variant
-deflates the constant mode after every operator application.
+the smallest eigenvalue with homogeneous Dirichlet data.  Both are closed
+forms: the 1-D finite-volume symbols s = 4/h^2 sin^2(pi/2n) give
+lambda_N = min(sx, sy) and lambda_D = sx + sy, and the eigenfields are the
+first cosine (zero flux) and sine (Dirichlet) modes sampled at the cell
+centres.  The reported residual is ||A psi - lambda psi|| for the
+Euclidean-normalised psi, from one application of the operator.
 """
 
 from dataclasses import dataclass
@@ -12,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, ScalarField
-from .linstep import SolverError, _lap_dirichlet, _lap_zero_flux, _neg_lap_diag, solve_cg
-
-MAX_OUTER = 500
+from .linstep import _lap_dirichlet, _lap_zero_flux
 
 
 @dataclass
@@ -25,62 +26,52 @@ class EigenResult:
     residual: float
 
 
-def _inverse_power(grid: Grid, apply_op, diag, tol: float, deflate: bool,
-                   tag: str) -> EigenResult:
-    rng = np.random.default_rng(20240601)
-    x = rng.standard_normal(grid.shape)
-    if deflate:
-        x -= x.mean()
-    x /= np.linalg.norm(x)
-    lam = float((x * apply_op(x)).sum())
-    inner_tol = min(tol * 1e-2, 1e-12)
-    total_inner = 0
-    for outer in range(1, MAX_OUTER + 1):
-        y, report = solve_cg(apply_op, x, diag, inner_tol,
-                             x0=x / lam, project_mean=deflate, tag=tag)
-        total_inner += report.iterations
-        y /= np.linalg.norm(y)
-        Ay = apply_op(y)
-        if deflate:
-            Ay -= Ay.mean()
-        lam_new = float((y * Ay).sum())
-        res = float(np.linalg.norm(Ay - lam_new * y))
-        converged = res <= tol and abs(lam_new - lam) <= 0.1 * tol * max(lam_new, 1.0)
-        x, lam = y, lam_new
-        if converged:
-            vol_norm = np.sqrt((x ** 2).sum() * grid.cell_volume)
-            field = ScalarField(grid, x / vol_norm)
-            return EigenResult(lam=lam, eigenfield=field,
-                               iterations=outer, residual=res)
-    raise SolverError(f"{tag}: inverse power iteration did not converge "
-                      f"within {MAX_OUTER} iterations (ill-conditioned?)")
+def _first_mode(n: int, dirichlet: bool) -> np.ndarray:
+    phase = np.pi * (np.arange(n) + 0.5) / n
+    return np.sin(phase) if dirichlet else np.cos(phase)
+
+
+def _symbol(n: int, h: float) -> float:
+    return 4.0 / h ** 2 * np.sin(0.5 * np.pi / n) ** 2
+
+
+def _result(grid: Grid, lam: float, psi: np.ndarray, apply_op) -> EigenResult:
+    psi = psi / np.linalg.norm(psi)
+    res = float(np.linalg.norm(apply_op(psi) - lam * psi))
+    vol_norm = np.sqrt(grid.cell_volume)
+    return EigenResult(lam=lam, eigenfield=ScalarField(grid, psi / vol_norm),
+                       iterations=0, residual=res)
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol <= 1e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
 
 
 def lambda_neumann(grid: Grid, tol: float = 1e-8) -> EigenResult:
     """Smallest nonzero eigenvalue of the zero-flux Laplacian.
 
-    The iteration runs on the mean-zero subspace (constant-mode deflation
-    after every matrix-vector product), mirroring the restriction that
-    makes the operator invertible.  Residual ||A psi - lam psi|| / ||psi||
-    is at most ``tol`` on return.
+    The eigenfield is cos(pi x / Lx) or cos(pi y / Ly), whichever direction
+    has the smaller symbol (x on a tie); it is mean-zero.  ``tol`` is
+    validated for compatibility with the ``[eigen] tol`` setting; the
+    closed form leaves a residual at rounding level.
     """
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
-    diag = _neg_lap_diag(grid, "neumann0")
-
-    def apply_op(v):
-        return -_lap_zero_flux(grid, v)
-
-    return _inverse_power(grid, apply_op, diag, tol, deflate=True, tag="eig-neumann")
+    _check_tol(tol)
+    ny, nx = grid.shape
+    sx, sy = _symbol(nx, grid.hx), _symbol(ny, grid.hy)
+    if sx <= sy:
+        psi = np.broadcast_to(_first_mode(nx, False), grid.shape)
+    else:
+        psi = np.broadcast_to(_first_mode(ny, False)[:, None], grid.shape)
+    return _result(grid, float(min(sx, sy)), psi,
+                   lambda v: -_lap_zero_flux(grid, v))
 
 
 def lambda_dirichlet(grid: Grid, tol: float = 1e-8) -> EigenResult:
-    """Smallest eigenvalue of the Dirichlet Laplacian (no deflation)."""
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
-    diag = _neg_lap_diag(grid, "dirichlet0")
-
-    def apply_op(v):
-        return -_lap_dirichlet(grid, v)
-
-    return _inverse_power(grid, apply_op, diag, tol, deflate=False, tag="eig-dirichlet")
+    """Smallest eigenvalue of the Dirichlet Laplacian, sin(pi x / Lx) *
+    sin(pi y / Ly) sampled at the cell centres."""
+    _check_tol(tol)
+    ny, nx = grid.shape
+    psi = _first_mode(ny, True)[:, None] * _first_mode(nx, True)[None, :]
+    return _result(grid, float(_symbol(nx, grid.hx) + _symbol(ny, grid.hy)),
+                   psi, lambda v: -_lap_dirichlet(grid, v))

@@ -11,9 +11,9 @@ The loop integrates the shifted variables: the density deviation from its
 initial mean and the signal minus a scheme-consistent multiple of that
 mean.  The multiple follows the same theta recursion as the constant mode
 of the signal equation, so the discrete mass recursion of the unshifted
-signal holds to solver tolerance, and the boundary flux of the density
-solve is byte-for-byte the chemotactic face flux, which conserves total
-cell mass exactly up to linear-solver tolerance.
+signal holds to rounding, and the boundary flux of the density solve is
+byte-for-byte the chemotactic face flux, which conserves total cell mass
+to rounding (the implicit solves are exact).
 """
 
 import math
@@ -26,8 +26,8 @@ from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    check_same_grid, ddx, ddy, extrapolate_to_faces,
                    face_divergence, face_normal_values, integrate,
                    require_finite)
-from .linstep import (DEFAULT_TOL, neumann_heat_core, shifted_heat_core,
-                      stokes_core)
+from .linstep import (boundary_source_residual, neumann_heat_core,
+                      shifted_heat_core, stokes_core)
 
 
 class BlowUpError(RuntimeError):
@@ -98,10 +98,10 @@ class SensitivitySpec:
 class SimState:
     """Unshifted state (t, n, c, u) plus the cached initial density mean.
 
-    ``bc_flux_diffusive`` / ``bc_flux_chemotactic`` record the boundary
-    face fluxes the last step actually used for the density diffusion and
-    the chemotactic transport; by construction of the scheme they are
-    identical arrays.
+    ``bc_residual`` is set on a stepped state: the largest gap, in face
+    flux units, between the boundary source the last density solve
+    actually imposed (recovered from its solution) and the chemotactic
+    boundary flux (see ``linstep.boundary_source_residual``).
     """
 
     t: float
@@ -109,8 +109,7 @@ class SimState:
     c: ScalarField
     u: VectorField
     n_bar0: float
-    bc_flux_diffusive: BoundaryData | None = None
-    bc_flux_chemotactic: BoundaryData | None = None
+    bc_residual: float | None = None
 
 
 @dataclass
@@ -285,8 +284,6 @@ def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
 @dataclass
 class RunOptions:
     theta: float = 1.0
-    cg_tol: float = DEFAULT_TOL
-    projection_tol: float = DEFAULT_TOL
     picard_enabled: bool = False
     picard_k_max: int = 1
     picard_tol: float = 1e-10
@@ -306,24 +303,19 @@ class _ShiftedFields:
     gamma: float
 
 
-@dataclass
-class _StepInfo:
-    bc_diffusive: BoundaryData
-    bc_chemotactic: BoundaryData
-
-
 def _gamma_update(gamma: float, dt: float, theta: float) -> float:
     return (gamma * (1.0 - (1.0 - theta) * dt) + dt) / (1.0 + theta * dt)
 
 
 def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
-             dt: float, opts: RunOptions, frozen: _ShiftedFields | None = None,
-             pressure: list | None = None) -> tuple[_ShiftedFields, _StepInfo]:
-    """One IMEX step of the shifted system.
+             dt: float, opts: RunOptions, frozen: _ShiftedFields | None = None
+             ) -> tuple[_ShiftedFields, float]:
+    """One IMEX step of the shifted system; returns the new fields and the
+    measured boundary-condition residual of the density solve.
 
     Nonlinear coefficients are evaluated at ``frozen`` (defaults to the
     current state, which gives the plain step); the implicit solves always
-    start from ``sf``.
+    advance ``sf``.
     """
     w = sf if frozen is None else frozen
     t0 = sf.t
@@ -336,11 +328,12 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
 
     forcing_n = -face_divergence(grid, chem.fx, chem.fy) \
         - upwind_divergence(grid, w.nt, ufx, ufy)
-    nt_new, _ = neumann_heat_core(grid, sf.nt, bc, forcing_n, dt,
-                                  opts.cg_tol, theta, x0=sf.nt)
+    nt_new = neumann_heat_core(grid, sf.nt, bc, forcing_n, dt, theta)
+    bc_res = boundary_source_residual(grid, sf.nt, nt_new, bc, forcing_n,
+                                      dt, theta)
 
     rhs_c = w.nt - upwind_divergence(grid, w.chi, ufx, ufy)
-    chi_new, _ = shifted_heat_core(grid, sf.chi, rhs_c, dt, opts.cg_tol, theta)
+    chi_new = shifted_heat_core(grid, sf.chi, rhs_c, dt, theta)
 
     if data.f is not None:
         fvec = data.f(t0)
@@ -351,17 +344,13 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
         + nt_new * data.phi_grad.ux + f_x
     force_y = -upwind_divergence(grid, w.u.uy, ufx, ufy) \
         + nt_new * data.phi_grad.uy + f_y
-    p0 = pressure[0] if pressure else None
-    u_new, p, _ = stokes_core(grid, sf.u.ux, sf.u.uy, force_x, force_y, dt,
-                              opts.cg_tol, p0=p0)
-    if pressure is not None:
-        pressure[0] = p
+    u_new = stokes_core(grid, sf.u.ux, sf.u.uy, force_x, force_y, dt)
 
     gamma_new = _gamma_update(sf.gamma, dt, theta)
     new = _ShiftedFields(t=t0 + dt, nt=nt_new, chi=chi_new, u=u_new,
                          gamma=gamma_new)
     _check_blowup(new, n_bar0, opts.blowup_ceiling, sf)
-    return new, _StepInfo(bc_diffusive=bc.copy(), bc_chemotactic=bc.copy())
+    return new, bc_res
 
 
 def _check_blowup(sf: _ShiftedFields, n_bar0: float, ceiling: float,
@@ -390,15 +379,12 @@ def _from_state(state: SimState) -> _ShiftedFields:
 
 
 def _to_state(sf: _ShiftedFields, n_bar0: float,
-              info: _StepInfo | None = None) -> SimState:
+              bc_residual: float | None = None) -> SimState:
     g = sf.u.grid
     n = ScalarField(g, sf.nt + n_bar0)
     c = ScalarField(g, sf.chi + sf.gamma * n_bar0)
-    state = SimState(t=sf.t, n=n, c=c, u=sf.u.copy(), n_bar0=n_bar0)
-    if info is not None:
-        state.bc_flux_diffusive = info.bc_diffusive
-        state.bc_flux_chemotactic = info.bc_chemotactic
-    return state
+    return SimState(t=sf.t, n=n, c=c, u=sf.u.copy(), n_bar0=n_bar0,
+                    bc_residual=bc_residual)
 
 
 def step(state: SimState, data: GivenData, dt: float,
@@ -409,8 +395,8 @@ def step(state: SimState, data: GivenData, dt: float,
     opts = options or RunOptions()
     grid = data.grid
     sf = _from_state(state)
-    new, info = _advance(grid, sf, data, state.n_bar0, dt, opts)
-    return _to_state(new, state.n_bar0, info)
+    new, bc_res = _advance(grid, sf, data, state.n_bar0, dt, opts)
+    return _to_state(new, state.n_bar0, bc_res)
 
 
 def _rel_increment(a: _ShiftedFields, b: _ShiftedFields, n_bar0: float) -> float:
@@ -455,18 +441,18 @@ def picard_step(state: SimState, data: GivenData, dt: float,
     iterate = sf
     prev_inc = None
     contraction = 0.0
-    info = None
+    bc_res = None
     for m in range(1, k_max + 1):
-        new, info = _advance(grid, sf, data, state.n_bar0, dt, opts,
-                             frozen=iterate)
+        new, bc_res = _advance(grid, sf, data, state.n_bar0, dt, opts,
+                               frozen=iterate)
         inc = _rel_increment(new, iterate, state.n_bar0)  # iterate starts at the seed
         if prev_inc is not None and prev_inc > 0.0:
             contraction = inc / prev_inc
         iterate = new
         if inc < tol:
-            return _to_state(iterate, state.n_bar0, info), m, contraction
+            return _to_state(iterate, state.n_bar0, bc_res), m, contraction
         prev_inc = inc
-    return _to_state(iterate, state.n_bar0, info), k_max, contraction
+    return _to_state(iterate, state.n_bar0, bc_res), k_max, contraction
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +485,6 @@ def run(data: GivenData, T: float, dt: float,
     sf = _from_state(state0)
     series = DiagnosticsSeries()
     trajectory = [state0]
-    pressure = [None]
     vol = grid.cell_volume
     omega = grid.volume
 
@@ -511,8 +496,8 @@ def run(data: GivenData, T: float, dt: float,
                 contraction = 0.0
                 iters = opts.picard_k_max
                 for m in range(1, opts.picard_k_max + 1):
-                    new, info = _advance(grid, sf, data, n_bar0, dt, opts,
-                                         frozen=iterate, pressure=pressure)
+                    new, bc_res = _advance(grid, sf, data, n_bar0, dt, opts,
+                                           frozen=iterate)
                     inc = _rel_increment(new, iterate, n_bar0)
                     if prev_inc is not None and prev_inc > 0.0:
                         contraction = inc / prev_inc
@@ -523,8 +508,7 @@ def run(data: GivenData, T: float, dt: float,
                     prev_inc = inc
                 sf = iterate
             else:
-                sf, info = _advance(grid, sf, data, n_bar0, dt, opts,
-                                    pressure=pressure)
+                sf, bc_res = _advance(grid, sf, data, n_bar0, dt, opts)
                 iters, contraction = 1, 0.0
         except BlowUpError as exc:
             exc.series = series
@@ -532,9 +516,6 @@ def run(data: GivenData, T: float, dt: float,
         sf.t = k * dt       # avoid accumulated addition drift
         n_vals = sf.nt + n_bar0
         c_vals = sf.chi + sf.gamma * n_bar0
-        bc_res = max(float(np.abs(getattr(info.bc_diffusive, s)
-                                  - getattr(info.bc_chemotactic, s)).max())
-                     for s in ("left", "right", "bottom", "top"))
         series.append(
             t=sf.t,
             mass_n=n_bar0 * omega + float(sf.nt.sum()) * vol,
@@ -552,5 +533,5 @@ def run(data: GivenData, T: float, dt: float,
             contraction=contraction,
         )
         if k % opts.snapshot_stride == 0 or k == n_steps:
-            trajectory.append(_to_state(sf, n_bar0, info))
+            trajectory.append(_to_state(sf, n_bar0, bc_res))
     return trajectory, series

@@ -1,33 +1,21 @@
 """Implicit linear substeps: Neumann heat with prescribed boundary flux,
 the shifted Neumann heat operator, and a Chorin-projected Stokes step.
 
-All solves go through one matrix-free conjugate gradient with Jacobi
-preconditioning.  The heat steps support the theta time scheme (theta = 1
-implicit Euler, theta = 1/2 Crank-Nicolson); the Stokes step is implicit
-Euler only.
+Every implicit operator has the form ``shift*I - scale*lap_h`` with constant
+coefficients on the cell-centred rectangle, so ``solve_spectral`` solves it
+exactly in the eigenbasis of the 1-D finite-volume Laplacian: cosines
+(DCT-II) for zero-flux faces, sines (DST-II) for half-cell Dirichlet faces.
+The heat steps support the theta time scheme (theta = 1 implicit Euler,
+theta = 1/2 Crank-Nicolson); the Stokes step is implicit Euler only.
 """
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    check_same_grid, face_divergence, face_normal_values,
                    integrate, require_finite)
-
-DEFAULT_TOL = 1e-10
-MAX_CG_ITER = 50000
-
-
-class SolverError(RuntimeError):
-    """A linear solve failed to converge within the iteration cap."""
-
-
-@dataclass
-class LinearSolveReport:
-    iterations: int
-    final_residual: float
-    solver: str
 
 
 def _lap_zero_flux(grid: Grid, vals: np.ndarray) -> np.ndarray:
@@ -57,68 +45,94 @@ def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
     return face_divergence(grid, gx, gy)
 
 
-def _neg_lap_diag(grid: Grid, bc: str) -> np.ndarray:
-    """Diagonal of -Laplacian for the given boundary treatment."""
-    ny, nx = grid.shape
-    ax = np.full(nx, 2.0)
-    ay = np.full(ny, 2.0)
-    if bc == "neumann0":
-        ax[0] = ax[-1] = 1.0
-        ay[0] = ay[-1] = 1.0
-    elif bc == "dirichlet0":
-        ax[0] = ax[-1] = 3.0
-        ay[0] = ay[-1] = 3.0
-    else:
-        raise ValueError(f"unknown bc {bc!r}")
-    return ax[None, :] / grid.hx ** 2 + ay[:, None] / grid.hy ** 2
+# ---------------------------------------------------------------------------
+# exact spectral solves
+
+@lru_cache(maxsize=32)
+def _dct_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Makhoul's even-odd reordering and the quarter-sample twiddles."""
+    order = np.concatenate((np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)))
+    twiddle = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    order.setflags(write=False)
+    twiddle.setflags(write=False)
+    return order, twiddle
 
 
-def solve_cg(apply_op, rhs: np.ndarray, diag: np.ndarray, tol: float,
-             x0: np.ndarray | None = None, max_iter: int = MAX_CG_ITER,
-             project_mean: bool = False, tag: str = "cg"
-             ) -> tuple[np.ndarray, LinearSolveReport]:
-    """Preconditioned conjugate gradient, matrix-free.
+def _dct(x: np.ndarray) -> np.ndarray:
+    """DCT-II along the last axis, X_k = sum_j x_j cos(pi k (j + 1/2) / n)."""
+    n = x.shape[-1]
+    order, twiddle = _dct_tables(n)
+    z = twiddle * np.fft.rfft(x[..., order], axis=-1)
+    m = z.shape[-1]
+    out = np.empty(x.shape)
+    out[..., :m] = z.real
+    out[..., n - m + 1:] = -z.imag[..., m - 1:0:-1]   # X_{n-k} = -Im z_k
+    return out
 
-    Stops when ||r||_2 <= tol * ||rhs||_2.  With ``project_mean`` the
-    constant mode is removed from the iterate and residual after every
-    operator application (for the singular zero-flux operators restricted
-    to mean-zero data).
+
+def _idct(X: np.ndarray) -> np.ndarray:
+    """Inverse of ``_dct`` (a scaled DCT-III) along the last axis."""
+    n = X.shape[-1]
+    order, twiddle = _dct_tables(n)
+    m = n // 2 + 1
+    V = X[..., :m] * twiddle.conj()
+    V[..., 1:] -= 1j * X[..., n - 1:n - m:-1] * twiddle[1:].conj()
+    out = np.empty(X.shape)
+    out[..., order] = np.fft.irfft(V, n, axis=-1)
+    return out
+
+
+def _dct2d(x: np.ndarray) -> np.ndarray:
+    return _dct(_dct(x).swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _idct2d(X: np.ndarray) -> np.ndarray:
+    return _idct(_idct(X).swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+@lru_cache(maxsize=32)
+def _symbols(n: int, h: float, dirichlet: bool) -> np.ndarray:
+    """Eigenvalues 4/h^2 sin^2(k pi / 2n) of the 1-D -lap_h in DCT-II order:
+    k = 0..n-1 (zero flux) or k = n..1 (half-cell Dirichlet; the DST-II mode
+    k of x is the DCT-II mode n - k of the sign-alternated x)."""
+    k = n - np.arange(n) if dirichlet else np.arange(n)
+    lam = 4.0 / h ** 2 * np.sin(0.5 * np.pi * k / n) ** 2
+    lam.setflags(write=False)
+    return lam
+
+
+@lru_cache(maxsize=32)
+def _alternating(n: int) -> np.ndarray:
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    sign.setflags(write=False)
+    return sign
+
+
+def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
+                   bc: str) -> np.ndarray:
+    """Exact solution of (shift*I - scale*lap_h) x = b on the grid.
+
+    ``bc`` is ``"neumann0"`` (zero-flux faces, DCT-II basis) or
+    ``"dirichlet0"`` (half-cell Dirichlet faces, DST-II basis, computed as
+    the DCT-II of the sign-alternated data with its modes reversed).  For the
+    singular Neumann problem (shift = 0) the constant mode of the solution
+    is set to zero, which solves the problem restricted to mean-zero data.
+    A zero right-hand side returns zeros without a transform.
     """
-    bnorm = float(np.linalg.norm(rhs))
-    if bnorm == 0.0:
-        return np.zeros_like(rhs), LinearSolveReport(0, 0.0, tag)
-    x = np.zeros_like(rhs) if x0 is None else x0.astype(float, copy=True)
-    if project_mean:
-        x -= x.mean()
-    r = rhs - apply_op(x)
-    if project_mean:
-        r -= r.mean()
-    target = tol * bnorm
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= target:
-        return x, LinearSolveReport(0, rnorm / bnorm, tag)
-    z = r / diag
-    p = z.copy()
-    rz = float((r * z).sum())
-    for k in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        if project_mean:
-            Ap -= Ap.mean()
-        alpha = rz / float((p * Ap).sum())
-        x += alpha * p
-        r -= alpha * Ap
-        if project_mean:
-            x -= x.mean()
-            r -= r.mean()
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= target:
-            return x, LinearSolveReport(k, rnorm / bnorm, tag)
-        z = r / diag
-        rz_new = float((r * z).sum())
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(f"{tag}: no convergence after {max_iter} iterations "
-                      f"(residual {rnorm / bnorm:.3e}, target {tol:.3e})")
+    if bc not in ("neumann0", "dirichlet0"):
+        raise ValueError(f"unknown bc {bc!r}")
+    if not b.any():
+        return np.zeros(b.shape)
+    ny, nx = grid.shape
+    dirichlet = bc == "dirichlet0"
+    denom = shift + scale * (_symbols(ny, grid.hy, dirichlet)[:, None]
+                             + _symbols(nx, grid.hx, dirichlet)[None, :])
+    if dirichlet:
+        sign = _alternating(ny)[:, None] * _alternating(nx)[None, :]
+        return sign * _idct2d(_dct2d(sign * b) / denom)
+    if shift == 0.0:
+        denom[0, 0] = np.inf
+    return _idct2d(_dct2d(b) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +148,48 @@ def _boundary_source(grid: Grid, b: BoundaryData) -> np.ndarray:
     return src
 
 
+def _heat_explicit_part(grid: Grid, u: np.ndarray, forcing: np.ndarray,
+                        dt: float, theta: float) -> np.ndarray:
+    """Right-hand side of the theta heat step without the boundary source."""
+    rhs = u + dt * forcing
+    if theta < 1.0:
+        rhs = rhs + (1.0 - theta) * dt * _lap_zero_flux(grid, u)
+    return rhs
+
+
 def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
-                      forcing: np.ndarray, dt: float, tol: float,
-                      theta: float = 1.0, x0: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, LinearSolveReport]:
+                      forcing: np.ndarray, dt: float, theta: float = 1.0
+                      ) -> np.ndarray:
     """One theta step of du/dt = lap(u) + forcing with boundary flux b.
 
     Solves (I - theta*dt*L0) u' = u + (1-theta)*dt*L0 u
                                   + dt*(forcing + boundary source).
     The prescribed flux enters once (weight 1) as boundary source data.
     """
-    td = theta * dt
-    rhs = u + dt * forcing + dt * _boundary_source(grid, b)
-    if theta < 1.0:
-        rhs = rhs + (1.0 - theta) * dt * _lap_zero_flux(grid, u)
-    diag = 1.0 + td * _neg_lap_diag(grid, "neumann0")
+    rhs = _heat_explicit_part(grid, u, forcing, dt, theta) \
+        + dt * _boundary_source(grid, b)
+    return solve_spectral(grid, rhs, 1.0, theta * dt, "neumann0")
 
-    def apply_op(v):
-        return v - td * _lap_zero_flux(grid, v)
 
-    start = rhs if x0 is None else x0
-    return solve_cg(apply_op, rhs, diag, tol, x0=start, tag="neumann-heat")
+def boundary_source_residual(grid: Grid, u: np.ndarray, x: np.ndarray,
+                             b: BoundaryData, forcing: np.ndarray, dt: float,
+                             theta: float = 1.0) -> float:
+    """How far the heat step ``x`` of ``u`` is from imposing boundary flux b.
+
+    Recovers the cell source the solve actually imposed,
+    (x - theta*dt*L0 x - u - (1-theta)*dt*L0 u - dt*forcing) / dt, and
+    returns max over cells of h * |recovered - boundary source of b|, with
+    h = max(hx, hy), in the units of a face flux.  For ``x`` from
+    ``neumann_heat_core`` with the same arguments this is rounding error.
+    """
+    recovered = (x - theta * dt * _lap_zero_flux(grid, x)
+                 - _heat_explicit_part(grid, u, forcing, dt, theta)) / dt
+    gap = np.abs(recovered - _boundary_source(grid, b)).max()
+    return max(grid.hx, grid.hy) * float(gap)
 
 
 def step_neumann_heat(U: ScalarField, F_B: VectorField, F_E: ScalarField,
-                      dt: float, tol: float = DEFAULT_TOL, theta: float = 1.0
-                      ) -> ScalarField:
+                      dt: float, theta: float = 1.0) -> ScalarField:
     """Implicit heat step with divergence-form forcing and inhomogeneous flux.
 
     Advances ``U`` by one theta step of
@@ -180,63 +210,45 @@ def step_neumann_heat(U: ScalarField, F_B: VectorField, F_E: ScalarField,
     b = BoundaryData(left=-fx[:, 0], right=fx[:, -1],
                      bottom=-fy[0, :], top=fy[-1, :])
     forcing = -face_divergence(g, fx, fy) + F_E.values
-    out, _ = neumann_heat_core(g, U.values, b, forcing, dt, tol, theta)
-    return ScalarField(g, out)
+    return ScalarField(g, neumann_heat_core(g, U.values, b, forcing, dt, theta))
 
 
 def shifted_heat_core(grid: Grid, c: np.ndarray, rhs_src: np.ndarray,
-                      dt: float, tol: float, theta: float = 1.0,
-                      x0: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, LinearSolveReport]:
+                      dt: float, theta: float = 1.0) -> np.ndarray:
     """One theta step of dc/dt = lap(c) - c + rhs_src with zero flux."""
     td = theta * dt
     rhs = c + dt * rhs_src
     if theta < 1.0:
         rhs = rhs + (1.0 - theta) * dt * (_lap_zero_flux(grid, c) - c)
-    ident = 1.0 + td
-    diag = ident + td * _neg_lap_diag(grid, "neumann0")
-
-    def apply_op(v):
-        return ident * v - td * _lap_zero_flux(grid, v)
-
-    start = rhs / ident if x0 is None else x0
-    return solve_cg(apply_op, rhs, diag, tol, x0=start, tag="shifted-heat")
+    return solve_spectral(grid, rhs, 1.0 + td, td, "neumann0")
 
 
 def step_shifted_heat(c: ScalarField, rhs: ScalarField, dt: float,
-                      tol: float = DEFAULT_TOL, theta: float = 1.0
-                      ) -> ScalarField:
+                      theta: float = 1.0) -> ScalarField:
     """Theta step of the shifted Neumann heat operator (1 - lap)."""
     check_same_grid(c, rhs)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     require_finite(c.values, "c")
-    out, _ = shifted_heat_core(c.grid, c.values, rhs.values, dt, tol, theta)
+    out = shifted_heat_core(c.grid, c.values, rhs.values, dt, theta)
     return ScalarField(c.grid, out)
 
 
 # ---------------------------------------------------------------------------
 # Helmholtz projection and the Stokes step
 
-def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray, tol: float,
-                  p0: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, LinearSolveReport]:
+def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Remove the gradient part from face-normal values.
 
-    Solves lap(p) = div(v) with grad(p).nu = v.nu (mean-zero pinning), then
+    Solves lap(p) = div(v) with grad(p).nu = v.nu (mean-zero p), then
     corrects the faces.  Corrected boundary faces are exactly zero.
-    Returns (fx', fy', p, report).
+    Returns (fx', fy').
     """
     b = BoundaryData(left=-fx[:, 0], right=fx[:, -1],
                      bottom=-fy[0, :], top=fy[-1, :])
     rhs = _boundary_source(grid, b) - face_divergence(grid, fx, fy)
-    diag = _neg_lap_diag(grid, "neumann0")
-
-    def apply_op(v):
-        return -_lap_zero_flux(grid, v)
-
-    p, report = solve_cg(apply_op, rhs, diag, tol, x0=p0,
-                         project_mean=True, tag="pressure-poisson")
+    p = solve_spectral(grid, rhs, 0.0, 1.0, "neumann0")
     ny, nx = grid.shape
     gpx = np.empty((ny, nx + 1))
     gpx[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hx
@@ -252,7 +264,7 @@ def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray, tol: float,
     fx_new[:, -1] = 0.0
     fy_new[0, :] = 0.0
     fy_new[-1, :] = 0.0
-    return fx_new, fy_new, p, report
+    return fx_new, fy_new
 
 
 def _cells_from_face_gradient(grid: Grid, gpx: np.ndarray, gpy: np.ndarray
@@ -262,66 +274,50 @@ def _cells_from_face_gradient(grid: Grid, gpx: np.ndarray, gpy: np.ndarray
     return cx, cy
 
 
-def helmholtz_project_core(v: VectorField, tol: float,
-                           boundary: str = "extrapolate",
-                           p0: np.ndarray | None = None
-                           ) -> tuple[VectorField, np.ndarray, LinearSolveReport]:
+def helmholtz_project_core(v: VectorField, boundary: str = "extrapolate"
+                           ) -> VectorField:
     g = v.grid
     fx, fy = face_normal_values(v, boundary=boundary)
-    fx_new, fy_new, p, report = _project_core(g, fx, fy, tol, p0=p0)
+    fx_new, fy_new = _project_core(g, fx, fy)
     # cell-centered correction from the same compact face gradients
     gpx = fx - fx_new
     gpy = fy - fy_new
     cx, cy = _cells_from_face_gradient(g, gpx, gpy)
-    out = VectorField(g, v.ux - cx, v.uy - cy, fx_new, fy_new)
-    return out, p, report
+    return VectorField(g, v.ux - cx, v.uy - cy, fx_new, fy_new)
 
 
-def helmholtz_project(v: VectorField, tol: float = DEFAULT_TOL) -> VectorField:
+def helmholtz_project(v: VectorField) -> VectorField:
     """Project onto discretely divergence-free fields with zero normal trace.
 
     Returns v - grad(p) where p solves the pressure Poisson problem
     lap(p) = div(v), grad(p).nu = v.nu, normalized to mean zero.  The
-    result carries face-normal values whose finite-volume divergence is
-    below the solve tolerance and whose boundary values vanish exactly.
+    result carries face-normal values whose finite-volume divergence
+    vanishes to rounding and whose boundary values vanish exactly.
     """
     require_finite(v.ux, "ux")
     require_finite(v.uy, "uy")
-    out, _, _ = helmholtz_project_core(v, tol)
-    return out
+    return helmholtz_project_core(v)
 
 
 def stokes_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
-                force_x: np.ndarray, force_y: np.ndarray, dt: float,
-                tol: float, p0: np.ndarray | None = None
-                ) -> tuple[VectorField, np.ndarray, int]:
-    """Chorin split Stokes step on raw arrays; returns (u', p, cg iterations)."""
-    diag = 1.0 + dt * _neg_lap_diag(grid, "dirichlet0")
-
-    def apply_op(v):
-        return v - dt * _lap_dirichlet(grid, v)
-
-    rhs_x = ux + dt * force_x
-    rhs_y = uy + dt * force_y
-    sx, rep_x = solve_cg(apply_op, rhs_x, diag, tol, x0=rhs_x, tag="stokes-heat-x")
-    sy, rep_y = solve_cg(apply_op, rhs_y, diag, tol, x0=rhs_y, tag="stokes-heat-y")
-    star = VectorField(grid, sx, sy)
-    out, p, rep_p = helmholtz_project_core(star, tol, boundary="zero", p0=p0)
-    return out, p, rep_x.iterations + rep_y.iterations + rep_p.iterations
+                force_x: np.ndarray, force_y: np.ndarray, dt: float
+                ) -> VectorField:
+    """Chorin split Stokes step on raw arrays."""
+    sx = solve_spectral(grid, ux + dt * force_x, 1.0, dt, "dirichlet0")
+    sy = solve_spectral(grid, uy + dt * force_y, 1.0, dt, "dirichlet0")
+    return helmholtz_project_core(VectorField(grid, sx, sy), boundary="zero")
 
 
-def step_stokes(u: VectorField, force: VectorField, dt: float,
-                tol: float = DEFAULT_TOL) -> VectorField:
+def step_stokes(u: VectorField, force: VectorField, dt: float) -> VectorField:
     """Implicit Euler Stokes step: no-slip viscous solve, then projection.
 
     (I - dt*lap) u* = u + dt*force with u* = 0 on the boundary, followed by
     the Helmholtz projection.  The result is discretely divergence-free to
-    the solve tolerance and has zero normal boundary flux.
+    rounding and has zero normal boundary flux.
     """
     check_same_grid(u, force)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     require_finite(u.ux, "ux")
     require_finite(u.uy, "uy")
-    out, _, _ = stokes_core(u.grid, u.ux, u.uy, force.ux, force.uy, dt, tol)
-    return out
+    return stokes_core(u.grid, u.ux, u.uy, force.ux, force.uy, dt)

@@ -34,7 +34,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "# nothing but a comment\n"))
     assert cfg.get("domain", "nx") == 32
     assert cfg.get("time", "theta") == 1.0
-    assert cfg.get("solver", "cg_tol") == 1e-10
+    assert cfg.get("solver", "blowup_ceiling") == 1e6
 
 
 def test_missing_file_rejected():
@@ -52,6 +52,13 @@ def test_unknown_key_fails_closed(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, "[time]\nwarp = 9\n"))
     assert "warp" in str(err.value) and ":2:" in str(err.value)
+
+
+def test_retired_solver_tolerance_fails_closed(tmp_path, capsys):
+    # the implicit solves are exact; a CG tolerance is no longer a setting
+    path = write_cfg(tmp_path, "[solver]\ncg_tol = 1e-10\n")
+    assert main(["run", "--config", path]) == 2
+    assert "cg_tol" in capsys.readouterr().err
 
 
 def test_unknown_section_fails_closed(tmp_path):
@@ -120,7 +127,7 @@ def test_eigen_line(tmp_path, capsys):
     assert abs(lam_n - np.pi ** 2) <= 0.2       # coarse grid
     assert abs(lam_d - 2 * np.pi ** 2) <= 0.4
     assert h == 1.0 / 16.0
-    assert int(parts[3]) > 0 and float(parts[4]) <= 1e-8
+    assert int(parts[3]) == 0 and float(parts[4]) <= 1e-12
 
 
 def test_run_constant_passes_and_writes(tmp_path, capsys):

@@ -328,11 +328,16 @@ def test_lipschitz_local_linearity(unit32):
     base = wave_data(unit32, amp=0.01)
     cfg = DiagnosticsConfig()
     opts = RunOptions(snapshot_stride=5)
+    base_traj, _ = run(base, T=0.25, dt=5e-3, options=opts)
     ratios = []
     for delta in (1e-3, 1e-4):
         pert = wave_data(unit32, amp=0.01 + delta)
         res = lipschitz_experiment(base, pert, cfg, T=0.25, dt=5e-3,
                                    options=opts)
         assert not res.degenerate
+        # a reused base trajectory gives the identical ratio
+        assert lipschitz_experiment(base, pert, cfg, T=0.25, dt=5e-3,
+                                    options=opts,
+                                    base_trajectory=base_traj).ratio == res.ratio
         ratios.append(res.ratio)
     assert abs(ratios[0] - ratios[1]) / ratios[1] <= 0.2

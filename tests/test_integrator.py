@@ -9,7 +9,7 @@ from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, chemotactic_flux,
                              picard_step, run, shift_transform, step, unshift)
 from ksns.grid import BoundaryData
-from ksns.linstep import neumann_heat_core
+from ksns.linstep import boundary_source_residual, neumann_heat_core
 
 
 def wave_data(grid, n_base=2.0, c_base=2.0, amp=0.01,
@@ -35,7 +35,7 @@ def rich_data(grid, rng, amp=0.01):
         * np.sin(np.pi * y) * np.cos(np.pi * y),
         lambda x, y: -amp * 2 * np.pi * np.sin(np.pi * x)
         * np.cos(np.pi * x) * np.sin(np.pi * y) ** 2)
-    u0 = helmholtz_project(stream, tol=1e-12)
+    u0 = helmholtz_project(stream)
     phi = VectorField.from_functions(grid, lambda x, y: 0.0 * x,
                                      lambda x, y: -0.5 + 0.0 * x)
     base_f = VectorField.from_functions(grid, lambda x, y: np.cos(np.pi * y),
@@ -156,19 +156,37 @@ def test_step_decouples_to_pure_heat_when_S_vanishes(unit32):
     st = data.initial_state()
     out = step(st, data, dt=1e-3)
     nt0 = st.n.values - st.n_bar0
-    expected, _ = neumann_heat_core(unit32, nt0, BoundaryData.zeros(unit32),
-                                    np.zeros(unit32.shape), 1e-3, 1e-12)
+    expected = neumann_heat_core(unit32, nt0, BoundaryData.zeros(unit32),
+                                 np.zeros(unit32.shape), 1e-3)
     assert np.abs((out.n.values - st.n_bar0) - expected).max() <= 1e-10
 
 
-def test_step_records_identical_boundary_fluxes(unit32):
+def test_step_boundary_residual_is_measured(unit32):
     data = wave_data(unit32, amp=0.01, S=SensitivitySpec.rotation(1.0, 0.5))
     out = step(data.initial_state(), data, dt=1e-3)
-    assert out.bc_flux_diffusive is not None
-    for side in ("left", "right", "bottom", "top"):
-        a = getattr(out.bc_flux_diffusive, side)
-        b = getattr(out.bc_flux_chemotactic, side)
-        assert np.abs(a - b).max() == 0.0
+    assert out.bc_residual is not None
+    assert out.bc_residual <= 1e-12
+
+
+def test_boundary_residual_detects_perturbed_flux(unit32):
+    # a density solve fed the chemotactic flux scaled by (1 + 1e-6) imposes
+    # a boundary source the measured residual reports
+    data = wave_data(unit32, amp=0.01, S=SensitivitySpec.rotation(1.0, 0.5))
+    st = data.initial_state()
+    nt = st.n.values - st.n_bar0
+    chem = chemotactic_flux(st.n, st.c, data.S)
+    bc = BoundaryData(left=-chem.fx[:, 0], right=chem.fx[:, -1],
+                      bottom=-chem.fy[0, :], top=chem.fy[-1, :])
+    scaled = BoundaryData(*(getattr(bc, s) * (1.0 + 1e-6)
+                            for s in ("left", "right", "bottom", "top")))
+    forcing = -face_divergence(unit32, chem.fx, chem.fy)
+    for theta in (1.0, 0.5):
+        exact = neumann_heat_core(unit32, nt, bc, forcing, 1e-3, theta)
+        assert boundary_source_residual(unit32, nt, exact, bc, forcing, 1e-3,
+                                        theta) <= 1e-12
+        off = neumann_heat_core(unit32, nt, scaled, forcing, 1e-3, theta)
+        assert boundary_source_residual(unit32, nt, off, bc, forcing, 1e-3,
+                                        theta) > 1e-12
 
 
 def test_step_mass_conserved_with_rich_data(unit32, rng):

@@ -6,8 +6,8 @@ from ksns import (BoundaryData, ScalarField, VectorField, helmholtz_project,
 from ksns.diagnostics import fit_decay_rate
 from ksns.eigen import lambda_dirichlet, lambda_neumann
 from ksns.grid import face_divergence, face_normal_values
-from ksns.linstep import (SolverError, _lap_zero_flux, _neg_lap_diag,
-                          neumann_heat_core, solve_cg, stokes_core)
+from ksns.linstep import _lap_zero_flux, neumann_heat_core, stokes_core
+from cg_oracle import SolverError, neg_lap_diag as _neg_lap_diag, solve_cg
 from test_grid import random_smooth_field
 
 
@@ -17,7 +17,7 @@ def zero_vec(grid):
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradient basics
+# the conjugate gradient oracle (cg_oracle.py)
 
 def test_cg_diag_matches_operator(unit16):
     # probe A e_i . e_i against the assembled diagonal
@@ -60,8 +60,7 @@ def test_heat_step_eigenmode(unit64):
     # implicit Euler on the analytic zero-flux eigenmode cos(pi x)
     U0 = ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x))
     out = step_neumann_heat(U0, zero_vec(unit64),
-                            ScalarField.constant(unit64, 0.0), dt=0.01,
-                            tol=1e-12)
+                            ScalarField.constant(unit64, 0.0), dt=0.01)
     predicted = U0.values / (1.0 + 0.01 * np.pi ** 2)
     assert np.abs(out.values - predicted).max() <= 3e-5   # O(h^2) * dt
     lam_h = (4.0 / unit64.hx ** 2) * np.sin(np.pi * unit64.hx / 2.0) ** 2
@@ -77,7 +76,7 @@ def test_heat_step_mean_preservation(unit32, rng):
     FE_vals = rng.standard_normal((ny, nx))
     FE_vals -= FE_vals.mean()
     FE = ScalarField(unit32, FE_vals)
-    out = step_neumann_heat(U, FB, FE, dt=0.01, tol=1e-12)
+    out = step_neumann_heat(U, FB, FE, dt=0.01)
     assert abs(integrate(out) - integrate(U)) <= 1e-11
 
 
@@ -98,7 +97,7 @@ def test_heat_step_steady_state_short(unit32):
     FE = ScalarField.constant(unit32, 0.0)
     U = ScalarField.constant(unit32, 0.0)
     for _ in range(100):
-        U = step_neumann_heat(U, FB, FE, dt=0.01, tol=1e-12)
+        U = step_neumann_heat(U, FB, FE, dt=0.01)
     X, _ = unit32.cell_centers()
     assert np.abs(U.values - (X - 0.5)).max() <= 1e-4
     assert abs(integrate(U)) <= 1e-12
@@ -110,7 +109,7 @@ def test_heat_step_maximum_principle(unit16, rng):
     FE_vals = rng.standard_normal(unit16.shape)
     FE_vals -= FE_vals.mean()
     FE = ScalarField(unit16, FE_vals)
-    out = step_neumann_heat(U, zero_vec(unit16), FE, dt=0.05, tol=1e-12)
+    out = step_neumann_heat(U, zero_vec(unit16), FE, dt=0.05)
     bound = np.abs(U.values).max() + 0.05 * np.abs(FE.values).max()
     assert np.abs(out.values).max() <= bound + 1e-10
 
@@ -125,8 +124,7 @@ def test_heat_semigroup_decay_rate(unit32):
     vals = U.values
     samples = []
     for k in range(1, 5001):
-        vals, _ = neumann_heat_core(unit32, vals, b, forcing, dt, 1e-10,
-                                    x0=vals)
+        vals = neumann_heat_core(unit32, vals, b, forcing, dt)
         samples.append((k * dt, np.abs(vals).max()))
     fit = fit_decay_rate(samples, (0.5 / 3.0, 0.5))
     assert fit.rate >= 0.9 * lam_n
@@ -137,22 +135,19 @@ def test_heat_semigroup_decay_rate(unit32):
 
 def test_shifted_heat_fixed_point(unit32):
     c = ScalarField.constant(unit32, 1.0)
-    out = step_shifted_heat(c, ScalarField.constant(unit32, 1.0), dt=0.01,
-                            tol=1e-12)
+    out = step_shifted_heat(c, ScalarField.constant(unit32, 1.0), dt=0.01)
     assert np.abs(out.values - 1.0).max() <= 1e-13
 
 
 def test_shifted_heat_constant_mode(unit32):
     c = ScalarField.constant(unit32, 2.0)
-    out = step_shifted_heat(c, ScalarField.constant(unit32, 0.0), dt=0.01,
-                            tol=1e-12)
+    out = step_shifted_heat(c, ScalarField.constant(unit32, 0.0), dt=0.01)
     assert np.abs(out.values - 2.0 / 1.01).max() <= 1e-13
 
 
 def test_shifted_heat_eigenmode(unit64):
     c = ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x))
-    out = step_shifted_heat(c, ScalarField.constant(unit64, 0.0), dt=0.01,
-                            tol=1e-12)
+    out = step_shifted_heat(c, ScalarField.constant(unit64, 0.0), dt=0.01)
     predicted = c.values / (1.0 + 0.01 * (1.0 + np.pi ** 2))
     assert np.abs(out.values - predicted).max() <= 3e-5
 
@@ -162,7 +157,7 @@ def test_shifted_heat_eigenmode(unit64):
 
 def test_projection_annihilates_gradients(unit64):
     v = VectorField.from_functions(unit64, lambda x, y: x, lambda x, y: y)
-    out = helmholtz_project(v, tol=1e-12)
+    out = helmholtz_project(v)
     assert max(np.abs(out.ux).max(), np.abs(out.uy).max()) <= 1e-10
     div = face_divergence(unit64, out.fx, out.fy)
     assert np.sqrt((div ** 2).sum() * unit64.cell_volume) <= 1e-9
@@ -173,13 +168,13 @@ def test_projection_identity_on_solenoidal(unit64):
         unit64,
         lambda x, y: -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
         lambda x, y: np.pi * np.cos(np.pi * x) * np.sin(np.pi * y))
-    out = helmholtz_project(v, tol=1e-12)
+    out = helmholtz_project(v)
     err = max(np.abs(out.ux - v.ux).max(), np.abs(out.uy - v.uy).max())
     assert err <= 6e-5                       # measured 4.64e-5 at h = 1/64
 
 
 def test_projection_zero(unit16):
-    out = helmholtz_project(zero_vec(unit16), tol=1e-12)
+    out = helmholtz_project(zero_vec(unit16))
     assert np.abs(out.ux).max() == 0.0 and np.abs(out.uy).max() == 0.0
 
 
@@ -187,8 +182,8 @@ def test_projection_idempotent(unit32, rng):
     ny, nx = unit32.shape
     v = VectorField(unit32, rng.standard_normal((ny, nx)),
                     rng.standard_normal((ny, nx)))
-    once = helmholtz_project(v, tol=1e-12)
-    twice = helmholtz_project(once, tol=1e-12)
+    once = helmholtz_project(v)
+    twice = helmholtz_project(once)
     scale = max(np.abs(once.ux).max(), np.abs(once.uy).max(), 1.0)
     assert max(np.abs(twice.ux - once.ux).max(),
                np.abs(twice.uy - once.uy).max()) <= 1e-11 * scale
@@ -201,7 +196,7 @@ def test_projection_face_orthogonality(unit32, rng):
                     rng.standard_normal((ny, nx)))
     fx, fy = face_normal_values(v)
     v = VectorField(unit32, v.ux, v.uy, fx.copy(), fy.copy())
-    out = helmholtz_project(v, tol=1e-12)
+    out = helmholtz_project(v)
     w = unit32.cell_volume
     ip = ((fx - out.fx) * out.fx).sum() * w + ((fy - out.fy) * out.fy).sum() * w
     norm2 = (fx ** 2).sum() * w + (fy ** 2).sum() * w
@@ -212,7 +207,7 @@ def test_projection_zero_normal_trace(unit32, rng):
     ny, nx = unit32.shape
     v = VectorField(unit32, rng.standard_normal((ny, nx)),
                     rng.standard_normal((ny, nx)))
-    out = helmholtz_project(v, tol=1e-12)
+    out = helmholtz_project(v)
     assert np.abs(out.fx[:, 0]).max() == 0.0
     assert np.abs(out.fx[:, -1]).max() == 0.0
     assert np.abs(out.fy[0, :]).max() == 0.0
@@ -237,19 +232,19 @@ def test_stokes_zero(unit16):
 
 
 def test_stokes_energy_nonincreasing(unit32):
-    u = helmholtz_project(vortex(unit32, 0.01), tol=1e-12)
+    u = helmholtz_project(vortex(unit32, 0.01))
     force = zero_vec(unit32)
     energies = []
     for _ in range(50):
-        u = step_stokes(u, force, dt=1e-3, tol=1e-12)
+        u = step_stokes(u, force, dt=1e-3)
         energies.append((u.ux ** 2 + u.uy ** 2).sum() * unit32.cell_volume)
     for a, b in zip(energies, energies[1:]):
         assert b <= a * (1.0 + 1e-12)
 
 
 def test_stokes_divergence_and_trace(unit32):
-    u = helmholtz_project(vortex(unit32), tol=1e-12)
-    out = step_stokes(u, zero_vec(unit32), dt=1e-3, tol=1e-11)
+    u = helmholtz_project(vortex(unit32))
+    out = step_stokes(u, zero_vec(unit32), dt=1e-3)
     div = face_divergence(unit32, out.fx, out.fy)
     assert np.sqrt((div ** 2).sum() * unit32.cell_volume) <= 1e-8
     assert np.abs(out.fx[:, 0]).max() == 0.0
@@ -258,13 +253,12 @@ def test_stokes_divergence_and_trace(unit32):
 def test_stokes_decay_rate(unit32):
     # homogeneous decay no slower than 0.8 * lambda_D (slowest mode check)
     lam_d = lambda_dirichlet(unit32, 1e-8).lam
-    u = helmholtz_project(vortex(unit32), tol=1e-12)
+    u = helmholtz_project(vortex(unit32))
     zero = np.zeros(unit32.shape)
     dt = 5e-4
     samples = []
-    p = None
     for k in range(1, 601):
-        u, p, _ = stokes_core(unit32, u.ux, u.uy, zero, zero, dt, 1e-10, p0=p)
+        u = stokes_core(unit32, u.ux, u.uy, zero, zero, dt)
         l2 = np.sqrt((u.ux ** 2 + u.uy ** 2).sum() * unit32.cell_volume)
         samples.append((k * dt, l2))
     fit = fit_decay_rate(samples, (0.1, 0.3))
