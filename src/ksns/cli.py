@@ -538,9 +538,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--out", default=None, help="output directory "
                         "(falls back to config, then $KSNS_OUT)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="thread count (stepping is single-threaded; "
-                        "values above 1 are accepted for sweep drivers)")
     parser.add_argument("--snapshot-stride", type=int, default=None)
     try:
         args = parser.parse_args(argv)
@@ -549,9 +546,6 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(__version__)
         return 0
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     if args.snapshot_stride is not None and args.snapshot_stride < 1:
         print("error: --snapshot-stride must be at least 1", file=sys.stderr)
         return 2

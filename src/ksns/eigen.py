@@ -6,7 +6,7 @@ the smallest eigenvalue with homogeneous Dirichlet data.  Both are closed
 forms: the 1-D finite-volume symbols s = 4/h^2 sin^2(pi/2n) give
 lambda_N = min(sx, sy) and lambda_D = sx + sy, and the eigenfields are the
 first cosine (zero flux) and sine (Dirichlet) modes sampled at the cell
-centres.  The reported residual is ||A psi - lambda psi|| for the
+centres, both taken from the eigenbases the implicit solves use.  The reported residual is ||A psi - lambda psi|| for the
 Euclidean-normalised psi, from one application of the operator.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, ScalarField
-from .linstep import _lap_dirichlet, _lap_zero_flux
+from .linstep import _eigenbasis, _lap_dirichlet, _lap_zero_flux
 
 
 @dataclass
@@ -24,15 +24,6 @@ class EigenResult:
     eigenfield: ScalarField
     iterations: int
     residual: float
-
-
-def _first_mode(n: int, dirichlet: bool) -> np.ndarray:
-    phase = np.pi * (np.arange(n) + 0.5) / n
-    return np.sin(phase) if dirichlet else np.cos(phase)
-
-
-def _symbol(n: int, h: float) -> float:
-    return 4.0 / h ** 2 * np.sin(0.5 * np.pi / n) ** 2
 
 
 def _result(grid: Grid, lam: float, psi: np.ndarray, apply_op) -> EigenResult:
@@ -58,12 +49,13 @@ def lambda_neumann(grid: Grid, tol: float = 1e-8) -> EigenResult:
     """
     _check_tol(tol)
     ny, nx = grid.shape
-    sx, sy = _symbol(nx, grid.hx), _symbol(ny, grid.hy)
-    if sx <= sy:
-        psi = np.broadcast_to(_first_mode(nx, False), grid.shape)
+    Qx, lam_x = _eigenbasis(nx, grid.hx, "neumann0")
+    Qy, lam_y = _eigenbasis(ny, grid.hy, "neumann0")
+    if lam_x[1] <= lam_y[1]:
+        psi = np.broadcast_to(Qx[:, 1], grid.shape)
     else:
-        psi = np.broadcast_to(_first_mode(ny, False)[:, None], grid.shape)
-    return _result(grid, float(min(sx, sy)), psi,
+        psi = np.broadcast_to(Qy[:, 1:2], grid.shape)
+    return _result(grid, float(min(lam_x[1], lam_y[1])), psi,
                    lambda v: -_lap_zero_flux(grid, v))
 
 
@@ -72,6 +64,8 @@ def lambda_dirichlet(grid: Grid, tol: float = 1e-8) -> EigenResult:
     sin(pi y / Ly) sampled at the cell centres."""
     _check_tol(tol)
     ny, nx = grid.shape
-    psi = _first_mode(ny, True)[:, None] * _first_mode(nx, True)[None, :]
-    return _result(grid, float(_symbol(nx, grid.hx) + _symbol(ny, grid.hy)),
-                   psi, lambda v: -_lap_dirichlet(grid, v))
+    Qx, lam_x = _eigenbasis(nx, grid.hx, "dirichlet0")
+    Qy, lam_y = _eigenbasis(ny, grid.hy, "dirichlet0")
+    psi = np.outer(Qy[:, 0], Qx[:, 0])
+    return _result(grid, float(lam_x[0] + lam_y[0]), psi,
+                   lambda v: -_lap_dirichlet(grid, v))

@@ -436,8 +436,8 @@ def write_field_snapshot(path, f: ScalarField, name: str, t: float) -> None:
     g = f.grid
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.nx},{g.ny},{g.spec.Lx:.17g},{g.spec.Ly:.17g},{name},{t:.17g}\n")
-        for j in range(g.ny):
-            fh.write(",".join(f"{v:.17g}" for v in f.values[j]) + "\n")
+        row = ",".join(["%.17g"] * g.nx) + "\n"
+        fh.writelines(row % tuple(r) for r in f.values.tolist())
 
 
 def read_field_snapshot(path) -> tuple[ScalarField, str, float]:

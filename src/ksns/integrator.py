@@ -51,8 +51,9 @@ class SensitivitySpec:
     """2x2 sensitivity tensor S(t, x) with its time derivative.
 
     ``entries(t, X, Y)`` returns the four entries (s11, s12, s21, s22),
-    each broadcastable to the shape of X.  ``entries_dt`` is the time
-    derivative (defaults to zero).
+    each a scalar or an array broadcastable against X and Y; X and Y may be
+    open coordinate vectors (a row and a column) rather than full meshes.
+    ``entries_dt`` is the time derivative (defaults to zero).
     """
 
     tag: str
@@ -60,9 +61,14 @@ class SensitivitySpec:
     entries_dt: Callable | None = None
 
     def evaluate(self, t: float, X: np.ndarray, Y: np.ndarray):
+        """The four entries as float arrays: scalar entries stay 0-d, the
+        others are broadcast to the common shape of X and Y."""
+        shape = np.broadcast_shapes(X.shape, Y.shape)
         out = []
         for s in self.entries(t, X, Y):
-            arr = np.broadcast_to(np.asarray(s, dtype=float), X.shape)
+            arr = np.asarray(s, dtype=float)
+            if arr.ndim:
+                arr = np.broadcast_to(arr, shape)
             require_finite(arr, f"sensitivity tensor ({self.tag})")
             out.append(arr)
         return tuple(out)
@@ -225,8 +231,8 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
                          S: SensitivitySpec, t: float) -> VectorField:
     dcx = ddx(c_vals, grid.hx)
     dcy = ddy(c_vals, grid.hy)
-    X, Y = grid.cell_centers()
-    s11, s12, s21, s22 = S.evaluate(t, X, Y)
+    xc, yc = grid.xc[None, :], grid.yc[:, None]
+    s11, s12, s21, s22 = S.evaluate(t, xc, yc)
     qx = n_vals * (s11 * dcx + s12 * dcy)
     qy = n_vals * (s21 * dcx + s22 * dcy)
 
@@ -235,16 +241,14 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
     # extrapolated from the cell-centered gradient
     dcx_fx = _face_derivative_x(grid, c_vals)
     dcy_fx = extrapolate_to_faces(dcy)[0]
-    xf = np.arange(grid.nx + 1) * grid.hx
-    Xf, Yf = np.meshgrid(xf, grid.yc)
-    s11f, s12f, _, _ = S.evaluate(t, Xf, Yf)
+    xf = np.arange(grid.nx + 1)[None, :] * grid.hx
+    s11f, s12f, _, _ = S.evaluate(t, xf, yc)
     fx = n_fx * (s11f * dcx_fx + s12f * dcy_fx)
 
     dcy_fy = _face_derivative_y(grid, c_vals)
     dcx_fy = extrapolate_to_faces(dcx)[1]
-    yf = np.arange(grid.ny + 1) * grid.hy
-    Xg, Yg = np.meshgrid(grid.xc, yf)
-    _, _, s21f, s22f = S.evaluate(t, Xg, Yg)
+    yf = np.arange(grid.ny + 1)[:, None] * grid.hy
+    _, _, s21f, s22f = S.evaluate(t, xc, yf)
     fy = n_fy * (s21f * dcx_fy + s22f * dcy_fy)
     return VectorField(grid, qx, qy, fx, fy)
 
@@ -325,14 +329,19 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
     bc = BoundaryData(left=-chem.fx[:, 0], right=chem.fx[:, -1],
                       bottom=-chem.fy[0, :], top=chem.fy[-1, :])
     ufx, ufy = face_normal_values(w.u, boundary="zero")
+    if ufx.any() or ufy.any():
+        adv_n, adv_c, adv_ux, adv_uy = (
+            upwind_divergence(grid, phi, ufx, ufy)
+            for phi in (w.nt, w.chi, w.u.ux, w.u.uy))
+    else:                       # a fluid at rest transports nothing
+        adv_n = adv_c = adv_ux = adv_uy = 0.0
 
-    forcing_n = -face_divergence(grid, chem.fx, chem.fy) \
-        - upwind_divergence(grid, w.nt, ufx, ufy)
+    forcing_n = -face_divergence(grid, chem.fx, chem.fy) - adv_n
     nt_new = neumann_heat_core(grid, sf.nt, bc, forcing_n, dt, theta)
     bc_res = boundary_source_residual(grid, sf.nt, nt_new, bc, forcing_n,
                                       dt, theta)
 
-    rhs_c = w.nt - upwind_divergence(grid, w.chi, ufx, ufy)
+    rhs_c = w.nt - adv_c
     chi_new = shifted_heat_core(grid, sf.chi, rhs_c, dt, theta)
 
     if data.f is not None:
@@ -340,10 +349,8 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
         f_x, f_y = fvec.ux, fvec.uy
     else:
         f_x = f_y = 0.0
-    force_x = -upwind_divergence(grid, w.u.ux, ufx, ufy) \
-        + nt_new * data.phi_grad.ux + f_x
-    force_y = -upwind_divergence(grid, w.u.uy, ufx, ufy) \
-        + nt_new * data.phi_grad.uy + f_y
+    force_x = -adv_ux + nt_new * data.phi_grad.ux + f_x
+    force_y = -adv_uy + nt_new * data.phi_grad.uy + f_y
     u_new = stokes_core(grid, sf.u.ux, sf.u.uy, force_x, force_y, dt)
 
     gamma_new = _gamma_update(sf.gamma, dt, theta)

@@ -3,8 +3,8 @@ the shifted Neumann heat operator, and a Chorin-projected Stokes step.
 
 Every implicit operator has the form ``shift*I - scale*lap_h`` with constant
 coefficients on the cell-centred rectangle, so ``solve_spectral`` solves it
-exactly in the eigenbasis of the 1-D finite-volume Laplacian: cosines
-(DCT-II) for zero-flux faces, sines (DST-II) for half-cell Dirichlet faces.
+exactly in the eigenbasis of the 1-D finite-volume Laplacian: cosines for
+zero-flux faces, sines for half-cell Dirichlet faces.
 The heat steps support the theta time scheme (theta = 1 implicit Euler,
 theta = 1/2 Crank-Nicolson); the Stokes step is implicit Euler only.
 """
@@ -49,90 +49,47 @@ def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
 # exact spectral solves
 
 @lru_cache(maxsize=32)
-def _dct_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Makhoul's even-odd reordering and the quarter-sample twiddles."""
-    order = np.concatenate((np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)))
-    twiddle = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
-    order.setflags(write=False)
-    twiddle.setflags(write=False)
-    return order, twiddle
-
-
-def _dct(x: np.ndarray) -> np.ndarray:
-    """DCT-II along the last axis, X_k = sum_j x_j cos(pi k (j + 1/2) / n)."""
-    n = x.shape[-1]
-    order, twiddle = _dct_tables(n)
-    z = twiddle * np.fft.rfft(x[..., order], axis=-1)
-    m = z.shape[-1]
-    out = np.empty(x.shape)
-    out[..., :m] = z.real
-    out[..., n - m + 1:] = -z.imag[..., m - 1:0:-1]   # X_{n-k} = -Im z_k
-    return out
-
-
-def _idct(X: np.ndarray) -> np.ndarray:
-    """Inverse of ``_dct`` (a scaled DCT-III) along the last axis."""
-    n = X.shape[-1]
-    order, twiddle = _dct_tables(n)
-    m = n // 2 + 1
-    V = X[..., :m] * twiddle.conj()
-    V[..., 1:] -= 1j * X[..., n - 1:n - m:-1] * twiddle[1:].conj()
-    out = np.empty(X.shape)
-    out[..., order] = np.fft.irfft(V, n, axis=-1)
-    return out
-
-
-def _dct2d(x: np.ndarray) -> np.ndarray:
-    return _dct(_dct(x).swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-def _idct2d(X: np.ndarray) -> np.ndarray:
-    return _idct(_idct(X).swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-@lru_cache(maxsize=32)
-def _symbols(n: int, h: float, dirichlet: bool) -> np.ndarray:
-    """Eigenvalues 4/h^2 sin^2(k pi / 2n) of the 1-D -lap_h in DCT-II order:
-    k = 0..n-1 (zero flux) or k = n..1 (half-cell Dirichlet; the DST-II mode
-    k of x is the DCT-II mode n - k of the sign-alternated x)."""
-    k = n - np.arange(n) if dirichlet else np.arange(n)
-    lam = 4.0 / h ** 2 * np.sin(0.5 * np.pi * k / n) ** 2
+def _eigenbasis(n: int, h: float, bc: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenbasis Q (one mode per column) and eigenvalues
+    4/h^2 sin^2(k pi / 2n) of the 1-D finite-volume -lap_h on n cells:
+    cos(k pi (j + 1/2) / n), k = 0..n-1, for zero-flux faces (``"neumann0"``)
+    and sin(k pi (j + 1/2) / n), k = 1..n, for half-cell Dirichlet faces
+    (``"dirichlet0"``)."""
+    if bc == "dirichlet0":
+        k, wave = np.arange(1, n + 1), np.sin
+    else:
+        k, wave = np.arange(n), np.cos
+    Q = wave(np.pi / n * np.outer(np.arange(n) + 0.5, k))
+    Q /= np.linalg.norm(Q, axis=0)
+    lam = 4.0 / h ** 2 * np.sin(0.5 * np.pi / n * k) ** 2
+    Q.setflags(write=False)
     lam.setflags(write=False)
-    return lam
-
-
-@lru_cache(maxsize=32)
-def _alternating(n: int) -> np.ndarray:
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    sign.setflags(write=False)
-    return sign
+    return Q, lam
 
 
 def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
                    bc: str) -> np.ndarray:
     """Exact solution of (shift*I - scale*lap_h) x = b on the grid.
 
-    ``bc`` is ``"neumann0"`` (zero-flux faces, DCT-II basis) or
-    ``"dirichlet0"`` (half-cell Dirichlet faces, DST-II basis, computed as
-    the DCT-II of the sign-alternated data with its modes reversed).  For the
-    singular Neumann problem (shift = 0) the constant mode of the solution
-    is set to zero, which solves the problem restricted to mean-zero data.
-    A zero right-hand side returns zeros without a transform.
+    ``bc`` is ``"neumann0"`` (zero-flux faces, cosine modes) or
+    ``"dirichlet0"`` (half-cell Dirichlet faces, sine modes).  The solve is
+    four matrix products with the cached 1-D eigenbases,
+    x = Qy ((Qy^T b Qx) / symbol) Qx^T.  For the singular Neumann problem
+    (shift = 0) the constant mode of the solution is set to zero, which
+    solves the problem restricted to mean-zero data.  A zero right-hand
+    side returns zeros without a product.
     """
     if bc not in ("neumann0", "dirichlet0"):
         raise ValueError(f"unknown bc {bc!r}")
     if not b.any():
         return np.zeros(b.shape)
     ny, nx = grid.shape
-    dirichlet = bc == "dirichlet0"
-    denom = shift + scale * (_symbols(ny, grid.hy, dirichlet)[:, None]
-                             + _symbols(nx, grid.hx, dirichlet)[None, :])
-    if dirichlet:
-        sign = _alternating(ny)[:, None] * _alternating(nx)[None, :]
-        return sign * _idct2d(_dct2d(sign * b) / denom)
-    if shift == 0.0:
+    Qy, lam_y = _eigenbasis(ny, grid.hy, bc)
+    Qx, lam_x = _eigenbasis(nx, grid.hx, bc)
+    denom = shift + scale * (lam_y[:, None] + lam_x[None, :])
+    if shift == 0.0 and bc == "neumann0":
         denom[0, 0] = np.inf
-    return _idct2d(_dct2d(b) / denom)
+    return Qy @ ((Qy.T @ b @ Qx) / denom) @ Qx.T
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +206,10 @@ def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray
                      bottom=-fy[0, :], top=fy[-1, :])
     rhs = _boundary_source(grid, b) - face_divergence(grid, fx, fy)
     p = solve_spectral(grid, rhs, 0.0, 1.0, "neumann0")
+    # one residual-correction sweep removes most of the rounding error of
+    # the matrix products, which the projected divergence would carry
+    p += solve_spectral(grid, rhs + _lap_zero_flux(grid, p), 0.0, 1.0,
+                        "neumann0")
     ny, nx = grid.shape
     gpx = np.empty((ny, nx + 1))
     gpx[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hx
@@ -305,6 +266,8 @@ def stokes_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
     """Chorin split Stokes step on raw arrays."""
     sx = solve_spectral(grid, ux + dt * force_x, 1.0, dt, "dirichlet0")
     sy = solve_spectral(grid, uy + dt * force_y, 1.0, dt, "dirichlet0")
+    if not (sx.any() or sy.any()):
+        return VectorField.zero(grid)      # nothing to project
     return helmholtz_project_core(VectorField(grid, sx, sy), boundary="zero")
 
 

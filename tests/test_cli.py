@@ -199,7 +199,6 @@ def test_nonneg_subcommand(tmp_path, capsys):
 
 
 def test_flag_validation(capsys):
-    assert main(["run", "--threads", "0"]) == 2
     assert main(["run", "--snapshot-stride", "0"]) == 2
 
 

@@ -243,3 +243,15 @@ def test_snapshot_rejects_comma_name(tmp_path, unit16):
     with pytest.raises(ValueError):
         write_field_snapshot(tmp_path / "x.csv",
                              ScalarField.constant(unit16, 0.0), "a,b", 0.0)
+
+
+def test_snapshot_bytes_match_per_value_format(tmp_path):
+    grid = build_grid(DomainSpec(1.5, 0.75, 7, 5))
+    vals = np.random.default_rng(7).standard_normal(grid.shape) \
+        * 10.0 ** np.arange(-8, 27, 5)
+    vals[0, :5] = (-0.0, 1e-300, 5e-324, -1.7976931348623157e308, 0.1)
+    path = tmp_path / "snap.csv"
+    write_field_snapshot(path, ScalarField(grid, vals), "n", 0.3)
+    expected = "7,5,1.5,0.75,n,0.29999999999999999\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in vals)
+    assert path.read_bytes() == expected.encode("utf-8")

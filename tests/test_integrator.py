@@ -127,6 +127,39 @@ def test_chem_flux_constant_signal(unit16):
     assert np.abs(fl.fx).max() == 0.0 and np.abs(fl.fy).max() == 0.0
 
 
+def test_chem_flux_space_time_varying_sensitivity_matches_full_meshes(unit32, rng):
+    # the flux is linear in S, so with a varying S it must equal the fluxes
+    # of the constant tensors I and [[0, 1], [-1, 0]] weighted by the
+    # entries evaluated on full cell- and face-centre meshgrids
+    def entries(t, X, Y):
+        return (1.0 + X, -t * Y, t * Y, 1.0 + X)
+
+    t = 0.7
+    grid = unit32
+    n = ScalarField(grid, 2.0 + 0.1 * rng.standard_normal(grid.shape))
+    c = ScalarField(grid, 1.0 + 0.1 * rng.standard_normal(grid.shape))
+    fl = chemotactic_flux(n, c, SensitivitySpec("varying", entries), t)
+    ident = chemotactic_flux(n, c, SensitivitySpec.identity(), t)
+    cross = chemotactic_flux(n, c, SensitivitySpec.rotation(0.0, -1.0), t)
+
+    X, Y = grid.cell_centers()
+    Xf, Yf = np.meshgrid(np.arange(grid.nx + 1) * grid.hx, grid.yc)
+    Xg, Yg = np.meshgrid(grid.xc, np.arange(grid.ny + 1) * grid.hy)
+    s11, s12, s21, s22 = entries(t, X, Y)
+    s11f, s12f, _, _ = entries(t, Xf, Yf)
+    _, _, s21g, s22g = entries(t, Xg, Yg)
+    expected = {
+        "ux": s11 * ident.ux + s12 * cross.ux,
+        "uy": -s21 * cross.uy + s22 * ident.uy,
+        "fx": s11f * ident.fx + s12f * cross.fx,
+        "fy": -s21g * cross.fy + s22g * ident.fy,
+    }
+    for name, want in expected.items():
+        got = getattr(fl, name)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
 def test_chem_flux_rotation_boundary(unit64):
     # S = rotation(0, 1) turns the tangential gradient into the normal flux
     n = ScalarField.constant(unit64, 1.0)
@@ -187,6 +220,39 @@ def test_boundary_residual_detects_perturbed_flux(unit32):
         off = neumann_heat_core(unit32, nt, scaled, forcing, 1e-3, theta)
         assert boundary_source_residual(unit32, nt, off, bc, forcing, 1e-3,
                                         theta) > 1e-12
+
+
+def test_step_from_rest_moves_and_stays_divergence_free(unit32):
+    # a fluid at rest takes the zero-velocity path on its first step; linear
+    # gravity on a non-uniform density and a decaying force must still set
+    # it moving, and the result must be projected
+    grid = unit32
+    phi = VectorField.from_functions(grid, lambda x, y: 0.0 * x,
+                                     lambda x, y: -1.0 + 0.0 * x)
+    base_f = VectorField.from_functions(grid, lambda x, y: np.cos(np.pi * y),
+                                        lambda x, y: 0.0 * x)
+
+    def f(t):
+        return VectorField(grid, math.exp(-t) * base_f.ux, base_f.uy.copy())
+
+    data = wave_data(grid, amp=0.1, S=SensitivitySpec.rotation(1.0, 0.5),
+                     phi_grad=phi, f=f)
+    st = data.initial_state()
+    assert st.u.magnitude_sup() == 0.0
+    for _ in range(2):
+        st = step(st, data, dt=1e-3)
+        assert st.u.magnitude_sup() > 1e-5
+        assert np.abs(face_divergence(grid, st.u.fx, st.u.fy)).max() <= 1e-12
+        assert np.abs(st.u.fx[:, [0, -1]]).max() == 0.0
+        assert np.abs(st.u.fy[[0, -1], :]).max() == 0.0
+
+
+def test_step_at_rest_without_forcing_stays_at_rest(unit32):
+    data = wave_data(unit32, amp=0.1, S=SensitivitySpec.rotation(1.0, 0.5))
+    out = step(data.initial_state(), data, dt=1e-3)
+    assert np.abs(out.n.values - data.n0.values).max() > 0.0
+    for arr in (out.u.ux, out.u.uy, out.u.fx, out.u.fy):
+        assert not arr.any()
 
 
 def test_step_mass_conserved_with_rich_data(unit32, rng):

@@ -1,4 +1,5 @@
-"""Property tests of the exact spectral solves against the CG oracle.
+"""Property tests of the 1-D eigenbases and of the exact spectral solves
+against the CG oracle.
 
 Grid sizes (odd ones included), aspect ratios, time steps and theta are
 drawn by hypothesis; the right-hand sides come from a drawn seed.
@@ -11,13 +12,35 @@ from hypothesis import strategies as st
 from cg_oracle import neg_lap_diag, solve_cg
 from ksns import DomainSpec, VectorField, build_grid, helmholtz_project
 from ksns.grid import face_divergence
-from ksns.linstep import _lap_dirichlet, _lap_zero_flux, solve_spectral
+from ksns.linstep import (_eigenbasis, _lap_dirichlet, _lap_zero_flux,
+                          solve_spectral)
 
 cases = st.fixed_dictionaries({
     "nx": st.integers(4, 40), "ny": st.integers(4, 40),
     "Lx": st.floats(0.5, 2.0), "Ly": st.floats(0.5, 2.0),
     "dt": st.floats(1e-4, 1e-1), "theta": st.sampled_from((1.0, 0.5)),
     "seed": st.integers(0, 2 ** 32 - 1)})
+
+
+def _neg_lap_1d(n, h, bc):
+    """Tridiagonal 1-D -lap_h: zero-flux faces, or half-cell Dirichlet faces
+    whose boundary gradient (0 - q)/(h/2) adds 2/h^2 to the end cells."""
+    A = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
+    end = 3.0 if bc == "dirichlet0" else 1.0
+    A[0, 0] = A[-1, -1] = end / h ** 2
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 64), st.floats(1e-3, 1.0),
+       st.sampled_from(("neumann0", "dirichlet0")))
+def test_eigenbasis_is_orthonormal_eigenbasis(n, h, bc):
+    Q, lam = _eigenbasis(n, h, bc)
+    assert Q.shape == (n, n) and lam.shape == (n,)
+    assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-14
+    A = _neg_lap_1d(n, h, bc)
+    assert np.abs(A @ Q - Q * lam).max() <= 1e-14 * lam.max()
+    assert (lam[0] == 0.0) == (bc == "neumann0")
 
 
 def _operators(dt, theta):
