@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, discrete_norm
+from .grid import BoundaryData, ScalarField, VectorField, discrete_norm
 from .integrator import (GivenData, SensitivitySpec, SimState,
                          boundary_normal_derivative_raw, chemotactic_flux_raw)
 
@@ -314,16 +314,9 @@ def boundary_residual(state: SimState, data: GivenData) -> float:
         return state.bc_residual
     g = state.n.grid
     diff = boundary_normal_derivative_raw(g, state.n.values)
-    chem = chemotactic_flux_raw(g, state.n.values, state.c.values, data.S,
-                                state.t)
-    chem_bc = _chem_boundary(chem)
-    return _boundary_gap(diff, chem_bc)
-
-
-def _chem_boundary(chem: VectorField):
-    from .grid import BoundaryData
-    return BoundaryData(left=-chem.fx[:, 0], right=chem.fx[:, -1],
-                        bottom=-chem.fy[0, :], top=chem.fy[-1, :])
+    faces = chemotactic_flux_raw(g, state.n.values, state.c.values, data.S,
+                                 state.t)
+    return _boundary_gap(diff, BoundaryData.from_faces(*faces))
 
 
 def compatibility_check(n0: ScalarField, c0: ScalarField,
@@ -335,8 +328,8 @@ def compatibility_check(n0: ScalarField, c0: ScalarField,
     """
     g = n0.grid
     diff = boundary_normal_derivative_raw(g, n0.values)
-    chem = chemotactic_flux_raw(g, n0.values, c0.values, S, 0.0)
-    return _boundary_gap(diff, _chem_boundary(chem))
+    faces = chemotactic_flux_raw(g, n0.values, c0.values, S, 0.0)
+    return _boundary_gap(diff, BoundaryData.from_faces(*faces))
 
 
 # ---------------------------------------------------------------------------

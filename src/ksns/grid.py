@@ -233,6 +233,12 @@ class BoundaryData:
                 or self.bottom.shape != (grid.nx,) or self.top.shape != (grid.nx,)):
             raise ValueError("boundary data shapes do not match grid face counts")
 
+    @classmethod
+    def from_faces(cls, fx: np.ndarray, fy: np.ndarray) -> "BoundaryData":
+        """Outward normal values on the boundary faces of face-normal arrays."""
+        return cls(left=-fx[:, 0], right=fx[:, -1],
+                   bottom=-fy[0, :], top=fy[-1, :])
+
     def boundary_sum(self, grid: Grid) -> float:
         """Sum of flux times face length over all boundary faces."""
         return float((self.left.sum() + self.right.sum()) * grid.hy
@@ -263,36 +269,44 @@ def require_finite(values: np.ndarray, what: str) -> None:
 # ---------------------------------------------------------------------------
 # difference stencils (raw arrays)
 
+def ghost_pad(vals: np.ndarray, axis: int) -> np.ndarray:
+    """``vals`` with one quadratic ghost layer on each wall along ``axis``
+    (1: x, 0: y).  The ghost ``g = 3(v0 - v1) + v2`` turns the compact face
+    difference and the central cell difference into the one-sided
+    second-order wall stencils."""
+    shape = list(vals.shape)
+    shape[axis] += 2
+    out = np.empty(shape)
+    v, o = (vals, out) if axis == 1 else (vals.T, out.T)
+    o[:, 1:-1] = v
+    o[:, 0] = 3.0 * (v[:, 0] - v[:, 1]) + v[:, 2]
+    o[:, -1] = 3.0 * (v[:, -1] - v[:, -2]) + v[:, -3]
+    return out
+
+
 def ddx(vals: np.ndarray, hx: float) -> np.ndarray:
     """d/dx: central in the interior, one-sided second order at i=0, nx-1."""
-    out = np.empty_like(vals)
-    out[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2.0 * hx)
-    out[:, 0] = (-3.0 * vals[:, 0] + 4.0 * vals[:, 1] - vals[:, 2]) / (2.0 * hx)
-    out[:, -1] = (3.0 * vals[:, -1] - 4.0 * vals[:, -2] + vals[:, -3]) / (2.0 * hx)
-    return out
+    p = ghost_pad(vals, 1)
+    return (p[:, 2:] - p[:, :-2]) / (2.0 * hx)
 
 
 def ddy(vals: np.ndarray, hy: float) -> np.ndarray:
-    out = np.empty_like(vals)
-    out[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2.0 * hy)
-    out[0, :] = (-3.0 * vals[0, :] + 4.0 * vals[1, :] - vals[2, :]) / (2.0 * hy)
-    out[-1, :] = (3.0 * vals[-1, :] - 4.0 * vals[-2, :] + vals[-3, :]) / (2.0 * hy)
+    p = ghost_pad(vals, 0)
+    return (p[2:] - p[:-2]) / (2.0 * hy)
+
+
+def face_values(vals: np.ndarray, axis: int) -> np.ndarray:
+    """Values of a cell-centered array on the faces normal to ``axis``
+    (1: the (ny, nx+1) vertical faces, 0: the (ny+1, nx) horizontal ones):
+    interior average, one-sided second-order extrapolation at the walls."""
+    shape = list(vals.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    v, o = (vals, out) if axis == 1 else (vals.T, out.T)
+    o[:, 1:-1] = 0.5 * (v[:, 1:] + v[:, :-1])
+    o[:, 0] = 1.5 * v[:, 0] - 0.5 * v[:, 1]
+    o[:, -1] = 1.5 * v[:, -1] - 0.5 * v[:, -2]
     return out
-
-
-def extrapolate_to_faces(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Face values of a cell-centered array: interior average, one-sided
-    second-order extrapolation at the boundary faces."""
-    ny, nx = vals.shape
-    vx = np.empty((ny, nx + 1))
-    vx[:, 1:-1] = 0.5 * (vals[:, 1:] + vals[:, :-1])
-    vx[:, 0] = 1.5 * vals[:, 0] - 0.5 * vals[:, 1]
-    vx[:, -1] = 1.5 * vals[:, -1] - 0.5 * vals[:, -2]
-    vy = np.empty((ny + 1, nx))
-    vy[1:-1, :] = 0.5 * (vals[1:, :] + vals[:-1, :])
-    vy[0, :] = 1.5 * vals[0, :] - 0.5 * vals[1, :]
-    vy[-1, :] = 1.5 * vals[-1, :] - 0.5 * vals[-2, :]
-    return vx, vy
 
 
 def face_normal_values(v: VectorField, boundary: str = "extrapolate"
@@ -306,8 +320,8 @@ def face_normal_values(v: VectorField, boundary: str = "extrapolate"
     """
     if v.fx is not None and v.fy is not None:
         return v.fx, v.fy
-    fx, _ = extrapolate_to_faces(v.ux)
-    _, fy = extrapolate_to_faces(v.uy)
+    fx = face_values(v.ux, 1)
+    fy = face_values(v.uy, 0)
     if boundary == "zero":
         fx[:, 0] = 0.0
         fx[:, -1] = 0.0

@@ -23,9 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
-                   check_same_grid, ddx, ddy, extrapolate_to_faces,
-                   face_divergence, face_normal_values, integrate,
-                   require_finite)
+                   check_same_grid, ddx, ddy, face_divergence, face_values,
+                   face_normal_values, ghost_pad, integrate, require_finite)
 from .linstep import (boundary_source_residual, neumann_heat_core,
                       shifted_heat_core, stokes_core)
 
@@ -48,37 +47,33 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class SensitivitySpec:
-    """2x2 sensitivity tensor S(t, x) with its time derivative.
+    """2x2 sensitivity tensor S(t, x).
 
     ``entries(t, X, Y)`` returns the four entries (s11, s12, s21, s22),
     each a scalar or an array broadcastable against X and Y; X and Y may be
     open coordinate vectors (a row and a column) rather than full meshes.
-    ``entries_dt`` is the time derivative (defaults to zero).
     """
 
     tag: str
     entries: Callable
-    entries_dt: Callable | None = None
 
     def evaluate(self, t: float, X: np.ndarray, Y: np.ndarray):
-        """The four entries as float arrays: scalar entries stay 0-d, the
-        others are broadcast to the common shape of X and Y."""
-        shape = np.broadcast_shapes(X.shape, Y.shape)
+        """The four entries: scalar entries as Python floats, the others as
+        float arrays broadcast to the common shape of X and Y."""
+        what = f"sensitivity tensor ({self.tag})"
         out = []
         for s in self.entries(t, X, Y):
-            arr = np.asarray(s, dtype=float)
-            if arr.ndim:
-                arr = np.broadcast_to(arr, shape)
-            require_finite(arr, f"sensitivity tensor ({self.tag})")
-            out.append(arr)
+            if isinstance(s, (int, float)):
+                s = float(s)
+                if not math.isfinite(s):
+                    raise ValueError(f"{what} contains non-finite values")
+            else:
+                s = np.asarray(s, dtype=float)
+                if s.ndim:
+                    s = np.broadcast_to(s, np.broadcast(X, Y).shape)
+                require_finite(s, what)
+            out.append(s)
         return tuple(out)
-
-    def evaluate_dt(self, t: float, X: np.ndarray, Y: np.ndarray):
-        if self.entries_dt is None:
-            z = np.zeros(X.shape)
-            return (z, z, z, z)
-        return tuple(np.broadcast_to(np.asarray(s, dtype=float), X.shape)
-                     for s in self.entries_dt(t, X, Y))
 
     @classmethod
     def identity(cls) -> "SensitivitySpec":
@@ -206,51 +201,37 @@ def boundary_normal_derivative(f: ScalarField) -> BoundaryData:
     return boundary_normal_derivative_raw(f.grid, f.values)
 
 
-def _face_derivative_x(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """d/dx at the vertical faces: compact interior, one-sided at x=0, Lx."""
-    ny, nx = grid.shape
-    hx = grid.hx
-    out = np.empty((ny, nx + 1))
-    out[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / hx
-    out[:, 0] = (-2.0 * vals[:, 0] + 3.0 * vals[:, 1] - vals[:, 2]) / hx
-    out[:, -1] = (2.0 * vals[:, -1] - 3.0 * vals[:, -2] + vals[:, -3]) / hx
-    return out
-
-
-def _face_derivative_y(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    ny, nx = grid.shape
-    hy = grid.hy
-    out = np.empty((ny + 1, nx))
-    out[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / hy
-    out[0, :] = (-2.0 * vals[0, :] + 3.0 * vals[1, :] - vals[2, :]) / hy
-    out[-1, :] = (2.0 * vals[-1, :] - 3.0 * vals[-2, :] + vals[-3, :]) / hy
-    return out
+def _nonzero(s) -> bool:
+    """Whether a sensitivity entry (a float or an array) is anywhere nonzero."""
+    return bool(s) if isinstance(s, float) else bool(s.any())
 
 
 def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
-                         S: SensitivitySpec, t: float) -> VectorField:
-    dcx = ddx(c_vals, grid.hx)
-    dcy = ddy(c_vals, grid.hy)
-    xc, yc = grid.xc[None, :], grid.yc[:, None]
-    s11, s12, s21, s22 = S.evaluate(t, xc, yc)
-    qx = n_vals * (s11 * dcx + s12 * dcy)
-    qy = n_vals * (s21 * dcx + s22 * dcy)
+                         S: SensitivitySpec, t: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Face-normal values (fx, fy) of the chemotactic flux n * (S grad c);
+    faces only, no cell-centered values.
 
-    n_fx, n_fy = extrapolate_to_faces(n_vals)
-    # vertical faces: normal derivative compact/one-sided, tangential part
-    # extrapolated from the cell-centered gradient
-    dcx_fx = _face_derivative_x(grid, c_vals)
-    dcy_fx = extrapolate_to_faces(dcy)[0]
-    xf = np.arange(grid.nx + 1)[None, :] * grid.hx
-    s11f, s12f, _, _ = S.evaluate(t, xf, yc)
-    fx = n_fx * (s11f * dcx_fx + s12f * dcy_fx)
-
-    dcy_fy = _face_derivative_y(grid, c_vals)
-    dcx_fy = extrapolate_to_faces(dcx)[1]
-    yf = np.arange(grid.ny + 1)[:, None] * grid.hy
-    _, _, s21f, s22f = S.evaluate(t, xc, yf)
-    fy = n_fy * (s21f * dcx_fy + s22f * dcy_fy)
-    return VectorField(grid, qx, qy, fx, fy)
+    The normal derivative of c on a face is the compact difference across
+    it, the tangential one the central cell gradient carried to the face;
+    one quadratic ghost layer closes both with the one-sided second-order
+    wall stencils.  The tangential term is skipped where the off-diagonal
+    entry of S is zero, as in the scalar presets.
+    """
+    hx, hy = grid.hx, grid.hy
+    xf = np.arange(grid.nx + 1)[None, :] * hx
+    yf = np.arange(grid.ny + 1)[:, None] * hy
+    s11, s12, _, _ = S.evaluate(t, xf, grid.yc[:, None])
+    _, _, s21, s22 = S.evaluate(t, grid.xc[None, :], yf)
+    cx = ghost_pad(c_vals, 1)
+    cy = ghost_pad(c_vals, 0)
+    gx = s11 * ((cx[:, 1:] - cx[:, :-1]) / hx)
+    if _nonzero(s12):
+        gx += s12 * face_values((cy[2:] - cy[:-2]) / (2.0 * hy), 1)
+    gy = s22 * ((cy[1:] - cy[:-1]) / hy)
+    if _nonzero(s21):
+        gy += s21 * face_values((cx[:, 2:] - cx[:, :-2]) / (2.0 * hx), 0)
+    return face_values(n_vals, 1) * gx, face_values(n_vals, 0) * gy
 
 
 def chemotactic_flux(n: ScalarField, c: ScalarField, S: SensitivitySpec,
@@ -264,7 +245,12 @@ def chemotactic_flux(n: ScalarField, c: ScalarField, S: SensitivitySpec,
     check_same_grid(n, c)
     require_finite(n.values, "n")
     require_finite(c.values, "c")
-    return chemotactic_flux_raw(n.grid, n.values, c.values, S, t)
+    g = n.grid
+    fx, fy = chemotactic_flux_raw(g, n.values, c.values, S, t)
+    dcx, dcy = ddx(c.values, g.hx), ddy(c.values, g.hy)
+    s11, s12, s21, s22 = S.evaluate(t, g.xc[None, :], g.yc[:, None])
+    return VectorField(g, n.values * (s11 * dcx + s12 * dcy),
+                       n.values * (s21 * dcx + s22 * dcy), fx, fy)
 
 
 def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
@@ -325,9 +311,8 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
     t0 = sf.t
     theta = opts.theta
 
-    chem = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S, t0)
-    bc = BoundaryData(left=-chem.fx[:, 0], right=chem.fx[:, -1],
-                      bottom=-chem.fy[0, :], top=chem.fy[-1, :])
+    fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S, t0)
+    bc = BoundaryData.from_faces(fx, fy)
     ufx, ufy = face_normal_values(w.u, boundary="zero")
     if ufx.any() or ufy.any():
         adv_n, adv_c, adv_ux, adv_uy = (
@@ -336,7 +321,7 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
     else:                       # a fluid at rest transports nothing
         adv_n = adv_c = adv_ux = adv_uy = 0.0
 
-    forcing_n = -face_divergence(grid, chem.fx, chem.fy) - adv_n
+    forcing_n = -face_divergence(grid, fx, fy) - adv_n
     nt_new = neumann_heat_core(grid, sf.nt, bc, forcing_n, dt, theta)
     bc_res = boundary_source_residual(grid, sf.nt, nt_new, bc, forcing_n,
                                       dt, theta)
@@ -362,16 +347,17 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
 
 def _check_blowup(sf: _ShiftedFields, n_bar0: float, ceiling: float,
                   last_valid: _ShiftedFields) -> None:
-    arrays = (sf.nt, sf.chi, sf.u.ux, sf.u.uy)
-    finite = all(np.isfinite(a).all() for a in arrays)
-    sup = max(np.abs(sf.nt).max() + abs(n_bar0),
-              np.abs(sf.chi).max() + abs(n_bar0),
-              np.abs(sf.u.ux).max(), np.abs(sf.u.uy).max()) if finite else np.inf
-    if not finite or sup > ceiling:
-        raise BlowUpError(
-            f"blow-up detected at t = {sf.t:.6g}: "
-            + ("non-finite values" if not finite else f"sup {sup:.3e} exceeds ceiling {ceiling:.3e}"),
-            state=_to_state(last_valid, n_bar0))
+    # one reduction per field: NaN and inf propagate through the max
+    sups = [float(np.abs(a).max()) for a in (sf.nt, sf.chi, sf.u.ux, sf.u.uy)]
+    if all(map(math.isfinite, sups)):
+        sup = max(sups[0] + abs(n_bar0), sups[1] + abs(n_bar0), *sups[2:])
+        if sup <= ceiling:
+            return
+        reason = f"sup {sup:.3e} exceeds ceiling {ceiling:.3e}"
+    else:
+        reason = "non-finite values"
+    raise BlowUpError(f"blow-up detected at t = {sf.t:.6g}: {reason}",
+                      state=_to_state(last_valid, n_bar0))
 
 
 def _from_state(state: SimState) -> _ShiftedFields:
@@ -428,6 +414,28 @@ def _rel_increment(a: _ShiftedFields, b: _ShiftedFields, n_bar0: float) -> float
     return max(rel(n_a, n_b), rel(c_a, c_b), u_inc)
 
 
+def _picard(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
+            dt: float, opts: RunOptions, k_max: int, tol: float
+            ) -> tuple[_ShiftedFields, float, int, float]:
+    """Iterate ``_advance`` from ``sf`` with coefficients frozen at the
+    previous iterate; returns (iterate, bc_residual, iters, contraction)."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    iterate = sf
+    prev_inc = None
+    contraction = 0.0
+    for m in range(1, k_max + 1):
+        new, bc_res = _advance(grid, sf, data, n_bar0, dt, opts, frozen=iterate)
+        inc = _rel_increment(new, iterate, n_bar0)  # iterate starts at sf
+        if prev_inc is not None and prev_inc > 0.0:
+            contraction = inc / prev_inc
+        iterate = new
+        if inc < tol:
+            return iterate, bc_res, m, contraction
+        prev_inc = inc
+    return iterate, bc_res, k_max, contraction
+
+
 def picard_step(state: SimState, data: GivenData, dt: float,
                 k_max: int = 4, tol: float = 1e-10,
                 options: RunOptions | None = None
@@ -438,28 +446,12 @@ def picard_step(state: SimState, data: GivenData, dt: float,
     contraction estimate is the ratio of the last two increments (0 when
     fewer than two were taken); values >= 1 are reported, not raised.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    opts = options or RunOptions()
-    grid = data.grid
-    sf = _from_state(state)
-    iterate = sf
-    prev_inc = None
-    contraction = 0.0
-    bc_res = None
-    for m in range(1, k_max + 1):
-        new, bc_res = _advance(grid, sf, data, state.n_bar0, dt, opts,
-                               frozen=iterate)
-        inc = _rel_increment(new, iterate, state.n_bar0)  # iterate starts at the seed
-        if prev_inc is not None and prev_inc > 0.0:
-            contraction = inc / prev_inc
-        iterate = new
-        if inc < tol:
-            return _to_state(iterate, state.n_bar0, bc_res), m, contraction
-        prev_inc = inc
-    return _to_state(iterate, state.n_bar0, bc_res), k_max, contraction
+    new, bc_res, iters, contraction = _picard(
+        data.grid, _from_state(state), data, state.n_bar0, dt,
+        options or RunOptions(), k_max, tol)
+    return _to_state(new, state.n_bar0, bc_res), iters, contraction
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +490,9 @@ def run(data: GivenData, T: float, dt: float,
     for k in range(1, n_steps + 1):
         try:
             if opts.picard_enabled:
-                iterate = sf
-                prev_inc = None
-                contraction = 0.0
-                iters = opts.picard_k_max
-                for m in range(1, opts.picard_k_max + 1):
-                    new, bc_res = _advance(grid, sf, data, n_bar0, dt, opts,
-                                           frozen=iterate)
-                    inc = _rel_increment(new, iterate, n_bar0)
-                    if prev_inc is not None and prev_inc > 0.0:
-                        contraction = inc / prev_inc
-                    iterate = new
-                    if inc < opts.picard_tol:
-                        iters = m
-                        break
-                    prev_inc = inc
-                sf = iterate
+                sf, bc_res, iters, contraction = _picard(
+                    grid, sf, data, n_bar0, dt, opts, opts.picard_k_max,
+                    opts.picard_tol)
             else:
                 sf, bc_res = _advance(grid, sf, data, n_bar0, dt, opts)
                 iters, contraction = 1, 0.0
@@ -523,6 +502,7 @@ def run(data: GivenData, T: float, dt: float,
         sf.t = k * dt       # avoid accumulated addition drift
         n_vals = sf.nt + n_bar0
         c_vals = sf.chi + sf.gamma * n_bar0
+        min_n, min_c = float(n_vals.min()), float(c_vals.min())
         series.append(
             t=sf.t,
             mass_n=n_bar0 * omega + float(sf.nt.sum()) * vol,
@@ -531,11 +511,14 @@ def run(data: GivenData, T: float, dt: float,
             sup_c_dev=float(np.abs(sf.chi + (sf.gamma - (1.0 - math.exp(-sf.t)))
                                    * n_bar0).max()),
             sup_u=float(np.sqrt(sf.u.ux ** 2 + sf.u.uy ** 2).max()),
-            min_n=float(n_vals.min()),
-            min_c=float(c_vals.min()),
+            min_n=min_n,
+            min_c=min_c,
             bc_residual=bc_res,
-            neg_energy_n=float((np.minimum(n_vals, 0.0) ** 2).sum()) * vol,
-            neg_energy_c=float((np.minimum(c_vals, 0.0) ** 2).sum()) * vol,
+            # exactly 0 for a non-negative field: skip the sum
+            neg_energy_n=0.0 if min_n >= 0.0 else
+            float((np.minimum(n_vals, 0.0) ** 2).sum()) * vol,
+            neg_energy_c=0.0 if min_c >= 0.0 else
+            float((np.minimum(c_vals, 0.0) ** 2).sum()) * vol,
             picard_iters=iters,
             contraction=contraction,
         )

@@ -164,8 +164,7 @@ def step_neumann_heat(U: ScalarField, F_B: VectorField, F_E: ScalarField,
     if abs(integrate(F_E)) > 1e-8 * max(fe_norm, 1e-300):
         raise ValueError("F_E violates the mean-zero precondition")
     fx, fy = face_normal_values(F_B)
-    b = BoundaryData(left=-fx[:, 0], right=fx[:, -1],
-                     bottom=-fy[0, :], top=fy[-1, :])
+    b = BoundaryData.from_faces(fx, fy)
     forcing = -face_divergence(g, fx, fy) + F_E.values
     return ScalarField(g, neumann_heat_core(g, U.values, b, forcing, dt, theta))
 
@@ -202,8 +201,7 @@ def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray
     corrects the faces.  Corrected boundary faces are exactly zero.
     Returns (fx', fy').
     """
-    b = BoundaryData(left=-fx[:, 0], right=fx[:, -1],
-                     bottom=-fy[0, :], top=fy[-1, :])
+    b = BoundaryData.from_faces(fx, fy)
     rhs = _boundary_source(grid, b) - face_divergence(grid, fx, fy)
     p = solve_spectral(grid, rhs, 0.0, 1.0, "neumann0")
     # one residual-correction sweep removes most of the rounding error of

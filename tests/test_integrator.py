@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ksns import (ScalarField, VectorField, helmholtz_project, integrate)
+from ksns import (DomainSpec, ScalarField, VectorField, build_grid,
+                  helmholtz_project, integrate)
+from ksns.diagnostics import negative_part_energy
 from ksns.grid import face_divergence
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
-                             SensitivitySpec, SimState, chemotactic_flux,
-                             picard_step, run, shift_transform, step, unshift)
+                             SensitivitySpec, SimState, _check_blowup,
+                             _from_state, chemotactic_flux,
+                             chemotactic_flux_raw, picard_step, run,
+                             shift_transform, step, unshift)
 from ksns.grid import BoundaryData
 from ksns.linstep import boundary_source_residual, neumann_heat_core
 
@@ -60,12 +66,6 @@ def test_sensitivity_rotation_matches_canonical_form():
     # a*I + b*J with J = [[0, -1], [1, 0]]
     assert np.all(s11 == 2.0) and np.all(s22 == 2.0)
     assert np.all(s12 == -0.5) and np.all(s21 == 0.5)
-
-
-def test_sensitivity_time_derivative_defaults_to_zero():
-    S = SensitivitySpec.identity()
-    X = np.zeros((3, 3))
-    assert all(np.all(s == 0.0) for s in S.evaluate_dt(1.0, X, X))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,99 @@ def test_chem_flux_space_time_varying_sensitivity_matches_full_meshes(unit32, rn
         got = getattr(fl, name)
         assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+def _reference_faces(grid, n, c, S, t):
+    """Face fluxes written out from the explicit stencils: compact normal
+    derivative with the one-sided closure (-2c0 + 3c1 - c2)/h at the walls,
+    central tangential cell derivative with the closure (-3c0 + 4c1 - c2)/2h,
+    face averages extrapolated as 1.5 v0 - 0.5 v1, and S evaluated on full
+    face-centre meshes."""
+    hx, hy = grid.hx, grid.hy
+    ny, nx = grid.shape
+
+    def cell_derivative(v, h):            # along axis 1
+        d = np.empty_like(v)
+        d[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+        d[:, 0] = (-3 * v[:, 0] + 4 * v[:, 1] - v[:, 2]) / (2 * h)
+        d[:, -1] = (3 * v[:, -1] - 4 * v[:, -2] + v[:, -3]) / (2 * h)
+        return d
+
+    def face_derivative(v, h):
+        d = np.empty((v.shape[0], v.shape[1] + 1))
+        d[:, 1:-1] = (v[:, 1:] - v[:, :-1]) / h
+        d[:, 0] = (-2 * v[:, 0] + 3 * v[:, 1] - v[:, 2]) / h
+        d[:, -1] = (2 * v[:, -1] - 3 * v[:, -2] + v[:, -3]) / h
+        return d
+
+    def face_average(v):
+        f = np.empty((v.shape[0], v.shape[1] + 1))
+        f[:, 1:-1] = 0.5 * (v[:, 1:] + v[:, :-1])
+        f[:, 0] = 1.5 * v[:, 0] - 0.5 * v[:, 1]
+        f[:, -1] = 1.5 * v[:, -1] - 0.5 * v[:, -2]
+        return f
+
+    Xv, Yv = np.meshgrid(np.arange(nx + 1) * hx, grid.yc)
+    Xh, Yh = np.meshgrid(grid.xc, np.arange(ny + 1) * hy)
+    s11, s12, _, _ = (np.broadcast_to(s, Xv.shape) for s in S.entries(t, Xv, Yv))
+    _, _, s21, s22 = (np.broadcast_to(s, Xh.shape) for s in S.entries(t, Xh, Yh))
+    fx = face_average(n) * (s11 * face_derivative(c, hx)
+                            + s12 * face_average(cell_derivative(c.T, hy).T))
+    fy = face_average(n.T).T * (s21 * face_average(cell_derivative(c, hx).T).T
+                                + s22 * face_derivative(c.T, hy).T)
+    return fx, fy
+
+
+_FLUX_TENSORS = {
+    "identity": SensitivitySpec.identity(),
+    "scaled": SensitivitySpec.scaled(1.7),
+    "rotation": SensitivitySpec.rotation(0.8, -1.3),
+    "varying": SensitivitySpec(
+        "varying", lambda t, X, Y: (1.0 + X, -t * Y, t * Y, 1.0 + X)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 40), st.integers(4, 40), st.floats(0.5, 2.0),
+       st.floats(0.5, 2.0), st.sampled_from(sorted(_FLUX_TENSORS)),
+       st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
+def test_chem_flux_faces_match_explicit_stencils(nx, ny, Lx, Ly, kind, t, seed):
+    grid = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    rng = np.random.default_rng(seed)
+    n = 2.0 + 0.5 * rng.standard_normal(grid.shape)
+    c = 1.0 + 0.5 * rng.standard_normal(grid.shape)
+    S = _FLUX_TENSORS[kind]
+    got = chemotactic_flux_raw(grid, n, c, S, t)
+    want = _reference_faces(grid, n, c, S, t)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+def test_chem_flux_zero_off_diagonals_scalar_or_array(unit32, rng):
+    grid = unit32
+    n = 2.0 + 0.1 * rng.standard_normal(grid.shape)
+    c = 1.0 + 0.1 * rng.standard_normal(grid.shape)
+    scalar = SensitivitySpec("scalar", lambda t, X, Y: (1.0 + X, 0.0, 0.0, 2.0))
+    array = SensitivitySpec(
+        "array", lambda t, X, Y: (1.0 + X, 0.0 * X * Y, np.zeros_like(X * Y),
+                                  2.0 + 0.0 * Y))
+    for a, b in zip(chemotactic_flux_raw(grid, n, c, scalar, 0.0),
+                    chemotactic_flux_raw(grid, n, c, array, 0.0)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_chem_flux_single_off_diagonal_entry_is_kept(unit32, rng):
+    # only the tangential term survives, on one family of faces each
+    grid = unit32
+    n = 2.0 + 0.1 * rng.standard_normal(grid.shape)
+    c = 1.0 + 0.1 * rng.standard_normal(grid.shape)
+    only12 = SensitivitySpec("s12", lambda t, X, Y: (0.0, 1.0, 0.0, 0.0))
+    only21 = SensitivitySpec("s21", lambda t, X, Y: (0.0, 0.0, 1.0, 0.0))
+    fx, fy = chemotactic_flux_raw(grid, n, c, only12, 0.0)
+    assert np.abs(fx).max() > 0.1 and not fy.any()
+    fx, fy = chemotactic_flux_raw(grid, n, c, only21, 0.0)
+    assert not fx.any() and np.abs(fy).max() > 0.1
 
 
 def test_chem_flux_rotation_boundary(unit64):
@@ -299,10 +392,35 @@ def test_picard_contracts_at_small_data(unit32):
     assert 0.0 < contraction < 1.0
 
 
+@pytest.mark.parametrize("kind", ["rich", "constant"])
+def test_run_picard_matches_chained_picard_steps(unit32, rng, kind):
+    # rich data takes all 3 iterations; a constant state stops after one
+    data = rich_data(unit32, rng) if kind == "rich" else wave_data(unit32, amp=0.0)
+    opts = RunOptions(picard_enabled=True, picard_k_max=3, picard_tol=1e-14)
+    traj, series = run(data, T=5e-3, dt=1e-3, options=opts)
+    st = data.initial_state()
+    iters, contractions = [], []
+    for _ in range(5):
+        st, m, q = picard_step(st, data, 1e-3, k_max=3, tol=1e-14)
+        iters.append(m)
+        contractions.append(q)
+    assert list(series.column("picard_iters")) == iters
+    np.testing.assert_allclose(series.column("contraction"), contractions,
+                               rtol=1e-6)
+    # the chained steps re-derive the shift from t, so rounding differs
+    end = traj[-1]
+    for a, b in ((end.n.values, st.n.values), (end.c.values, st.c.values),
+                 (end.u.ux, st.u.ux), (end.u.uy, st.u.uy)):
+        assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0)
+
+
 def test_picard_requires_kmax(unit16):
     data = wave_data(unit16)
     with pytest.raises(ValueError):
         picard_step(data.initial_state(), data, dt=1e-3, k_max=0)
+    with pytest.raises(ValueError, match="k_max"):
+        run(data, T=2e-3, dt=1e-3,
+            options=RunOptions(picard_enabled=True, picard_k_max=0))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +468,52 @@ def test_run_blowup_attaches_state_and_series(unit16):
     assert err.state is not None
     assert np.isfinite(err.state.n.values).all()
     assert err.series is not None
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (np.nan, "non-finite values"), (np.inf, "non-finite values"),
+    (-np.inf, "non-finite values"), (2e6, "exceeds ceiling")])
+def test_check_blowup_reasons_and_last_valid_state(unit16, bad, reason):
+    data = wave_data(unit16)
+    last = _from_state(step(data.initial_state(), data, dt=1e-3))
+    new = _from_state(step(data.initial_state(), data, dt=2e-3))
+    new.chi[3, 5] = bad
+    with pytest.raises(BlowUpError, match=reason) as exc_info:
+        _check_blowup(new, 2.0, 1e6, last)
+    err = exc_info.value
+    assert err.state.t == last.t
+    np.testing.assert_array_equal(err.state.n.values, last.nt + 2.0)
+    np.testing.assert_array_equal(err.state.c.values, last.chi + last.gamma * 2.0)
+    _check_blowup(last, 2.0, 1e6, last)        # a valid state passes
+
+
+def test_run_nan_forcing_aborts_with_last_valid_state(unit16):
+    # the force turns NaN from the fourth step on: the run stops there and
+    # hands back the state after three steps
+    base = VectorField.zero(unit16)
+
+    def f(t):
+        bad = np.nan if t > 2.5e-3 else 0.0
+        return VectorField(unit16, base.ux + bad, base.uy)
+
+    data = wave_data(unit16, f=f)
+    with pytest.raises(BlowUpError, match="non-finite values") as exc_info:
+        run(data, T=1e-2, dt=1e-3)
+    err = exc_info.value
+    assert len(err.series) == 3
+    assert err.state.t == pytest.approx(3e-3)
+    ref, _ = run(data, T=3e-3, dt=1e-3)
+    np.testing.assert_array_equal(err.state.n.values, ref[-1].n.values)
+
+
+def test_run_records_negative_part_energy(unit16):
+    data = wave_data(unit16, n_base=0.005, amp=0.01)
+    traj, series = run(data, T=5e-3, dt=1e-3)
+    neg = series.column("neg_energy_n")
+    assert series.column("min_n").max() < 0.0
+    assert np.all(neg > 0.0)
+    assert neg[-1] == negative_part_energy(traj[-1].n)
+    assert not series.column("neg_energy_c").any()
 
 
 def test_given_data_validation_rejects_bad_signal(unit16):
