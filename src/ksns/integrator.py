@@ -254,17 +254,20 @@ def chemotactic_flux(n: ScalarField, c: ScalarField, S: SensitivitySpec,
 
 
 def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
-                      ufy: np.ndarray) -> np.ndarray:
+                      ufy: np.ndarray, up: tuple[np.ndarray, np.ndarray]
+                      ) -> np.ndarray:
     """Conservative first-order upwind divergence of (u * phi).
 
+    ``up`` holds the interior-face masks (ufx[:, 1:-1] > 0, ufy[1:-1, :] > 0).
     Boundary faces carry zero advective flux (impermeable walls)."""
     ny, nx = grid.shape
+    px, py = up
     Fx = np.zeros((ny, nx + 1))
-    ui = ufx[:, 1:-1]
-    Fx[:, 1:-1] = ui * np.where(ui > 0.0, phi[:, :-1], phi[:, 1:])
+    np.multiply(ufx[:, 1:-1], np.where(px, phi[:, :-1], phi[:, 1:]),
+                out=Fx[:, 1:-1])
     Fy = np.zeros((ny + 1, nx))
-    vi = ufy[1:-1, :]
-    Fy[1:-1, :] = vi * np.where(vi > 0.0, phi[:-1, :], phi[1:, :])
+    np.multiply(ufy[1:-1, :], np.where(py, phi[:-1, :], phi[1:, :]),
+                out=Fy[1:-1, :])
     return face_divergence(grid, Fx, Fy)
 
 
@@ -284,13 +287,15 @@ class RunOptions:
 @dataclass
 class _ShiftedFields:
     """Internal loop state: t, density deviation, shifted signal, velocity,
-    and the scheme-consistent constant-mode factor gamma."""
+    the scheme-consistent constant-mode factor gamma, and, on a stepped
+    state, (min nt, max nt, min chi, max chi) from the blow-up check."""
 
     t: float
     nt: np.ndarray
     chi: np.ndarray
     u: VectorField
     gamma: float
+    extrema: tuple[float, float, float, float] | None = None
 
 
 def _gamma_update(gamma: float, dt: float, theta: float) -> float:
@@ -314,9 +319,11 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
     fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S, t0)
     bc = BoundaryData.from_faces(fx, fy)
     ufx, ufy = face_normal_values(w.u, boundary="zero")
-    if ufx.any() or ufy.any():
+    moving = ufx.any() or ufy.any()
+    if moving:
+        up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
         adv_n, adv_c, adv_ux, adv_uy = (
-            upwind_divergence(grid, phi, ufx, ufy)
+            upwind_divergence(grid, phi, ufx, ufy, up)
             for phi in (w.nt, w.chi, w.u.ux, w.u.uy))
     else:                       # a fluid at rest transports nothing
         adv_n = adv_c = adv_ux = adv_uy = 0.0
@@ -329,30 +336,37 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
     rhs_c = w.nt - adv_c
     chi_new = shifted_heat_core(grid, sf.chi, rhs_c, dt, theta)
 
-    if data.f is not None:
-        fvec = data.f(t0)
-        f_x, f_y = fvec.ux, fvec.uy
+    if data.f is None and not (moving or sf.u.ux.any() or sf.u.uy.any()
+                               or data.phi_grad.ux.any()
+                               or data.phi_grad.uy.any()):
+        u_new = sf.u            # a fluid at rest with no force stays at rest
     else:
-        f_x = f_y = 0.0
-    force_x = -adv_ux + nt_new * data.phi_grad.ux + f_x
-    force_y = -adv_uy + nt_new * data.phi_grad.uy + f_y
-    u_new = stokes_core(grid, sf.u.ux, sf.u.uy, force_x, force_y, dt)
+        fvec = data.f(t0) if data.f is not None else None
+        f_x, f_y = (fvec.ux, fvec.uy) if fvec is not None else (0.0, 0.0)
+        force_x = -adv_ux + nt_new * data.phi_grad.ux + f_x
+        force_y = -adv_uy + nt_new * data.phi_grad.uy + f_y
+        u_new = stokes_core(grid, sf.u.ux, sf.u.uy, force_x, force_y, dt)
 
     gamma_new = _gamma_update(sf.gamma, dt, theta)
     new = _ShiftedFields(t=t0 + dt, nt=nt_new, chi=chi_new, u=u_new,
                          gamma=gamma_new)
-    _check_blowup(new, n_bar0, opts.blowup_ceiling, sf)
+    new.extrema = _check_blowup(new, n_bar0, opts.blowup_ceiling, sf)
     return new, bc_res
 
 
 def _check_blowup(sf: _ShiftedFields, n_bar0: float, ceiling: float,
-                  last_valid: _ShiftedFields) -> None:
-    # one reduction per field: NaN and inf propagate through the max
-    sups = [float(np.abs(a).max()) for a in (sf.nt, sf.chi, sf.u.ux, sf.u.uy)]
-    if all(map(math.isfinite, sups)):
-        sup = max(sups[0] + abs(n_bar0), sups[1] + abs(n_bar0), *sups[2:])
+                  last_valid: _ShiftedFields) -> tuple[float, float, float, float]:
+    """Raise ``BlowUpError`` on non-finite values or a sup above the
+    ceiling; return (min nt, max nt, min chi, max chi) otherwise."""
+    # NaN and inf propagate through min and max
+    ext = (float(sf.nt.min()), float(sf.nt.max()),
+           float(sf.chi.min()), float(sf.chi.max()))
+    sups = tuple(float(np.abs(a).max()) for a in (sf.u.ux, sf.u.uy))
+    if all(map(math.isfinite, ext + sups)):
+        sup = max(max(ext[1], -ext[0]) + abs(n_bar0),
+                  max(ext[3], -ext[2]) + abs(n_bar0), *sups)
         if sup <= ceiling:
-            return
+            return ext
         reason = f"sup {sup:.3e} exceeds ceiling {ceiling:.3e}"
     else:
         reason = "non-finite values"
@@ -500,25 +514,26 @@ def run(data: GivenData, T: float, dt: float,
             exc.series = series
             raise
         sf.t = k * dt       # avoid accumulated addition drift
-        n_vals = sf.nt + n_bar0
-        c_vals = sf.chi + sf.gamma * n_bar0
-        min_n, min_c = float(n_vals.min()), float(c_vals.min())
+        # exact minima and sups from the blow-up check: x + a rounds monotonically
+        n_lo, n_hi, c_lo, c_hi = sf.extrema
+        c_shift = sf.gamma * n_bar0
+        c_dev = (sf.gamma - (1.0 - math.exp(-sf.t))) * n_bar0
+        min_n, min_c = n_lo + n_bar0, c_lo + c_shift
         series.append(
             t=sf.t,
             mass_n=n_bar0 * omega + float(sf.nt.sum()) * vol,
-            mass_c=float(sf.chi.sum()) * vol + sf.gamma * n_bar0 * omega,
-            sup_n_dev=float(np.abs(sf.nt).max()),
-            sup_c_dev=float(np.abs(sf.chi + (sf.gamma - (1.0 - math.exp(-sf.t)))
-                                   * n_bar0).max()),
-            sup_u=float(np.sqrt(sf.u.ux ** 2 + sf.u.uy ** 2).max()),
+            mass_c=float(sf.chi.sum()) * vol + c_shift * omega,
+            sup_n_dev=abs(max(n_hi, -n_lo)),
+            sup_c_dev=abs(max(c_hi + c_dev, -(c_lo + c_dev))),
+            sup_u=math.sqrt(float((sf.u.ux * sf.u.ux + sf.u.uy * sf.u.uy).max())),
             min_n=min_n,
             min_c=min_c,
             bc_residual=bc_res,
             # exactly 0 for a non-negative field: skip the sum
             neg_energy_n=0.0 if min_n >= 0.0 else
-            float((np.minimum(n_vals, 0.0) ** 2).sum()) * vol,
+            float((np.minimum(sf.nt + n_bar0, 0.0) ** 2).sum()) * vol,
             neg_energy_c=0.0 if min_c >= 0.0 else
-            float((np.minimum(c_vals, 0.0) ** 2).sum()) * vol,
+            float((np.minimum(sf.chi + c_shift, 0.0) ** 2).sum()) * vol,
             picard_iters=iters,
             contraction=contraction,
         )

@@ -2,9 +2,10 @@
 the shifted Neumann heat operator, and a Chorin-projected Stokes step.
 
 Every implicit operator has the form ``shift*I - scale*lap_h`` with constant
-coefficients on the cell-centred rectangle, so ``solve_spectral`` solves it
-exactly in the eigenbasis of the 1-D finite-volume Laplacian: cosines for
-zero-flux faces, sines for half-cell Dirichlet faces.
+coefficients, so ``solve_spectral`` solves it exactly in the eigenbasis of
+the 1-D discrete Laplacian: cosines for zero-flux cell faces, sines for
+half-cell Dirichlet faces, and nodal sines for the stream function of the
+Helmholtz projection, which vanishes on the walls.
 The heat steps support the theta time scheme (theta = 1 implicit Euler,
 theta = 1/2 Crank-Nicolson); the Stokes step is implicit Euler only.
 """
@@ -51,15 +52,19 @@ def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _eigenbasis(n: int, h: float, bc: str) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenbasis Q (one mode per column) and eigenvalues
-    4/h^2 sin^2(k pi / 2n) of the 1-D finite-volume -lap_h on n cells:
-    cos(k pi (j + 1/2) / n), k = 0..n-1, for zero-flux faces (``"neumann0"``)
-    and sin(k pi (j + 1/2) / n), k = 1..n, for half-cell Dirichlet faces
-    (``"dirichlet0"``)."""
-    if bc == "dirichlet0":
-        k, wave = np.arange(1, n + 1), np.sin
+    4/h^2 sin^2(k pi / 2n) of the 1-D -lap_h with n cells of width h:
+    cos(k pi (j + 1/2) / n), k = 0..n-1, on the cells with zero-flux faces
+    (``"neumann0"``); sin(k pi (j + 1/2) / n), k = 1..n, on the cells with
+    half-cell Dirichlet faces (``"dirichlet0"``); sin(k pi i / n),
+    k = 1..n-1, on the n-1 interior nodes with zero wall values
+    (``"nodal0"``)."""
+    if bc == "nodal0":
+        j, k, wave = np.arange(1, n), np.arange(1, n), np.sin
+    elif bc == "dirichlet0":
+        j, k, wave = np.arange(n) + 0.5, np.arange(1, n + 1), np.sin
     else:
-        k, wave = np.arange(n), np.cos
-    Q = wave(np.pi / n * np.outer(np.arange(n) + 0.5, k))
+        j, k, wave = np.arange(n) + 0.5, np.arange(n), np.cos
+    Q = wave(np.pi / n * np.outer(j, k))
     Q /= np.linalg.norm(Q, axis=0)
     lam = 4.0 / h ** 2 * np.sin(0.5 * np.pi / n * k) ** 2
     Q.setflags(write=False)
@@ -71,15 +76,17 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
                    bc: str) -> np.ndarray:
     """Exact solution of (shift*I - scale*lap_h) x = b on the grid.
 
-    ``bc`` is ``"neumann0"`` (zero-flux faces, cosine modes) or
-    ``"dirichlet0"`` (half-cell Dirichlet faces, sine modes).  The solve is
-    four matrix products with the cached 1-D eigenbases,
+    ``bc`` is ``"neumann0"`` (zero-flux faces, cosine modes),
+    ``"dirichlet0"`` (half-cell Dirichlet faces, sine modes), both on the
+    (ny, nx) cells, or ``"nodal0"`` (the 5-point Laplacian on the
+    (ny-1, nx-1) interior nodes with zero wall values, nodal sine modes).
+    The solve is four matrix products with the cached 1-D eigenbases,
     x = Qy ((Qy^T b Qx) / symbol) Qx^T.  For the singular Neumann problem
     (shift = 0) the constant mode of the solution is set to zero, which
     solves the problem restricted to mean-zero data.  A zero right-hand
     side returns zeros without a product.
     """
-    if bc not in ("neumann0", "dirichlet0"):
+    if bc not in ("neumann0", "dirichlet0", "nodal0"):
         raise ValueError(f"unknown bc {bc!r}")
     if not b.any():
         return np.zeros(b.shape)
@@ -195,42 +202,17 @@ def step_shifted_heat(c: ScalarField, rhs: ScalarField, dt: float,
 
 def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Remove the gradient part from face-normal values.
-
-    Solves lap(p) = div(v) with grad(p).nu = v.nu (mean-zero p), then
-    corrects the faces.  Corrected boundary faces are exactly zero.
-    Returns (fx', fy').
+    """Divergence-free part of face-normal values: the discrete curl of the
+    nodal stream function psi with -lap_h psi = curl^T v and psi = 0 on the
+    walls.  The wall faces of the result are exactly zero and its
+    divergence telescopes to rounding.  Returns (fx', fy').
     """
-    b = BoundaryData.from_faces(fx, fy)
-    rhs = _boundary_source(grid, b) - face_divergence(grid, fx, fy)
-    p = solve_spectral(grid, rhs, 0.0, 1.0, "neumann0")
-    # one residual-correction sweep removes most of the rounding error of
-    # the matrix products, which the projected divergence would carry
-    p += solve_spectral(grid, rhs + _lap_zero_flux(grid, p), 0.0, 1.0,
-                        "neumann0")
     ny, nx = grid.shape
-    gpx = np.empty((ny, nx + 1))
-    gpx[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hx
-    gpx[:, 0] = fx[:, 0]          # prescribed grad(p).nu = v.nu
-    gpx[:, -1] = fx[:, -1]
-    gpy = np.empty((ny + 1, nx))
-    gpy[1:-1, :] = (p[1:, :] - p[:-1, :]) / grid.hy
-    gpy[0, :] = fy[0, :]
-    gpy[-1, :] = fy[-1, :]
-    fx_new = fx - gpx
-    fy_new = fy - gpy
-    fx_new[:, 0] = 0.0
-    fx_new[:, -1] = 0.0
-    fy_new[0, :] = 0.0
-    fy_new[-1, :] = 0.0
-    return fx_new, fy_new
-
-
-def _cells_from_face_gradient(grid: Grid, gpx: np.ndarray, gpy: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    cx = 0.5 * (gpx[:, 1:] + gpx[:, :-1])
-    cy = 0.5 * (gpy[1:, :] + gpy[:-1, :])
-    return cx, cy
+    w = ((fy[1:-1, 1:] - fy[1:-1, :-1]) / grid.hx
+         - (fx[1:, 1:-1] - fx[:-1, 1:-1]) / grid.hy)   # nodal vorticity
+    psi = np.zeros((ny + 1, nx + 1))
+    psi[1:-1, 1:-1] = solve_spectral(grid, w, 0.0, 1.0, "nodal0")
+    return (psi[1:] - psi[:-1]) / grid.hy, (psi[:, :-1] - psi[:, 1:]) / grid.hx
 
 
 def helmholtz_project_core(v: VectorField, boundary: str = "extrapolate"
@@ -238,20 +220,23 @@ def helmholtz_project_core(v: VectorField, boundary: str = "extrapolate"
     g = v.grid
     fx, fy = face_normal_values(v, boundary=boundary)
     fx_new, fy_new = _project_core(g, fx, fy)
-    # cell-centered correction from the same compact face gradients
+    # cell-centered correction: the average of the removed face parts
     gpx = fx - fx_new
     gpy = fy - fy_new
-    cx, cy = _cells_from_face_gradient(g, gpx, gpy)
-    return VectorField(g, v.ux - cx, v.uy - cy, fx_new, fy_new)
+    return VectorField(g, v.ux - 0.5 * (gpx[:, 1:] + gpx[:, :-1]),
+                       v.uy - 0.5 * (gpy[1:, :] + gpy[:-1, :]), fx_new, fy_new)
 
 
 def helmholtz_project(v: VectorField) -> VectorField:
     """Project onto discretely divergence-free fields with zero normal trace.
 
     Returns v - grad(p) where p solves the pressure Poisson problem
-    lap(p) = div(v), grad(p).nu = v.nu, normalized to mean zero.  The
-    result carries face-normal values whose finite-volume divergence
-    vanishes to rounding and whose boundary values vanish exactly.
+    lap(p) = div(v), grad(p).nu = v.nu.  p itself is not formed: the
+    face-normal values of the result are the discrete curl of a nodal
+    stream function that vanishes on the walls (one exact solve), so their
+    finite-volume divergence vanishes to rounding and their boundary values
+    vanish exactly.  The cell values subtract the average of the removed
+    face gradient.
     """
     require_finite(v.ux, "ux")
     require_finite(v.uy, "uy")
@@ -264,8 +249,6 @@ def stokes_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
     """Chorin split Stokes step on raw arrays."""
     sx = solve_spectral(grid, ux + dt * force_x, 1.0, dt, "dirichlet0")
     sy = solve_spectral(grid, uy + dt * force_y, 1.0, dt, "dirichlet0")
-    if not (sx.any() or sy.any()):
-        return VectorField.zero(grid)      # nothing to project
     return helmholtz_project_core(VectorField(grid, sx, sy), boundary="zero")
 
 

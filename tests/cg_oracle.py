@@ -1,8 +1,9 @@
 """Jacobi-preconditioned conjugate gradient, kept as an independent oracle.
 
-The package solves every implicit substep exactly with fast cosine and sine
-transforms; the tests check those solutions against this matrix-free
-iteration, which shares nothing with them but the operators.
+The package solves every implicit substep exactly in cached cosine and sine
+eigenbases; the tests check those solutions, and the stream-function
+projection, against this matrix-free iteration, which shares nothing with
+them but the operators.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ class LinearSolveReport:
 def neg_lap_diag(grid, bc: str) -> np.ndarray:
     """Diagonal of -Laplacian for the given boundary treatment."""
     ny, nx = grid.shape
+    if bc == "nodal0":              # interior nodes, zero wall values
+        return np.full((ny - 1, nx - 1), 2.0 / grid.hx ** 2 + 2.0 / grid.hy ** 2)
     ax = np.full(nx, 2.0)
     ay = np.full(ny, 2.0)
     if bc == "neumann0":
@@ -85,3 +88,36 @@ def solve_cg(apply_op, rhs: np.ndarray, diag: np.ndarray, tol: float,
         rz = rz_new
     raise SolverError(f"{tag}: no convergence after {max_iter} iterations "
                       f"(residual {rnorm / bnorm:.3e}, target {tol:.3e})")
+
+
+def _neg_lap_neumann(grid, p: np.ndarray) -> np.ndarray:
+    """-lap_h with zero-flux faces: minus the divergence of the compact
+    interior face gradient."""
+    gx = np.zeros((p.shape[0], p.shape[1] + 1))
+    gx[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hx
+    gy = np.zeros((p.shape[0] + 1, p.shape[1]))
+    gy[1:-1, :] = (p[1:, :] - p[:-1, :]) / grid.hy
+    return -((gx[:, 1:] - gx[:, :-1]) / grid.hx
+             + (gy[1:, :] - gy[:-1, :]) / grid.hy)
+
+
+def pressure_project_faces(grid, fx: np.ndarray, fy: np.ndarray,
+                           tol: float = 1e-14
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Pressure projection of face-normal values by CG.
+
+    With v0 the faces with their wall values set to zero, p solves the
+    singular zero-flux problem lap(p) = div(v0) for mean-zero p, and the
+    result is v0 - grad(p) on the interior faces, zero on the walls.
+    """
+    v0x, v0y = fx.copy(), fy.copy()
+    v0x[:, [0, -1]] = 0.0
+    v0y[[0, -1], :] = 0.0
+    div = (v0x[:, 1:] - v0x[:, :-1]) / grid.hx \
+        + (v0y[1:, :] - v0y[:-1, :]) / grid.hy
+    p, _ = solve_cg(lambda q: _neg_lap_neumann(grid, q), -div,
+                    neg_lap_diag(grid, "neumann0"), tol, project_mean=True,
+                    tag="pressure-projection")
+    v0x[:, 1:-1] -= (p[:, 1:] - p[:, :-1]) / grid.hx
+    v0y[1:-1, :] -= (p[1:, :] - p[:-1, :]) / grid.hy
+    return v0x, v0y

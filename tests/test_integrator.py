@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,18 @@ from hypothesis import strategies as st
 
 from ksns import (DomainSpec, ScalarField, VectorField, build_grid,
                   helmholtz_project, integrate)
+from ksns import integrator
 from ksns.diagnostics import negative_part_energy
-from ksns.grid import face_divergence
+from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
                              _from_state, chemotactic_flux,
                              chemotactic_flux_raw, picard_step, run,
-                             shift_transform, step, unshift)
+                             shift_transform, step, unshift,
+                             upwind_divergence)
 from ksns.grid import BoundaryData
-from ksns.linstep import boundary_source_residual, neumann_heat_core
+from ksns.linstep import (boundary_source_residual, neumann_heat_core,
+                          stokes_core)
 
 
 def wave_data(grid, n_base=2.0, c_base=2.0, amp=0.01,
@@ -265,6 +269,41 @@ def test_chem_flux_rotation_boundary(unit64):
 # ---------------------------------------------------------------------------
 # single step
 
+def test_upwind_divergence_matches_per_face_upwinding(unit16, rng):
+    ny, nx = unit16.shape
+    phi = rng.standard_normal((ny, nx))
+    ufx = rng.standard_normal((ny, nx + 1))
+    ufy = rng.standard_normal((ny + 1, nx))
+    ufx[:, 3] = 0.0                             # a face with no flow
+    Fx = np.zeros((ny, nx + 1))
+    Fy = np.zeros((ny + 1, nx))
+    for j in range(ny):
+        for i in range(1, nx):
+            Fx[j, i] = ufx[j, i] * (phi[j, i - 1] if ufx[j, i] > 0 else phi[j, i])
+    for j in range(1, ny):
+        for i in range(nx):
+            Fy[j, i] = ufy[j, i] * (phi[j - 1, i] if ufy[j, i] > 0 else phi[j, i])
+    up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
+    np.testing.assert_array_equal(upwind_divergence(unit16, phi, ufx, ufy, up),
+                                  face_divergence(unit16, Fx, Fy))
+
+
+def test_step_passes_upwind_masks_of_the_frozen_velocity(unit16, rng,
+                                                          monkeypatch):
+    seen = []
+
+    def checked(grid, phi, ufx, ufy, up):
+        np.testing.assert_array_equal(up[0], ufx[:, 1:-1] > 0.0)
+        np.testing.assert_array_equal(up[1], ufy[1:-1, :] > 0.0)
+        seen.append(phi)
+        return upwind_divergence(grid, phi, ufx, ufy, up)
+
+    data = rich_data(unit16, rng)
+    monkeypatch.setattr(integrator, "upwind_divergence", checked)
+    step(data.initial_state(), data, dt=1e-3)
+    assert len(seen) == 4
+
+
 def test_step_constant_state_invariant(unit32):
     for S in (SensitivitySpec.identity(), SensitivitySpec.scaled(2.0),
               SensitivitySpec.rotation(1.0, 0.5)):
@@ -317,8 +356,8 @@ def test_boundary_residual_detects_perturbed_flux(unit32):
 
 def test_step_from_rest_moves_and_stays_divergence_free(unit32):
     # a fluid at rest takes the zero-velocity path on its first step; linear
-    # gravity on a non-uniform density and a decaying force must still set
-    # it moving, and the result must be projected
+    # gravity on a non-uniform density or a decaying force, together or
+    # alone, must still set it moving, and the result must be projected
     grid = unit32
     phi = VectorField.from_functions(grid, lambda x, y: 0.0 * x,
                                      lambda x, y: -1.0 + 0.0 * x)
@@ -328,16 +367,18 @@ def test_step_from_rest_moves_and_stays_divergence_free(unit32):
     def f(t):
         return VectorField(grid, math.exp(-t) * base_f.ux, base_f.uy.copy())
 
-    data = wave_data(grid, amp=0.1, S=SensitivitySpec.rotation(1.0, 0.5),
-                     phi_grad=phi, f=f)
-    st = data.initial_state()
-    assert st.u.magnitude_sup() == 0.0
-    for _ in range(2):
-        st = step(st, data, dt=1e-3)
-        assert st.u.magnitude_sup() > 1e-5
-        assert np.abs(face_divergence(grid, st.u.fx, st.u.fy)).max() <= 1e-12
-        assert np.abs(st.u.fx[:, [0, -1]]).max() == 0.0
-        assert np.abs(st.u.fy[[0, -1], :]).max() == 0.0
+    for gravity, force in ((True, True), (True, False), (False, True)):
+        data = wave_data(grid, amp=0.1, S=SensitivitySpec.rotation(1.0, 0.5),
+                         phi_grad=phi if gravity else None,
+                         f=f if force else None)
+        st = data.initial_state()
+        assert st.u.magnitude_sup() == 0.0
+        for _ in range(2):
+            st = step(st, data, dt=1e-3)
+            assert st.u.magnitude_sup() > 1e-5
+            assert np.abs(face_divergence(grid, st.u.fx, st.u.fy)).max() <= 1e-12
+            assert np.abs(st.u.fx[:, [0, -1]]).max() == 0.0
+            assert np.abs(st.u.fy[[0, -1], :]).max() == 0.0
 
 
 def test_step_at_rest_without_forcing_stays_at_rest(unit32):
@@ -346,6 +387,61 @@ def test_step_at_rest_without_forcing_stays_at_rest(unit32):
     assert np.abs(out.n.values - data.n0.values).max() > 0.0
     for arr in (out.u.ux, out.u.uy, out.u.fx, out.u.fy):
         assert not arr.any()
+
+
+def _count_stokes(monkeypatch):
+    """Record every call of the fluid substep made by the integrator."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stokes_core(*args)
+
+    monkeypatch.setattr(integrator, "stokes_core", counted)
+    return calls
+
+
+@pytest.mark.parametrize("picard", [False, True])
+def test_run_at_rest_skips_fluid_substep_with_identical_output(
+        unit16, monkeypatch, tmp_path, picard):
+    # a zero forcing function turns the skip off without changing the
+    # arithmetic, so both runs must write the same bytes
+    data = wave_data(unit16, amp=0.1, S=SensitivitySpec.rotation(1.0, 0.5))
+    zero = VectorField.zero(unit16)
+    forced = replace(data, f=lambda t: zero)
+    opts = RunOptions(picard_enabled=picard, picard_k_max=3, picard_tol=0.0)
+    calls = _count_stokes(monkeypatch)
+    traj, series = run(data, T=5e-3, dt=1e-3, options=opts)
+    assert not calls
+    traj_f, series_f = run(forced, T=5e-3, dt=1e-3, options=opts)
+    assert len(calls) == (15 if picard else 5)
+    series.to_csv(tmp_path / "skip.csv")
+    series_f.to_csv(tmp_path / "solve.csv")
+    assert (tmp_path / "skip.csv").read_bytes() == \
+        (tmp_path / "solve.csv").read_bytes()
+    assert len(traj) == len(traj_f)
+    for a, b in zip(traj, traj_f):
+        for x, y in ((a.n.values, b.n.values), (a.c.values, b.c.values),
+                     (a.u.ux, b.u.ux), (a.u.uy, b.u.uy),
+                     (a.u.fx, b.u.fx), (a.u.fy, b.u.fy)):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_step_checkerboard_velocity_goes_through_stokes(unit16, monkeypatch):
+    # the interior face averages of a checkerboard vanish, so the frozen face
+    # velocity is zero, but its cell values are not: the fluid substep runs
+    ny, nx = unit16.shape
+    j, i = np.indices((ny, nx))
+    checker = np.where((i + j) % 2 == 0, 1.0, -1.0)
+    data = wave_data(unit16)
+    st = replace(data.initial_state(),
+                 u=VectorField(unit16, checker, np.zeros((ny, nx))))
+    fx, fy = face_normal_values(st.u, boundary="zero")
+    assert not (fx.any() or fy.any())
+    calls = _count_stokes(monkeypatch)
+    out = step(st, data, dt=1e-3)
+    assert len(calls) == 1
+    assert np.abs(out.u.ux - checker).max() > 0.1
 
 
 def test_step_mass_conserved_with_rich_data(unit32, rng):
@@ -514,6 +610,40 @@ def test_run_records_negative_part_energy(unit16):
     assert np.all(neg > 0.0)
     assert neg[-1] == negative_part_energy(traj[-1].n)
     assert not series.column("neg_energy_c").any()
+
+
+@pytest.mark.parametrize("skew", [1.0, -1.0])
+def test_run_row_matches_full_array_reductions(unit16, skew):
+    # the row takes its minima and sups from the blow-up check's extrema;
+    # they must equal the reductions of the recorded fields
+    u0 = helmholtz_project(VectorField.from_functions(
+        unit16, lambda x, y: np.sin(np.pi * y), lambda x, y: np.sin(np.pi * x)))
+    # skewed profiles: the sup deviation of one field is its maximum, of the
+    # other its minimum (swapped by ``skew``), and both fields dip below zero
+    data = GivenData(
+        n0=ScalarField.from_function(unit16, lambda x, y: 0.005 + skew * 0.01
+                                     * (np.cos(np.pi * x) + np.cos(2 * np.pi * x))),
+        c0=ScalarField.from_function(unit16, lambda x, y: -0.005 - skew * 0.01
+                                     * (np.cos(np.pi * y) + np.cos(2 * np.pi * y))),
+        u0=u0, phi_grad=VectorField.zero(unit16),
+        S=SensitivitySpec.identity())
+    traj, series = run(data, T=5e-3, dt=1e-3)
+    n_bar0 = traj[0].n_bar0
+    vol = unit16.cell_volume
+    for k, st in enumerate(traj[1:]):
+        n, c, t = st.n.values, st.c.values, st.t
+        assert series.column("min_n")[k] == n.min() < 0.0
+        assert series.column("min_c")[k] == c.min() < 0.0
+        assert series.column("sup_u")[k] == np.sqrt(st.u.ux ** 2 + st.u.uy ** 2).max()
+        assert series.column("neg_energy_n")[k] == \
+            float((np.minimum(n, 0.0) ** 2).sum()) * vol
+        assert series.column("neg_energy_c")[k] == \
+            float((np.minimum(c, 0.0) ** 2).sum()) * vol
+        np.testing.assert_allclose(series.column("sup_n_dev")[k],
+                                   np.abs(n - n_bar0).max(), rtol=1e-9)
+        np.testing.assert_allclose(
+            series.column("sup_c_dev")[k],
+            np.abs(c - (1.0 - math.exp(-t)) * n_bar0).max(), rtol=1e-9)
 
 
 def test_given_data_validation_rejects_bad_signal(unit16):
