@@ -304,6 +304,17 @@ def _verdict(name: str, passed: bool, detail: str) -> tuple[bool, str]:
     return passed, f"{tag} {name}: {detail}"
 
 
+def _nonneg_ok(data, min_n, min_c, neg_energy_n, neg_energy_c) -> bool:
+    """Non-negativity verdict: the minima no lower than -1e-8 and the
+    negative-part energies no higher than 1e-16 times the initial sups
+    (squared)."""
+    sup_n = float(np.abs(data.n0.values).max())
+    sup_c = float(np.abs(data.c0.values).max())
+    return (min_n >= -1e-8 * sup_n and min_c >= -1e-8 * sup_c
+            and neg_energy_n <= 1e-16 * sup_n ** 2
+            and neg_energy_c <= 1e-16 * sup_c ** 2)
+
+
 def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
     M_n0 = integrate(data.n0)
     M_c0 = integrate(data.c0)
@@ -327,12 +338,10 @@ def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
     out.append(_verdict("boundary-condition-identity", bc <= 1e-12,
                         f"max residual {bc:.3e} tol 1e-12"))
     if data.n0.values.min() >= 0.0 and data.c0.values.min() >= 0.0:
-        sup_n = float(np.abs(data.n0.values).max())
-        sup_c = float(np.abs(data.c0.values).max())
-        ok = (series.column("min_n").min() >= -1e-8 * sup_n
-              and series.column("min_c").min() >= -1e-8 * sup_c
-              and series.column("neg_energy_n").max() <= 1e-16 * sup_n ** 2
-              and series.column("neg_energy_c").max() <= 1e-16 * sup_c ** 2)
+        ok = _nonneg_ok(data, series.column("min_n").min(),
+                        series.column("min_c").min(),
+                        series.column("neg_energy_n").max(),
+                        series.column("neg_energy_c").max())
         out.append(_verdict(
             "non-negativity", ok,
             f"min n {series.column('min_n').min():.3e}, "
@@ -515,11 +524,8 @@ def _cmd_nonneg(cfg, args) -> int:
         print(f"blow-up: {exc}")
         return 3
     rep = negativity_report(trajectory)
-    sup_n = float(np.abs(data.n0.values).max())
-    sup_c = float(np.abs(data.c0.values).max())
-    ok = (rep.min_n >= -1e-8 * sup_n and rep.min_c >= -1e-8 * sup_c
-          and rep.max_neg_energy_n <= 1e-16 * sup_n ** 2
-          and rep.max_neg_energy_c <= 1e-16 * sup_c ** 2)
+    ok = _nonneg_ok(data, rep.min_n, rep.min_c, rep.max_neg_energy_n,
+                    rep.max_neg_energy_c)
     _, line = _verdict("non-negativity", ok,
                        f"min n {rep.min_n:.6g}, min c {rep.min_c:.6g}, "
                        f"neg energies {rep.max_neg_energy_n:.3e} / "

@@ -59,6 +59,8 @@ class Grid:
         Cell sizes Lx/nx and Ly/ny.
     xc, yc : ndarray
         Cell center coordinates along x (nx,) and y (ny,).
+    xf, yf : ndarray
+        Cell face coordinates along x (nx+1,) and y (ny+1,).
     """
 
     spec: DomainSpec
@@ -66,6 +68,8 @@ class Grid:
     hy: float
     xc: np.ndarray
     yc: np.ndarray
+    xf: np.ndarray
+    yf: np.ndarray
 
     @property
     def nx(self) -> int:
@@ -121,7 +125,9 @@ def build_grid(spec: DomainSpec) -> Grid:
     hy = spec.Ly / spec.ny
     xc = (np.arange(spec.nx) + 0.5) * hx
     yc = (np.arange(spec.ny) + 0.5) * hy
-    return Grid(spec=spec, hx=hx, hy=hy, xc=xc, yc=yc)
+    xf = np.arange(spec.nx + 1) * hx
+    yf = np.arange(spec.ny + 1) * hy
+    return Grid(spec=spec, hx=hx, hy=hy, xc=xc, yc=yc, xf=xf, yf=yf)
 
 
 @dataclass
@@ -303,7 +309,9 @@ def face_values(vals: np.ndarray, axis: int) -> np.ndarray:
     shape[axis] += 1
     out = np.empty(shape)
     v, o = (vals, out) if axis == 1 else (vals.T, out.T)
-    o[:, 1:-1] = 0.5 * (v[:, 1:] + v[:, :-1])
+    mid = o[:, 1:-1]
+    np.add(v[:, 1:], v[:, :-1], out=mid)
+    mid *= 0.5
     o[:, 0] = 1.5 * v[:, 0] - 0.5 * v[:, 1]
     o[:, -1] = 1.5 * v[:, -1] - 0.5 * v[:, -2]
     return out

@@ -25,8 +25,7 @@ import numpy as np
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    check_same_grid, ddx, ddy, face_divergence, face_values,
                    face_normal_values, ghost_pad, integrate, require_finite)
-from .linstep import (boundary_source_residual, neumann_heat_core,
-                      shifted_heat_core, stokes_core)
+from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
 
 class BlowUpError(RuntimeError):
@@ -219,10 +218,8 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
     entry of S is zero, as in the scalar presets.
     """
     hx, hy = grid.hx, grid.hy
-    xf = np.arange(grid.nx + 1)[None, :] * hx
-    yf = np.arange(grid.ny + 1)[:, None] * hy
-    s11, s12, _, _ = S.evaluate(t, xf, grid.yc[:, None])
-    _, _, s21, s22 = S.evaluate(t, grid.xc[None, :], yf)
+    s11, s12, _, _ = S.evaluate(t, grid.xf[None, :], grid.yc[:, None])
+    _, _, s21, s22 = S.evaluate(t, grid.xc[None, :], grid.yf[:, None])
     cx = ghost_pad(c_vals, 1)
     cy = ghost_pad(c_vals, 0)
     gx = s11 * ((cx[:, 1:] - cx[:, :-1]) / hx)
@@ -302,15 +299,27 @@ def _gamma_update(gamma: float, dt: float, theta: float) -> float:
     return (gamma * (1.0 - (1.0 - theta) * dt) + dt) / (1.0 + theta * dt)
 
 
+def _stays_at_rest(data: GivenData, u: VectorField) -> bool:
+    """Whether the fluid ``u`` is at rest (zero cells and faces) with no
+    forcing and no potential, so that it stays exactly at rest."""
+    return data.f is None and not (
+        u.ux.any() or u.uy.any() or u.fx.any() or u.fy.any()
+        or data.phi_grad.ux.any() or data.phi_grad.uy.any())
+
+
 def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
-             dt: float, opts: RunOptions, frozen: _ShiftedFields | None = None
+             dt: float, opts: RunOptions, at_rest: bool,
+             frozen: _ShiftedFields | None = None
              ) -> tuple[_ShiftedFields, float]:
     """One IMEX step of the shifted system; returns the new fields and the
     measured boundary-condition residual of the density solve.
 
     Nonlinear coefficients are evaluated at ``frozen`` (defaults to the
     current state, which gives the plain step); the implicit solves always
-    advance ``sf``.
+    advance ``sf``.  ``at_rest`` is ``_stays_at_rest(data, sf.u)``, decided
+    by the caller once for its steps: a fluid at rest skips advection and
+    the fluid substep, and keeps ``sf.u``, so every iterate it freezes is at
+    rest too.
     """
     w = sf if frozen is None else frozen
     t0 = sf.t
@@ -318,27 +327,24 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
 
     fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S, t0)
     bc = BoundaryData.from_faces(fx, fy)
-    ufx, ufy = face_normal_values(w.u, boundary="zero")
-    moving = ufx.any() or ufy.any()
-    if moving:
-        up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
-        adv_n, adv_c, adv_ux, adv_uy = (
-            upwind_divergence(grid, phi, ufx, ufy, up)
-            for phi in (w.nt, w.chi, w.u.ux, w.u.uy))
-    else:                       # a fluid at rest transports nothing
-        adv_n = adv_c = adv_ux = adv_uy = 0.0
+    forcing_n = -face_divergence(grid, fx, fy)
+    rhs_c = w.nt
+    if not at_rest:
+        ufx, ufy = face_normal_values(w.u, boundary="zero")
+        adv_ux = adv_uy = 0.0
+        if ufx.any() or ufy.any():  # zero faces transport nothing
+            up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
+            adv_n, adv_c, adv_ux, adv_uy = (
+                upwind_divergence(grid, phi, ufx, ufy, up)
+                for phi in (w.nt, w.chi, w.u.ux, w.u.uy))
+            forcing_n = forcing_n - adv_n
+            rhs_c = rhs_c - adv_c
 
-    forcing_n = -face_divergence(grid, fx, fy) - adv_n
-    nt_new = neumann_heat_core(grid, sf.nt, bc, forcing_n, dt, theta)
-    bc_res = boundary_source_residual(grid, sf.nt, nt_new, bc, forcing_n,
-                                      dt, theta)
-
-    rhs_c = w.nt - adv_c
+    nt_new, bc_res = neumann_heat_core(grid, sf.nt, bc, forcing_n, dt, theta,
+                                       residual=True)
     chi_new = shifted_heat_core(grid, sf.chi, rhs_c, dt, theta)
 
-    if data.f is None and not (moving or sf.u.ux.any() or sf.u.uy.any()
-                               or data.phi_grad.ux.any()
-                               or data.phi_grad.uy.any()):
+    if at_rest:
         u_new = sf.u            # a fluid at rest with no force stays at rest
     else:
         fvec = data.f(t0) if data.f is not None else None
@@ -350,18 +356,22 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
     gamma_new = _gamma_update(sf.gamma, dt, theta)
     new = _ShiftedFields(t=t0 + dt, nt=nt_new, chi=chi_new, u=u_new,
                          gamma=gamma_new)
-    new.extrema = _check_blowup(new, n_bar0, opts.blowup_ceiling, sf)
+    new.extrema = _check_blowup(new, n_bar0, opts.blowup_ceiling, sf,
+                                at_rest)
     return new, bc_res
 
 
 def _check_blowup(sf: _ShiftedFields, n_bar0: float, ceiling: float,
-                  last_valid: _ShiftedFields) -> tuple[float, float, float, float]:
+                  last_valid: _ShiftedFields, at_rest: bool = False
+                  ) -> tuple[float, float, float, float]:
     """Raise ``BlowUpError`` on non-finite values or a sup above the
-    ceiling; return (min nt, max nt, min chi, max chi) otherwise."""
+    ceiling; return (min nt, max nt, min chi, max chi) otherwise.  The
+    velocity sups of a fluid at rest are 0 and are not computed."""
     # NaN and inf propagate through min and max
     ext = (float(sf.nt.min()), float(sf.nt.max()),
            float(sf.chi.min()), float(sf.chi.max()))
-    sups = tuple(float(np.abs(a).max()) for a in (sf.u.ux, sf.u.uy))
+    sups = (0.0, 0.0) if at_rest else tuple(
+        float(np.abs(a).max()) for a in (sf.u.ux, sf.u.uy))
     if all(map(math.isfinite, ext + sups)):
         sup = max(max(ext[1], -ext[0]) + abs(n_bar0),
                   max(ext[3], -ext[2]) + abs(n_bar0), *sups)
@@ -402,7 +412,8 @@ def step(state: SimState, data: GivenData, dt: float,
     opts = options or RunOptions()
     grid = data.grid
     sf = _from_state(state)
-    new, bc_res = _advance(grid, sf, data, state.n_bar0, dt, opts)
+    new, bc_res = _advance(grid, sf, data, state.n_bar0, dt, opts,
+                           _stays_at_rest(data, sf.u))
     return _to_state(new, state.n_bar0, bc_res)
 
 
@@ -429,8 +440,8 @@ def _rel_increment(a: _ShiftedFields, b: _ShiftedFields, n_bar0: float) -> float
 
 
 def _picard(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
-            dt: float, opts: RunOptions, k_max: int, tol: float
-            ) -> tuple[_ShiftedFields, float, int, float]:
+            dt: float, opts: RunOptions, k_max: int, tol: float,
+            at_rest: bool) -> tuple[_ShiftedFields, float, int, float]:
     """Iterate ``_advance`` from ``sf`` with coefficients frozen at the
     previous iterate; returns (iterate, bc_residual, iters, contraction)."""
     if k_max < 1:
@@ -439,7 +450,8 @@ def _picard(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
     prev_inc = None
     contraction = 0.0
     for m in range(1, k_max + 1):
-        new, bc_res = _advance(grid, sf, data, n_bar0, dt, opts, frozen=iterate)
+        new, bc_res = _advance(grid, sf, data, n_bar0, dt, opts, at_rest,
+                               frozen=iterate)
         inc = _rel_increment(new, iterate, n_bar0)  # iterate starts at sf
         if prev_inc is not None and prev_inc > 0.0:
             contraction = inc / prev_inc
@@ -462,9 +474,10 @@ def picard_step(state: SimState, data: GivenData, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    sf = _from_state(state)
     new, bc_res, iters, contraction = _picard(
-        data.grid, _from_state(state), data, state.n_bar0, dt,
-        options or RunOptions(), k_max, tol)
+        data.grid, sf, data, state.n_bar0, dt, options or RunOptions(), k_max,
+        tol, _stays_at_rest(data, sf.u))
     return _to_state(new, state.n_bar0, bc_res), iters, contraction
 
 
@@ -496,6 +509,7 @@ def run(data: GivenData, T: float, dt: float,
     state0 = data.initial_state()
     n_bar0 = state0.n_bar0
     sf = _from_state(state0)
+    at_rest = _stays_at_rest(data, sf.u)    # then for the whole run
     series = DiagnosticsSeries()
     trajectory = [state0]
     vol = grid.cell_volume
@@ -506,9 +520,10 @@ def run(data: GivenData, T: float, dt: float,
             if opts.picard_enabled:
                 sf, bc_res, iters, contraction = _picard(
                     grid, sf, data, n_bar0, dt, opts, opts.picard_k_max,
-                    opts.picard_tol)
+                    opts.picard_tol, at_rest)
             else:
-                sf, bc_res = _advance(grid, sf, data, n_bar0, dt, opts)
+                sf, bc_res = _advance(grid, sf, data, n_bar0, dt, opts,
+                                      at_rest)
                 iters, contraction = 1, 0.0
         except BlowUpError as exc:
             exc.series = series
@@ -525,7 +540,8 @@ def run(data: GivenData, T: float, dt: float,
             mass_c=float(sf.chi.sum()) * vol + c_shift * omega,
             sup_n_dev=abs(max(n_hi, -n_lo)),
             sup_c_dev=abs(max(c_hi + c_dev, -(c_lo + c_dev))),
-            sup_u=math.sqrt(float((sf.u.ux * sf.u.ux + sf.u.uy * sf.u.uy).max())),
+            sup_u=0.0 if at_rest else
+            math.sqrt(float((sf.u.ux * sf.u.ux + sf.u.uy * sf.u.uy).max())),
             min_n=min_n,
             min_c=min_c,
             bc_residual=bc_res,

@@ -6,6 +6,9 @@ coefficients, so ``solve_spectral`` solves it exactly in the eigenbasis of
 the 1-D discrete Laplacian: cosines for zero-flux cell faces, sines for
 half-cell Dirichlet faces, and nodal sines for the stream function of the
 Helmholtz projection, which vanishes on the walls.
+Each operator has one cached, read-only plan (its two bases and the symbol
+the solve divides by), keyed on the grid, the coefficients and the boundary
+condition: built by its first solve and reused by every later one.
 The heat steps support the theta time scheme (theta = 1 implicit Euler,
 theta = 1/2 Crank-Nicolson); the Stokes step is implicit Euler only.
 """
@@ -72,6 +75,24 @@ def _eigenbasis(n: int, h: float, bc: str) -> tuple[np.ndarray, np.ndarray]:
     return Q, lam
 
 
+@lru_cache(maxsize=32)
+def _solve_plan(ny: int, nx: int, hy: float, hx: float, shift: float,
+                scale: float, bc: str
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (Qy, Qx, denominator) of the operator shift*I - scale*lap_h
+    with boundary condition ``bc``; the singular Neumann problem (shift = 0)
+    divides its constant mode by inf."""
+    if bc not in ("neumann0", "dirichlet0", "nodal0"):
+        raise ValueError(f"unknown bc {bc!r}")
+    Qy, lam_y = _eigenbasis(ny, hy, bc)
+    Qx, lam_x = _eigenbasis(nx, hx, bc)
+    denom = shift + scale * (lam_y[:, None] + lam_x[None, :])
+    if shift == 0.0 and bc == "neumann0":
+        denom[0, 0] = np.inf
+    denom.setflags(write=False)
+    return Qy, Qx, denom
+
+
 def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
                    bc: str) -> np.ndarray:
     """Exact solution of (shift*I - scale*lap_h) x = b on the grid.
@@ -81,21 +102,16 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
     (ny, nx) cells, or ``"nodal0"`` (the 5-point Laplacian on the
     (ny-1, nx-1) interior nodes with zero wall values, nodal sine modes).
     The solve is four matrix products with the cached 1-D eigenbases,
-    x = Qy ((Qy^T b Qx) / symbol) Qx^T.  For the singular Neumann problem
+    x = Qy ((Qy^T b Qx) / symbol) Qx^T, where the bases and the symbol come
+    from one cached plan per operator.  For the singular Neumann problem
     (shift = 0) the constant mode of the solution is set to zero, which
     solves the problem restricted to mean-zero data.  A zero right-hand
     side returns zeros without a product.
     """
-    if bc not in ("neumann0", "dirichlet0", "nodal0"):
-        raise ValueError(f"unknown bc {bc!r}")
+    ny, nx = grid.shape
+    Qy, Qx, denom = _solve_plan(ny, nx, grid.hy, grid.hx, shift, scale, bc)
     if not b.any():
         return np.zeros(b.shape)
-    ny, nx = grid.shape
-    Qy, lam_y = _eigenbasis(ny, grid.hy, bc)
-    Qx, lam_x = _eigenbasis(nx, grid.hx, bc)
-    denom = shift + scale * (lam_y[:, None] + lam_x[None, :])
-    if shift == 0.0 and bc == "neumann0":
-        denom[0, 0] = np.inf
     return Qy @ ((Qy.T @ b @ Qx) / denom) @ Qx.T
 
 
@@ -121,18 +137,31 @@ def _heat_explicit_part(grid: Grid, u: np.ndarray, forcing: np.ndarray,
     return rhs
 
 
+def _imposed_source_gap(grid: Grid, x: np.ndarray, explicit: np.ndarray,
+                        src: np.ndarray, dt: float, theta: float) -> float:
+    """h * max |source recovered from the solution x - src|, h = max(hx, hy)."""
+    recovered = (x - theta * dt * _lap_zero_flux(grid, x) - explicit) / dt
+    gap = np.abs(recovered - src).max()
+    return max(grid.hx, grid.hy) * float(gap)
+
+
 def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
-                      forcing: np.ndarray, dt: float, theta: float = 1.0
-                      ) -> np.ndarray:
+                      forcing: np.ndarray, dt: float, theta: float = 1.0,
+                      residual: bool = False):
     """One theta step of du/dt = lap(u) + forcing with boundary flux b.
 
     Solves (I - theta*dt*L0) u' = u + (1-theta)*dt*L0 u
                                   + dt*(forcing + boundary source).
     The prescribed flux enters once (weight 1) as boundary source data.
+    With ``residual`` returns (u', boundary_source_residual of u'), the
+    residual built from this solve's own explicit part and source.
     """
-    rhs = _heat_explicit_part(grid, u, forcing, dt, theta) \
-        + dt * _boundary_source(grid, b)
-    return solve_spectral(grid, rhs, 1.0, theta * dt, "neumann0")
+    explicit = _heat_explicit_part(grid, u, forcing, dt, theta)
+    src = _boundary_source(grid, b)
+    x = solve_spectral(grid, explicit + dt * src, 1.0, theta * dt, "neumann0")
+    if not residual:
+        return x
+    return x, _imposed_source_gap(grid, x, explicit, src, dt, theta)
 
 
 def boundary_source_residual(grid: Grid, u: np.ndarray, x: np.ndarray,
@@ -146,10 +175,9 @@ def boundary_source_residual(grid: Grid, u: np.ndarray, x: np.ndarray,
     h = max(hx, hy), in the units of a face flux.  For ``x`` from
     ``neumann_heat_core`` with the same arguments this is rounding error.
     """
-    recovered = (x - theta * dt * _lap_zero_flux(grid, x)
-                 - _heat_explicit_part(grid, u, forcing, dt, theta)) / dt
-    gap = np.abs(recovered - _boundary_source(grid, b)).max()
-    return max(grid.hx, grid.hy) * float(gap)
+    return _imposed_source_gap(
+        grid, x, _heat_explicit_part(grid, u, forcing, dt, theta),
+        _boundary_source(grid, b), dt, theta)
 
 
 def step_neumann_heat(U: ScalarField, F_B: VectorField, F_E: ScalarField,

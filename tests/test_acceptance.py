@@ -195,6 +195,19 @@ def test_criterion_05_density_mass_conservation(rotation_run):
            f"{worst:.2e} (snapshot summation), tol 1e-10")
 
 
+def predicted_signal_mass_residual(series, M_n0, M_c0, dt, theta):
+    """The scheme's residual to the continuous signal-mass identity.
+
+    With the density mass conserved, the scheme's signal mass after k steps
+    is M_n + (M_c0 - M_n) r^k with r = (1 - (1-theta) dt) / (1 + theta dt),
+    and the continuous one is M_n + (M_c0 - M_n) e^{-t_k}, so the residual
+    is |M_c0 - M_n| max_k |r^k - e^{-t_k}|."""
+    t = series.column("t")
+    r = (1.0 - (1.0 - theta) * dt) / (1.0 + theta * dt)
+    k = np.arange(1, len(t) + 1)
+    return abs(M_c0 - M_n0) * float(np.abs(r ** k - np.exp(-t)).max())
+
+
 def test_criterion_06_signal_mass_identity(rotation_run, rotation_run_half_dt,
                                            rotation_run_crank_nicolson):
     data, _, series = rotation_run
@@ -210,6 +223,18 @@ def test_criterion_06_signal_mass_identity(rotation_run, rotation_run_half_dt,
     assert rc_cn <= 5e-5
     report("criterion-06", f"residual {rc:.3e} <= 5e-3 (theta=1, dt=1e-3), "
            f"halving ratio {ratio:.3f}, theta=1/2 residual {rc_cn:.3e} <= 5e-5")
+    # the discrete scheme's residual is known in closed form
+    for label, ser, measured, dt, theta in (
+            ("theta=1, dt=1e-3", series, rc, 1e-3, 1.0),
+            ("theta=1, dt=5e-4", series_half, rc_half, 5e-4, 1.0),
+            ("theta=1/2, dt=1e-3", series_cn, rc_cn, 1e-3, 0.5)):
+        predicted = predicted_signal_mass_residual(ser, M_n0, M_c0, dt, theta)
+        gap = abs(measured - predicted)
+        assert gap <= 1e-12, (label, measured, predicted)
+        report("criterion-06-predicted",
+               f"{label}: residual {measured:.6e} vs predicted "
+               f"{predicted:.6e}, gap {gap:.1e} <= 1e-12 "
+               f"(margin {1e-12 - gap:.1e})")
 
 
 def test_criterion_07_exponential_stabilization(stabilization_run, eigen32):

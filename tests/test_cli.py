@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from ksns import linstep
 from ksns.cli import ConfigError, load_config, main
 
 
@@ -144,14 +145,21 @@ def test_run_constant_passes_and_writes(tmp_path, capsys):
 
 
 def test_run_deterministic_outputs(tmp_path, capsys):
+    # the first run builds the solve plans, the second reuses them
+    linstep._solve_plan.cache_clear()
     path = write_cfg(tmp_path, TINY_RUN)
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
     assert main(["run", "--config", path, "--out", out_a]) == 0
     assert main(["run", "--config", path, "--out", out_b]) == 0
-    bytes_a = open(os.path.join(out_a, "diagnostics.csv"), "rb").read()
-    bytes_b = open(os.path.join(out_b, "diagnostics.csv"), "rb").read()
-    assert bytes_a == bytes_b
+    names = sorted(os.listdir(out_a))
+    assert names == sorted(os.listdir(out_b))
+    assert "diagnostics.csv" in names
+    assert sum(name.startswith("snap_") for name in names) == 12
+    for name in names:
+        with open(os.path.join(out_a, name), "rb") as fa, \
+                open(os.path.join(out_b, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
 
 
 def test_run_blowup_exits_3(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ksns import (DomainSpec, ScalarField, VectorField, build_grid,
                   helmholtz_project, integrate)
-from ksns import integrator
+from ksns import integrator, linstep
 from ksns.diagnostics import negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
@@ -425,6 +425,54 @@ def test_run_at_rest_skips_fluid_substep_with_identical_output(
                      (a.u.ux, b.u.ux), (a.u.uy, b.u.uy),
                      (a.u.fx, b.u.fx), (a.u.fy, b.u.fy)):
             assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("gravity", [False, True])
+def test_run_decides_rest_once_and_builds_each_solve_plan_once(
+        unit16, monkeypatch, gravity):
+    # at rest, no step touches the fluid: no face velocities, no upwinding,
+    # no fluid substep; from rest under gravity every step takes that path.
+    # Only calls made inside a step count (validate reads u0's faces once).
+    phi = VectorField.from_functions(unit16, lambda x, y: 0.0 * x,
+                                     lambda x, y: -1.0 + 0.0 * x)
+    data = wave_data(unit16, amp=0.1, S=SensitivitySpec.rotation(1.0, 0.5),
+                     phi_grad=phi if gravity else None)
+    stepping = []
+    calls = {"stokes_core": 0, "upwind_divergence": 0,
+             "face_normal_values": 0}
+
+    def counted(name):
+        fn = getattr(integrator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += bool(stepping)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def advance(*args, **kwargs):
+        stepping.append(True)
+        try:
+            return plain_advance(*args, **kwargs)
+        finally:
+            stepping.pop()
+
+    plain_advance = integrator._advance
+    for name in calls:
+        monkeypatch.setattr(integrator, name, counted(name))
+    monkeypatch.setattr(integrator, "_advance", advance)
+    linstep._solve_plan.cache_clear()
+    run(data, T=2e-2, dt=1e-3)
+    info = linstep._solve_plan.cache_info()
+    if gravity:
+        assert calls["stokes_core"] == 20
+        assert calls["face_normal_values"] == 20
+        assert calls["upwind_divergence"] == 4 * 19   # still at rest at step 1
+        assert info.misses == 4     # density, signal, viscous, stream function
+        assert info.hits == 5 * 20 - 4
+    else:
+        assert calls == dict.fromkeys(calls, 0)
+        assert info.misses == 2     # density, signal
+        assert info.hits == 2 * 20 - 2
 
 
 def test_step_checkerboard_velocity_goes_through_stokes(unit16, monkeypatch):

@@ -1,11 +1,13 @@
 """Property tests of the 1-D eigenbases, of the exact spectral solves and
-of the stream-function projection against the CG oracle.
+their cached plans, and of the stream-function projection against the CG
+oracle.
 
 Grid sizes (odd ones included), aspect ratios, time steps and theta are
 drawn by hypothesis; the right-hand sides come from a drawn seed.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from cg_oracle import neg_lap_diag, pressure_project_faces, solve_cg
 from ksns import DomainSpec, VectorField, build_grid, helmholtz_project
 from ksns.grid import face_divergence, face_normal_values
 from ksns.linstep import (_eigenbasis, _lap_dirichlet, _lap_zero_flux,
-                          _project_core, solve_spectral)
+                          _project_core, _solve_plan, solve_spectral)
 
 cases = st.fixed_dictionaries({
     "nx": st.integers(4, 40), "ny": st.integers(4, 40),
@@ -95,6 +97,37 @@ def test_spectral_solves_match_operator_and_cg_oracle(case):
                            project_mean=singular, tag=name)
         gap = np.linalg.norm(x - x_cg) / np.linalg.norm(x)
         assert gap <= 1e-11, (name, gap)      # measured worst 2.6e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 40), st.integers(4, 40), st.floats(0.5, 2.0),
+       st.floats(0.5, 2.0), st.sampled_from((0.0, 1.0)) | st.floats(1e-3, 5.0),
+       st.floats(1e-4, 2.0),
+       st.sampled_from(("neumann0", "dirichlet0", "nodal0")),
+       st.integers(0, 2 ** 32 - 1))
+def test_cached_plan_solve_is_bitwise_the_inline_formula(nx, ny, Lx, Ly, shift,
+                                                          scale, bc, seed):
+    grid = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    m = 1 if bc == "nodal0" else 0
+    b = np.random.default_rng(seed).standard_normal((ny - m, nx - m))
+    Qy, lam_y = _eigenbasis(ny, grid.hy, bc)
+    Qx, lam_x = _eigenbasis(nx, grid.hx, bc)
+    denom = shift + scale * (lam_y[:, None] + lam_x[None, :])
+    if shift == 0.0 and bc == "neumann0":
+        denom[0, 0] = np.inf
+    inline = Qy @ ((Qy.T @ b @ Qx) / denom) @ Qx.T
+    cold = solve_spectral(grid, b, shift, scale, bc)
+    warm = solve_spectral(grid, b, shift, scale, bc)
+    assert cold.tobytes() == inline.tobytes() == warm.tobytes()
+    plan = _solve_plan(ny, nx, grid.hy, grid.hx, shift, scale, bc)
+    assert plan[2].tobytes() == denom.tobytes()
+    for arr in plan:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    for rhs in (b, np.zeros_like(b)):
+        with pytest.raises(ValueError, match="unknown bc"):
+            solve_spectral(grid, rhs, shift, scale, "periodic")
 
 
 @settings(max_examples=25, deadline=None)
