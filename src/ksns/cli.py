@@ -3,7 +3,9 @@
 Subcommands: ``run`` (full scenario with PASS/FAIL invariant verdicts),
 ``eigen`` (Poincare constants as one CSV line), ``decay`` (stabilization
 rate fits), ``lipschitz`` (data-perturbation experiment), ``nonneg``
-(positivity monitors), ``version``.
+(positivity at every step), ``version``.  ``run``, ``decay``,
+``lipschitz`` and ``nonneg`` share one pass: build the scenario, run it,
+then judge the run.
 
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
@@ -23,8 +25,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import (DiagnosticsConfig, compatibility_check,
                           fit_decay_rate, lipschitz_experiment,
-                          mass_identity_residuals, negativity_report)
-from .eigen import lambda_dirichlet, lambda_neumann
+                          mass_identity_residuals, negative_part_energy)
+from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
 from .grid import (DomainSpec, Grid, ScalarField, VectorField, build_grid,
                    integrate, write_field_snapshot)
 from .integrator import (BlowUpError, GivenData, RunOptions, SensitivitySpec,
@@ -84,9 +86,6 @@ class RunConfig:
 
     values: dict = field(default_factory=dict)
 
-    def __getitem__(self, key: tuple[str, str]):
-        return self.values[key]
-
     def get(self, section: str, key: str):
         return self.values[(section, key)]
 
@@ -95,9 +94,12 @@ class RunConfig:
                 for (s, k) in sorted(self.values)]
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, where: dict) -> None:
+    """Check every value; ``where`` maps each key set in the file to the
+    ``path:line: `` prefix its error names."""
     def fail(section, key, msg):
-        raise ConfigError(f"[{section}] {key}: {msg}")
+        raise ConfigError(f"{where.get((section, key), '')}"
+                          f"[{section}] {key}: {msg}")
 
     v = cfg.values
     for (s, k), choices in _CHOICES.items():
@@ -155,13 +157,13 @@ def load_config(path: str | None) -> RunConfig:
     """Parse and validate a config file; ``None`` gives pure defaults."""
     values = {(s, k): d for s, sec in _SCHEMA.items()
               for k, (_, d) in sec.items()}
+    where = {}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
         section = None
-        seen = set()
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -182,10 +184,10 @@ def load_config(path: str | None) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}:{lineno}: unknown key "
                                   f"[{section}] {key}")
-            if (section, key) in seen:
+            if (section, key) in where:
                 raise ConfigError(f"{path}:{lineno}: duplicate key "
                                   f"[{section}] {key}")
-            seen.add((section, key))
+            where[(section, key)] = f"{path}:{lineno}: "
             typ, _ = _SCHEMA[section][key]
             try:
                 if typ is bool:
@@ -201,7 +203,7 @@ def load_config(path: str | None) -> RunConfig:
                                   f"{exc}") from None
             values[(section, key)] = val
     cfg = RunConfig(values=values)
-    _validate(cfg)
+    _validate(cfg, where)
     return cfg
 
 
@@ -304,15 +306,30 @@ def _verdict(name: str, passed: bool, detail: str) -> tuple[bool, str]:
     return passed, f"{tag} {name}: {detail}"
 
 
-def _nonneg_ok(data, min_n, min_c, neg_energy_n, neg_energy_c) -> bool:
-    """Non-negativity verdict: the minima no lower than -1e-8 and the
-    negative-part energies no higher than 1e-16 times the initial sups
-    (squared)."""
+def _report(verdicts: list[tuple[bool, str]]) -> bool:
+    """Print the verdict lines; whether all passed."""
+    for _, line in verdicts:
+        print(line)
+    return all(passed for passed, _ in verdicts)
+
+
+def _nonneg_verdict(data, series) -> tuple[bool, str]:
+    """Non-negativity of the initial fields and of every step: the minima
+    no lower than -1e-8 and the negative-part energies no higher than
+    1e-16 times the initial sups (squared)."""
+    min_n = min(float(data.n0.values.min()), series.column("min_n").min())
+    min_c = min(float(data.c0.values.min()), series.column("min_c").min())
+    en = max(negative_part_energy(data.n0),
+             series.column("neg_energy_n").max())
+    ec = max(negative_part_energy(data.c0),
+             series.column("neg_energy_c").max())
     sup_n = float(np.abs(data.n0.values).max())
     sup_c = float(np.abs(data.c0.values).max())
-    return (min_n >= -1e-8 * sup_n and min_c >= -1e-8 * sup_c
-            and neg_energy_n <= 1e-16 * sup_n ** 2
-            and neg_energy_c <= 1e-16 * sup_c ** 2)
+    ok = (min_n >= -1e-8 * sup_n and min_c >= -1e-8 * sup_c
+          and en <= 1e-16 * sup_n ** 2 and ec <= 1e-16 * sup_c ** 2)
+    return _verdict("non-negativity", ok,
+                    f"min n {min_n:.6g}, min c {min_c:.6g}, "
+                    f"neg energies {en:.3e} / {ec:.3e}")
 
 
 def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
@@ -338,20 +355,13 @@ def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
     out.append(_verdict("boundary-condition-identity", bc <= 1e-12,
                         f"max residual {bc:.3e} tol 1e-12"))
     if data.n0.values.min() >= 0.0 and data.c0.values.min() >= 0.0:
-        ok = _nonneg_ok(data, series.column("min_n").min(),
-                        series.column("min_c").min(),
-                        series.column("neg_energy_n").max(),
-                        series.column("neg_energy_c").max())
-        out.append(_verdict(
-            "non-negativity", ok,
-            f"min n {series.column('min_n').min():.3e}, "
-            f"min c {series.column('min_c').min():.3e}"))
+        out.append(_nonneg_verdict(data, series))
     if cfg.get("data", "preset") == "constant":
         # the state itself must stay put (n, c, u unchanged), checked
         # against the initial fields at every snapshot
-        first = trajectory[0]
-        dev = max(max(np.abs(s.n.values - first.n.values).max(),
-                      np.abs(s.c.values - first.c.values).max(),
+        n0, c0 = trajectory[0].n.values, trajectory[0].c.values
+        dev = max(max(np.abs(s.n.values - n0).max(),
+                      np.abs(s.c.values - c0).max(),
                       s.u.magnitude_sup()) for s in trajectory[1:])
         out.append(_verdict("constant-state-fixed-point", dev <= 1e-9,
                             f"max deviation {dev:.3e} tol 1e-9"))
@@ -377,7 +387,7 @@ def _write_outputs(out_dir, trajectory, series) -> None:
         for name, comp in (("ux", state.u.ux), ("uy", state.u.uy)):
             write_field_snapshot(
                 os.path.join(out_dir, f"snap_{idx:06d}_{name}.csv"),
-                ScalarField(state.n.grid, comp), name, state.t)
+                ScalarField(state.u.grid, comp), name, state.t)
 
 
 def _startup_diagnostics(cfg, grid, data, need_eigen: bool):
@@ -406,7 +416,7 @@ def _startup_diagnostics(cfg, grid, data, need_eigen: bool):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_eigen(cfg, args) -> int:
+def _cmd_eigen(cfg) -> int:
     grid = grid_from_config(cfg)
     tol = cfg.get("eigen", "tol")
     rN = lambda_neumann(grid, tol)
@@ -417,120 +427,95 @@ def _cmd_eigen(cfg, args) -> int:
     return 0
 
 
-def _cmd_run(cfg, args) -> int:
-    for line in cfg.echo_lines():
-        print(line)
-    grid = grid_from_config(cfg)
-    data = given_data_from_config(cfg, grid)
-    _startup_diagnostics(cfg, grid, data, need_eigen=False)
-    opts = options_from_config(cfg, stride=args.snapshot_stride)
-    out_dir = _resolve_out_dir(cfg, args)
-    try:
-        trajectory, series = run(data, cfg.get("time", "T"),
-                                 cfg.get("time", "dt"), opts)
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}")
-        if exc.series is not None and len(exc.series):
-            os.makedirs(out_dir, exist_ok=True)
-            exc.series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
-        return 3
-    _write_outputs(out_dir, trajectory, series)
-    ok = True
-    for passed, line in _run_checks(cfg, data, series, trajectory):
-        print(line)
-        ok = ok and passed
-    return 0 if ok else 1
+@dataclass
+class _Scenario:
+    """What a verdict reads besides the run it judges."""
+
+    cfg: RunConfig
+    args: argparse.Namespace
+    data: GivenData
+    diag: DiagnosticsConfig
+    lamN: EigenResult | None
+    lamD: EigenResult | None
+    opts: RunOptions
 
 
-def _cmd_decay(cfg, args) -> int:
-    for line in cfg.echo_lines():
-        print(line)
-    grid = grid_from_config(cfg)
-    data = given_data_from_config(cfg, grid)
-    diag, lamN, lamD = _startup_diagnostics(cfg, grid, data, need_eigen=True)
-    opts = options_from_config(cfg, stride=args.snapshot_stride)
-    T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
-    try:
-        _, series = run(data, T, dt, opts)
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}")
-        return 3
-    frac = cfg.get("diagnostics", "fit_window_frac")
-    window = (frac * T, T)
+def _judge_run(sc, trajectory, series) -> bool:
+    _write_outputs(_resolve_out_dir(sc.cfg, sc.args), trajectory, series)
+    return _report(_run_checks(sc.cfg, sc.data, series, trajectory))
+
+
+def _judge_decay(sc, trajectory, series) -> bool:
+    T = sc.cfg.get("time", "T")
+    window = (sc.cfg.get("diagnostics", "fit_window_frac") * T, T)
     t = series.column("t")
     fit_n = fit_decay_rate(list(zip(t, series.column("sup_n_dev"))), window)
     fit_c = fit_decay_rate(list(zip(t, series.column("sup_c_dev"))), window)
-    lam1 = diag.lambda1
-    ok = True
-    for name, fit in (("n-deviation", fit_n), ("c-deviation", fit_c)):
-        passed, line = _verdict(
-            f"decay-{name}", fit.rate >= lam1,
-            f"fitted rate {fit.rate:.4f} >= lambda1 {lam1:.4f} "
-            f"(window [{window[0]:.3g}, {window[1]:.3g}])")
-        print(line)
-        ok = ok and passed
-    strong = 0.8 * lamN.lam
+    lam1 = sc.diag.lambda1
+    ok = _report([_verdict(
+        f"decay-{name}", fit.rate >= lam1,
+        f"fitted rate {fit.rate:.4f} >= lambda1 {lam1:.4f} "
+        f"(window [{window[0]:.3g}, {window[1]:.3g}])")
+        for name, fit in (("n-deviation", fit_n), ("c-deviation", fit_c))])
+    strong = 0.8 * sc.lamN.lam
     print(f"INFO empirical n-rate {fit_n.rate:.4f} vs 0.8*lambda_N "
-          f"{strong:.4f} (recorded, not asserted); lambda_N {lamN.lam:.6g}, "
-          f"lambda_D {lamD.lam:.6g}")
-    return 0 if ok else 1
+          f"{strong:.4f} (recorded, not asserted); lambda_N "
+          f"{sc.lamN.lam:.6g}, lambda_D {sc.lamD.lam:.6g}")
+    return ok
 
 
-def _cmd_lipschitz(cfg, args) -> int:
-    for line in cfg.echo_lines():
-        print(line)
-    grid = grid_from_config(cfg)
-    base = given_data_from_config(cfg, grid)
-    diag, _, _ = _startup_diagnostics(cfg, grid, base, need_eigen=False)
-    opts = options_from_config(cfg, stride=args.snapshot_stride)
+def _judge_lipschitz(sc, trajectory, series) -> bool:
+    cfg = sc.cfg
     T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
     amp = cfg.get("data", "amplitude")
     ratios = []
-    try:
-        base_traj, _ = run(base, T, dt, opts)
-        for delta in (1e-3, 1e-4):
-            pert = given_data_from_config(cfg, grid, amplitude=amp + delta)
-            res = lipschitz_experiment(base, pert, diag, T, dt, opts,
-                                       base_trajectory=base_traj)
-            ratios.append(res.ratio)
-            print(f"INFO delta {delta:g}: ratio {res.ratio:.6g} "
-                  f"data gap {res.data_gap:.6g}")
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}")
-        return 3
+    for delta in (1e-3, 1e-4):
+        pert = given_data_from_config(cfg, sc.data.grid, amplitude=amp + delta)
+        res = lipschitz_experiment(sc.data, pert, sc.diag, T, dt, sc.opts,
+                                   base_trajectory=trajectory)
+        ratios.append(res.ratio)
+        print(f"INFO delta {delta:g}: ratio {res.ratio:.6g} "
+              f"data gap {res.data_gap:.6g}")
     ceiling = cfg.get("diagnostics", "lipschitz_ceiling")
     gap = abs(ratios[0] - ratios[1]) / max(ratios[1], 1e-300)
-    ok1, line1 = _verdict("lipschitz-ratio-stability", gap <= 0.2,
-                          f"relative gap {gap:.3%} tol 20%")
-    ok2, line2 = _verdict("lipschitz-ratio-ceiling",
-                          max(ratios) <= ceiling,
-                          f"max ratio {max(ratios):.4g} ceiling {ceiling:g}")
-    print(line1)
-    print(line2)
-    return 0 if ok1 and ok2 else 1
+    return _report([
+        _verdict("lipschitz-ratio-stability", gap <= 0.2,
+                 f"relative gap {gap:.3%} tol 20%"),
+        _verdict("lipschitz-ratio-ceiling", max(ratios) <= ceiling,
+                 f"max ratio {max(ratios):.4g} ceiling {ceiling:g}")])
 
 
-def _cmd_nonneg(cfg, args) -> int:
+def _judge_nonneg(sc, trajectory, series) -> bool:
+    return _report([_nonneg_verdict(sc.data, series)])
+
+
+_JUDGES = {"run": _judge_run, "decay": _judge_decay,
+           "lipschitz": _judge_lipschitz, "nonneg": _judge_nonneg}
+
+
+def _simulate(cfg, args, need_eigen: bool) -> int:
+    """Echo the config, build and run the scenario, and judge the run with
+    the verdict of ``args.command``.  Exit code 0 when every verdict
+    passes, 1 otherwise, 3 on a blow-up (``run`` then writes the
+    diagnostics recorded up to it)."""
     for line in cfg.echo_lines():
         print(line)
     grid = grid_from_config(cfg)
     data = given_data_from_config(cfg, grid)
-    _startup_diagnostics(cfg, grid, data, need_eigen=False)
-    opts = options_from_config(cfg, stride=args.snapshot_stride)
+    diag, lamN, lamD = _startup_diagnostics(cfg, grid, data, need_eigen)
+    sc = _Scenario(cfg, args, data, diag, lamN, lamD,
+                   options_from_config(cfg, stride=args.snapshot_stride))
     try:
         trajectory, series = run(data, cfg.get("time", "T"),
-                                 cfg.get("time", "dt"), opts)
+                                 cfg.get("time", "dt"), sc.opts)
+        ok = _JUDGES[args.command](sc, trajectory, series)
     except BlowUpError as exc:
         print(f"blow-up: {exc}")
+        if args.command == "run" and exc.series:
+            out_dir = _resolve_out_dir(cfg, args)
+            os.makedirs(out_dir, exist_ok=True)
+            exc.series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
         return 3
-    rep = negativity_report(trajectory)
-    ok = _nonneg_ok(data, rep.min_n, rep.min_c, rep.max_neg_energy_n,
-                    rep.max_neg_energy_c)
-    _, line = _verdict("non-negativity", ok,
-                       f"min n {rep.min_n:.6g}, min c {rep.min_c:.6g}, "
-                       f"neg energies {rep.max_neg_energy_n:.3e} / "
-                       f"{rep.max_neg_energy_c:.3e}")
-    print(line)
     return 0 if ok else 1
 
 
@@ -560,10 +545,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    handler = {"run": _cmd_run, "eigen": _cmd_eigen, "decay": _cmd_decay,
-               "lipschitz": _cmd_lipschitz, "nonneg": _cmd_nonneg}[args.command]
     try:
-        return handler(cfg, args)
+        if args.command == "eigen":
+            return _cmd_eigen(cfg)
+        return _simulate(cfg, args, need_eigen=args.command == "decay")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

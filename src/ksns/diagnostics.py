@@ -206,8 +206,12 @@ def smallness_functional(data: GivenData, cfg: DiagnosticsConfig,
 
 
 def _shifted_parts(state: SimState):
+    """The paper's shifted fields: the density minus its initial mean and
+    the signal minus (1 - e^{-t}) times that mean.  The shift is the
+    continuous one, not the loop's ``gamma``, so the weighted norms do not
+    depend on the scheme's constant-mode recursion."""
     gamma = 1.0 - math.exp(-state.t)
-    g = state.n.grid
+    g = state.u.grid
     nt = ScalarField(g, state.n.values - state.n_bar0)
     ct = ScalarField(g, state.c.values - gamma * state.n_bar0)
     return nt, ct, state.u
@@ -243,7 +247,7 @@ def weighted_solution_norm(traj, cfg: DiagnosticsConfig) -> float:
 
     acc = [0.0, 0.0, 0.0]   # field parts: n, c, u
     accd = [0.0, 0.0, 0.0]  # time-derivative parts
-    g = traj[0].n.grid
+    g = traj[0].u.grid
     for k in range(1, len(traj)):
         dt_k = times[k] - times[k - 1]
         if dt_k <= 0.0:
@@ -268,29 +272,10 @@ def weighted_solution_norm(traj, cfg: DiagnosticsConfig) -> float:
 # ---------------------------------------------------------------------------
 # non-negativity
 
-@dataclass
-class NegativityReport:
-    min_n: float
-    min_c: float
-    max_neg_energy_n: float
-    max_neg_energy_c: float
-
-
 def negative_part_energy(f: ScalarField) -> float:
     """Integral of the squared negative part; zero iff the field is >= 0."""
     neg = np.minimum(f.values, 0.0)
     return float((neg ** 2).sum()) * f.grid.cell_volume
-
-
-def negativity_report(traj) -> NegativityReport:
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    min_n = min(float(s.n.values.min()) for s in traj)
-    min_c = min(float(s.c.values.min()) for s in traj)
-    en = max(negative_part_energy(s.n) for s in traj)
-    ec = max(negative_part_energy(s.c) for s in traj)
-    return NegativityReport(min_n=min_n, min_c=min_c,
-                            max_neg_energy_n=en, max_neg_energy_c=ec)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +297,9 @@ def boundary_residual(state: SimState, data: GivenData) -> float:
     """
     if state.bc_residual is not None:
         return state.bc_residual
-    g = state.n.grid
-    diff = boundary_normal_derivative_raw(g, state.n.values)
-    faces = chemotactic_flux_raw(g, state.n.values, state.c.values, data.S,
+    n = state.n
+    diff = boundary_normal_derivative_raw(n.grid, n.values)
+    faces = chemotactic_flux_raw(n.grid, n.values, state.c.values, data.S,
                                  state.t)
     return _boundary_gap(diff, BoundaryData.from_faces(*faces))
 
@@ -386,11 +371,9 @@ def lipschitz_experiment(base: GivenData, perturbed: GivenData,
         na, ca, _ = _shifted_parts(sa)
         nb, cb, _ = _shifted_parts(sb)
         diff_traj.append(SimState(
-            t=sa.t,
-            n=ScalarField(g, na.values - nb.values),
-            c=ScalarField(g, ca.values - cb.values),
+            t=sa.t, nt=na.values - nb.values, chi=ca.values - cb.values,
             u=VectorField(g, sa.u.ux - sb.u.ux, sa.u.uy - sb.u.uy),
-            n_bar0=0.0))
+            gamma=0.0, n_bar0=0.0))
     gap = smallness_functional(_difference_data(base, perturbed), cfg,
                                T_quad=T)
     sol = weighted_solution_norm(diff_traj, cfg)

@@ -10,14 +10,14 @@ velocity, with the velocity forcing consuming the freshly solved density.
 The loop integrates the shifted variables: the density deviation from its
 initial mean and the signal minus a scheme-consistent multiple of that
 mean.  The multiple follows the same theta recursion as the constant mode
-of the signal equation, so the discrete mass recursion of the unshifted
-signal holds to rounding, and the boundary flux of the density solve is
+of the signal equation, so the discrete mass recursion of the signal
+itself holds to rounding, and the boundary flux of the density solve is
 byte-for-byte the chemotactic face flux, which conserves total cell mass
 to rounding (the implicit solves are exact).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -96,20 +96,53 @@ class SensitivitySpec:
 
 @dataclass
 class SimState:
-    """Unshifted state (t, n, c, u) plus the cached initial density mean.
+    """The state the loop carries, in the paper's shifted variables.
 
-    ``bc_residual`` is set on a stepped state: the largest gap, in face
-    flux units, between the boundary source the last density solve
-    actually imposed (recovered from its solution) and the chemotactic
-    boundary flux (see ``linstep.boundary_source_residual``).
+    ``nt`` is the density minus its initial mean ``n_bar0``; ``chi`` is the
+    signal minus ``gamma * n_bar0``.  ``gamma`` follows the theta recursion
+    of the signal's constant mode from 0 at t = 0 (``_gamma_update``), so
+    it tracks 1 - e^{-t} to the scheme's accuracy and the discrete mass
+    recursion of the signal holds to rounding.  The density and the signal
+    themselves are the read-only properties ``n`` and ``c``.
+
+    On a stepped state, ``bc_residual`` is the largest gap, in face flux
+    units, between the boundary source the last density solve actually
+    imposed (recovered from its solution) and the chemotactic boundary flux
+    (see ``linstep.boundary_source_residual``), and ``extrema`` holds
+    (min nt, max nt, min chi, max chi) from the blow-up check.
     """
 
     t: float
-    n: ScalarField
-    c: ScalarField
+    nt: np.ndarray
+    chi: np.ndarray
     u: VectorField
+    gamma: float
     n_bar0: float
     bc_residual: float | None = None
+    extrema: tuple[float, float, float, float] | None = None
+
+    @classmethod
+    def from_fields(cls, t: float, n: ScalarField, c: ScalarField,
+                    u: VectorField, n_bar0: float) -> "SimState":
+        """The state of the fields (n, c, u) at time ``t``, shifted with
+        gamma = 1 - e^{-t}.  A velocity without face-normal values gets the
+        interpolated ones with zero wall trace."""
+        gamma = 1.0 - math.exp(-t)
+        if u.fx is None or u.fy is None:
+            fx, fy = face_normal_values(u, boundary="zero")
+            u = VectorField(u.grid, u.ux, u.uy, fx, fy)
+        return cls(t=t, nt=n.values - n_bar0, chi=c.values - gamma * n_bar0,
+                   u=u, gamma=gamma, n_bar0=n_bar0)
+
+    @property
+    def n(self) -> ScalarField:
+        """The density ``nt + n_bar0``, computed on each access."""
+        return ScalarField(self.u.grid, self.nt + self.n_bar0)
+
+    @property
+    def c(self) -> ScalarField:
+        """The signal ``chi + gamma * n_bar0``, computed on each access."""
+        return ScalarField(self.u.grid, self.chi + self.gamma * self.n_bar0)
 
 
 @dataclass
@@ -155,32 +188,8 @@ class GivenData:
 
     def initial_state(self) -> SimState:
         n_bar0 = integrate(self.n0) / self.grid.volume
-        return SimState(t=0.0, n=self.n0.copy(), c=self.c0.copy(),
-                        u=self.u0.copy(), n_bar0=n_bar0)
-
-
-def make_initial_state(data: GivenData) -> SimState:
-    return data.initial_state()
-
-
-# ---------------------------------------------------------------------------
-# shift transform
-
-def shift_transform(state: SimState) -> SimState:
-    """Shifted state: density minus its initial mean, signal minus the
-    relaxation profile (1 - e^{-t}) times that mean."""
-    gamma = 1.0 - math.exp(-state.t)
-    n = ScalarField(state.n.grid, state.n.values - state.n_bar0)
-    c = ScalarField(state.c.grid, state.c.values - gamma * state.n_bar0)
-    return replace(state, n=n, c=c)
-
-
-def unshift(shifted: SimState, t: float) -> SimState:
-    """Inverse of ``shift_transform`` at time ``t``."""
-    gamma = 1.0 - math.exp(-t)
-    n = ScalarField(shifted.n.grid, shifted.n.values + shifted.n_bar0)
-    c = ScalarField(shifted.c.grid, shifted.c.values + gamma * shifted.n_bar0)
-    return replace(shifted, t=t, n=n, c=c)
+        return SimState.from_fields(0.0, self.n0, self.c0, self.u0.copy(),
+                                    n_bar0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +290,6 @@ class RunOptions:
     blowup_ceiling: float = 1e6
 
 
-@dataclass
-class _ShiftedFields:
-    """Internal loop state: t, density deviation, shifted signal, velocity,
-    the scheme-consistent constant-mode factor gamma, and, on a stepped
-    state, (min nt, max nt, min chi, max chi) from the blow-up check."""
-
-    t: float
-    nt: np.ndarray
-    chi: np.ndarray
-    u: VectorField
-    gamma: float
-    extrema: tuple[float, float, float, float] | None = None
-
-
 def _gamma_update(gamma: float, dt: float, theta: float) -> float:
     return (gamma * (1.0 - (1.0 - theta) * dt) + dt) / (1.0 + theta * dt)
 
@@ -307,23 +302,23 @@ def _stays_at_rest(data: GivenData, u: VectorField) -> bool:
         or data.phi_grad.ux.any() or data.phi_grad.uy.any())
 
 
-def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
-             dt: float, opts: RunOptions, at_rest: bool,
-             frozen: _ShiftedFields | None = None
-             ) -> tuple[_ShiftedFields, float]:
-    """One IMEX step of the shifted system; returns the new fields and the
-    measured boundary-condition residual of the density solve.
+def _advance(grid: Grid, st: SimState, data: GivenData, dt: float,
+             opts: RunOptions, at_rest: bool, frozen: SimState | None = None
+             ) -> SimState:
+    """One IMEX step of the shifted system; the new state carries the
+    measured boundary-condition residual of its density solve.
 
     Nonlinear coefficients are evaluated at ``frozen`` (defaults to the
     current state, which gives the plain step); the implicit solves always
-    advance ``sf``.  ``at_rest`` is ``_stays_at_rest(data, sf.u)``, decided
+    advance ``st``.  ``at_rest`` is ``_stays_at_rest(data, st.u)``, decided
     by the caller once for its steps: a fluid at rest skips advection and
-    the fluid substep, and keeps ``sf.u``, so every iterate it freezes is at
+    the fluid substep, and keeps ``st.u``, so every iterate it freezes is at
     rest too.
     """
-    w = sf if frozen is None else frozen
-    t0 = sf.t
+    w = st if frozen is None else frozen
+    t0 = st.t
     theta = opts.theta
+    n_bar0 = st.n_bar0
 
     fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S, t0)
     bc = BoundaryData.from_faces(fx, fy)
@@ -340,38 +335,38 @@ def _advance(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
             forcing_n = forcing_n - adv_n
             rhs_c = rhs_c - adv_c
 
-    nt_new, bc_res = neumann_heat_core(grid, sf.nt, bc, forcing_n, dt, theta,
+    nt_new, bc_res = neumann_heat_core(grid, st.nt, bc, forcing_n, dt, theta,
                                        residual=True)
-    chi_new = shifted_heat_core(grid, sf.chi, rhs_c, dt, theta)
+    chi_new = shifted_heat_core(grid, st.chi, rhs_c, dt, theta)
 
     if at_rest:
-        u_new = sf.u            # a fluid at rest with no force stays at rest
+        u_new = st.u            # a fluid at rest with no force stays at rest
     else:
         fvec = data.f(t0) if data.f is not None else None
         f_x, f_y = (fvec.ux, fvec.uy) if fvec is not None else (0.0, 0.0)
         force_x = -adv_ux + nt_new * data.phi_grad.ux + f_x
         force_y = -adv_uy + nt_new * data.phi_grad.uy + f_y
-        u_new = stokes_core(grid, sf.u.ux, sf.u.uy, force_x, force_y, dt)
+        u_new = stokes_core(grid, st.u.ux, st.u.uy, force_x, force_y, dt)
 
-    gamma_new = _gamma_update(sf.gamma, dt, theta)
-    new = _ShiftedFields(t=t0 + dt, nt=nt_new, chi=chi_new, u=u_new,
-                         gamma=gamma_new)
-    new.extrema = _check_blowup(new, n_bar0, opts.blowup_ceiling, sf,
-                                at_rest)
-    return new, bc_res
+    new = SimState(t=t0 + dt, nt=nt_new, chi=chi_new, u=u_new,
+                   gamma=_gamma_update(st.gamma, dt, theta), n_bar0=n_bar0,
+                   bc_residual=bc_res)
+    new.extrema = _check_blowup(new, opts.blowup_ceiling, st, at_rest)
+    return new
 
 
-def _check_blowup(sf: _ShiftedFields, n_bar0: float, ceiling: float,
-                  last_valid: _ShiftedFields, at_rest: bool = False
-                  ) -> tuple[float, float, float, float]:
-    """Raise ``BlowUpError`` on non-finite values or a sup above the
-    ceiling; return (min nt, max nt, min chi, max chi) otherwise.  The
-    velocity sups of a fluid at rest are 0 and are not computed."""
+def _check_blowup(st: SimState, ceiling: float, last_valid: SimState,
+                  at_rest: bool = False) -> tuple[float, float, float, float]:
+    """Raise ``BlowUpError`` carrying ``last_valid`` on non-finite values or
+    a sup above the ceiling; return (min nt, max nt, min chi, max chi)
+    otherwise.  The velocity sups of a fluid at rest are 0 and are not
+    computed."""
+    n_bar0 = st.n_bar0
     # NaN and inf propagate through min and max
-    ext = (float(sf.nt.min()), float(sf.nt.max()),
-           float(sf.chi.min()), float(sf.chi.max()))
+    ext = (float(st.nt.min()), float(st.nt.max()),
+           float(st.chi.min()), float(st.chi.max()))
     sups = (0.0, 0.0) if at_rest else tuple(
-        float(np.abs(a).max()) for a in (sf.u.ux, sf.u.uy))
+        float(np.abs(a).max()) for a in (st.u.ux, st.u.uy))
     if all(map(math.isfinite, ext + sups)):
         sup = max(max(ext[1], -ext[0]) + abs(n_bar0),
                   max(ext[3], -ext[2]) + abs(n_bar0), *sups)
@@ -380,28 +375,8 @@ def _check_blowup(sf: _ShiftedFields, n_bar0: float, ceiling: float,
         reason = f"sup {sup:.3e} exceeds ceiling {ceiling:.3e}"
     else:
         reason = "non-finite values"
-    raise BlowUpError(f"blow-up detected at t = {sf.t:.6g}: {reason}",
-                      state=_to_state(last_valid, n_bar0))
-
-
-def _from_state(state: SimState) -> _ShiftedFields:
-    gamma = 1.0 - math.exp(-state.t)
-    u = state.u
-    if u.fx is None or u.fy is None:
-        fx, fy = face_normal_values(u, boundary="zero")
-        u = VectorField(u.grid, u.ux.copy(), u.uy.copy(), fx, fy)
-    return _ShiftedFields(t=state.t, nt=state.n.values - state.n_bar0,
-                          chi=state.c.values - gamma * state.n_bar0,
-                          u=u, gamma=gamma)
-
-
-def _to_state(sf: _ShiftedFields, n_bar0: float,
-              bc_residual: float | None = None) -> SimState:
-    g = sf.u.grid
-    n = ScalarField(g, sf.nt + n_bar0)
-    c = ScalarField(g, sf.chi + sf.gamma * n_bar0)
-    return SimState(t=sf.t, n=n, c=c, u=sf.u.copy(), n_bar0=n_bar0,
-                    bc_residual=bc_residual)
+    raise BlowUpError(f"blow-up detected at t = {st.t:.6g}: {reason}",
+                      state=last_valid)
 
 
 def step(state: SimState, data: GivenData, dt: float,
@@ -409,16 +384,12 @@ def step(state: SimState, data: GivenData, dt: float,
     """Advance one IMEX step with coefficients frozen at the current state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    opts = options or RunOptions()
-    grid = data.grid
-    sf = _from_state(state)
-    new, bc_res = _advance(grid, sf, data, state.n_bar0, dt, opts,
-                           _stays_at_rest(data, sf.u))
-    return _to_state(new, state.n_bar0, bc_res)
+    return _advance(data.grid, state, data, dt, options or RunOptions(),
+                    _stays_at_rest(data, state.u))
 
 
-def _rel_increment(a: _ShiftedFields, b: _ShiftedFields, n_bar0: float) -> float:
-    """Sup over the unshifted fields (n, c, u) of the relative L2 change.
+def _rel_increment(a: SimState, b: SimState) -> float:
+    """Sup over the fields n, c and u of the relative L2 change.
 
     Works on reconstructed fields so that a state that is an exact fixed
     point of the dynamics reports a zero increment even though its shifted
@@ -429,37 +400,33 @@ def _rel_increment(a: _ShiftedFields, b: _ShiftedFields, n_bar0: float) -> float
             return 0.0
         return num / max(float(np.sqrt((y ** 2).sum())), 1e-300)
 
-    n_a = a.nt + n_bar0
-    n_b = b.nt + n_bar0
-    c_a = a.chi + a.gamma * n_bar0
-    c_b = b.chi + b.gamma * n_bar0
     du = float(np.sqrt(((a.u.ux - b.u.ux) ** 2 + (a.u.uy - b.u.uy) ** 2).sum()))
     base_u = max(float(np.sqrt((b.u.ux ** 2 + b.u.uy ** 2).sum())), 1e-300)
     u_inc = 0.0 if du == 0.0 else du / base_u
-    return max(rel(n_a, n_b), rel(c_a, c_b), u_inc)
+    return max(rel(a.n.values, b.n.values), rel(a.c.values, b.c.values),
+               u_inc)
 
 
-def _picard(grid: Grid, sf: _ShiftedFields, data: GivenData, n_bar0: float,
-            dt: float, opts: RunOptions, k_max: int, tol: float,
-            at_rest: bool) -> tuple[_ShiftedFields, float, int, float]:
-    """Iterate ``_advance`` from ``sf`` with coefficients frozen at the
-    previous iterate; returns (iterate, bc_residual, iters, contraction)."""
+def _picard(grid: Grid, st: SimState, data: GivenData, dt: float,
+            opts: RunOptions, k_max: int, tol: float, at_rest: bool
+            ) -> tuple[SimState, int, float]:
+    """Iterate ``_advance`` from ``st`` with coefficients frozen at the
+    previous iterate; returns (iterate, iters, contraction)."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    iterate = sf
+    iterate = st
     prev_inc = None
     contraction = 0.0
     for m in range(1, k_max + 1):
-        new, bc_res = _advance(grid, sf, data, n_bar0, dt, opts, at_rest,
-                               frozen=iterate)
-        inc = _rel_increment(new, iterate, n_bar0)  # iterate starts at sf
+        new = _advance(grid, st, data, dt, opts, at_rest, frozen=iterate)
+        inc = _rel_increment(new, iterate)  # iterate starts at st
         if prev_inc is not None and prev_inc > 0.0:
             contraction = inc / prev_inc
         iterate = new
         if inc < tol:
-            return iterate, bc_res, m, contraction
+            return iterate, m, contraction
         prev_inc = inc
-    return iterate, bc_res, k_max, contraction
+    return iterate, k_max, contraction
 
 
 def picard_step(state: SimState, data: GivenData, dt: float,
@@ -474,11 +441,8 @@ def picard_step(state: SimState, data: GivenData, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    sf = _from_state(state)
-    new, bc_res, iters, contraction = _picard(
-        data.grid, sf, data, state.n_bar0, dt, options or RunOptions(), k_max,
-        tol, _stays_at_rest(data, sf.u))
-    return _to_state(new, state.n_bar0, bc_res), iters, contraction
+    return _picard(data.grid, state, data, dt, options or RunOptions(), k_max,
+                   tol, _stays_at_rest(data, state.u))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +452,7 @@ def run(data: GivenData, T: float, dt: float,
         options: RunOptions | None = None):
     """Advance to time T, recording diagnostics each step.
 
-    Returns (trajectory, series): SimState snapshots at the configured
+    Returns (trajectory, series): the stepped states at the configured
     stride (always including the initial and final states) and the
     per-step diagnostics.  A blow-up aborts with the last valid state and
     the partial series attached to the raised ``BlowUpError``.
@@ -506,53 +470,51 @@ def run(data: GivenData, T: float, dt: float,
     grid = data.grid
     n_steps = max(1, round(T / dt))
 
-    state0 = data.initial_state()
-    n_bar0 = state0.n_bar0
-    sf = _from_state(state0)
-    at_rest = _stays_at_rest(data, sf.u)    # then for the whole run
+    st = data.initial_state()
+    n_bar0 = st.n_bar0
+    at_rest = _stays_at_rest(data, st.u)    # then for the whole run
     series = DiagnosticsSeries()
-    trajectory = [state0]
+    trajectory = [st]
     vol = grid.cell_volume
     omega = grid.volume
 
     for k in range(1, n_steps + 1):
         try:
             if opts.picard_enabled:
-                sf, bc_res, iters, contraction = _picard(
-                    grid, sf, data, n_bar0, dt, opts, opts.picard_k_max,
+                st, iters, contraction = _picard(
+                    grid, st, data, dt, opts, opts.picard_k_max,
                     opts.picard_tol, at_rest)
             else:
-                sf, bc_res = _advance(grid, sf, data, n_bar0, dt, opts,
-                                      at_rest)
+                st = _advance(grid, st, data, dt, opts, at_rest)
                 iters, contraction = 1, 0.0
         except BlowUpError as exc:
             exc.series = series
             raise
-        sf.t = k * dt       # avoid accumulated addition drift
+        st.t = k * dt       # avoid accumulated addition drift
         # exact minima and sups from the blow-up check: x + a rounds monotonically
-        n_lo, n_hi, c_lo, c_hi = sf.extrema
-        c_shift = sf.gamma * n_bar0
-        c_dev = (sf.gamma - (1.0 - math.exp(-sf.t))) * n_bar0
+        n_lo, n_hi, c_lo, c_hi = st.extrema
+        c_shift = st.gamma * n_bar0
+        c_dev = (st.gamma - (1.0 - math.exp(-st.t))) * n_bar0
         min_n, min_c = n_lo + n_bar0, c_lo + c_shift
         series.append(
-            t=sf.t,
-            mass_n=n_bar0 * omega + float(sf.nt.sum()) * vol,
-            mass_c=float(sf.chi.sum()) * vol + c_shift * omega,
+            t=st.t,
+            mass_n=n_bar0 * omega + float(st.nt.sum()) * vol,
+            mass_c=float(st.chi.sum()) * vol + c_shift * omega,
             sup_n_dev=abs(max(n_hi, -n_lo)),
             sup_c_dev=abs(max(c_hi + c_dev, -(c_lo + c_dev))),
             sup_u=0.0 if at_rest else
-            math.sqrt(float((sf.u.ux * sf.u.ux + sf.u.uy * sf.u.uy).max())),
+            math.sqrt(float((st.u.ux * st.u.ux + st.u.uy * st.u.uy).max())),
             min_n=min_n,
             min_c=min_c,
-            bc_residual=bc_res,
+            bc_residual=st.bc_residual,
             # exactly 0 for a non-negative field: skip the sum
             neg_energy_n=0.0 if min_n >= 0.0 else
-            float((np.minimum(sf.nt + n_bar0, 0.0) ** 2).sum()) * vol,
+            float((np.minimum(st.nt + n_bar0, 0.0) ** 2).sum()) * vol,
             neg_energy_c=0.0 if min_c >= 0.0 else
-            float((np.minimum(sf.chi + c_shift, 0.0) ** 2).sum()) * vol,
+            float((np.minimum(st.chi + c_shift, 0.0) ** 2).sum()) * vol,
             picard_iters=iters,
             contraction=contraction,
         )
         if k % opts.snapshot_stride == 0 or k == n_steps:
-            trajectory.append(_to_state(sf, n_bar0, bc_res))
+            trajectory.append(st)
     return trajectory, series

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ksns import linstep
-from ksns.cli import ConfigError, load_config, main
+from ksns import ScalarField, VectorField, linstep
+from ksns.cli import ConfigError, _nonneg_verdict, load_config, main
+from ksns.diagnostics import DiagnosticsSeries, SERIES_COLUMNS
+from ksns.integrator import GivenData, SensitivitySpec
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -27,6 +34,17 @@ T = 0.02
 snapshot_stride = 2
 """
 
+# a force sets the fluid moving from rest: with this ceiling its sup passes
+# it on the third step, after two recorded rows
+FORCED_RUN = TINY_RUN.replace("preset = constant", """preset = constant
+n_base = 0.0
+c_base = 0.0
+[forcing]
+kind = decaying
+amplitude = 1.0
+rate = 1.0""")
+FORCED_CEILING = "[solver]\nblowup_ceiling = 0.0022\n"
+
 
 # ---------------------------------------------------------------------------
 # config loading
@@ -46,7 +64,57 @@ def test_missing_file_rejected():
 def test_negative_dt_names_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, "[time]\ndt = -1\n"))
-    assert "dt" in str(err.value)
+    assert "dt" in str(err.value) and ":2:" in str(err.value)
+
+
+def test_range_error_on_default_key_has_no_line(tmp_path):
+    # dt keeps its default 1e-3; the file sets only T, below it
+    with pytest.raises(ConfigError) as err:
+        load_config(write_cfg(tmp_path, "[time]\nT = 1e-4\n"))
+    assert str(err.value) == "[time] dt: must not exceed T"
+
+
+# an unknown section, an unknown key, or a value out of range: (line, name)
+_BAD_LINES = st.one_of(
+    st.from_regex(r"[a-z]{3,8}", fullmatch=True)
+    .filter(lambda w: w not in ("domain", "time", "solver", "picard", "data",
+                                "sensitivity", "potential", "forcing",
+                                "diagnostics", "eigen", "output"))
+    .map(lambda w: (f"[{w}]", w)),
+    st.from_regex(r"[a-z]{3,8}", fullmatch=True)
+    .filter(lambda w: w not in ("dt", "theta"))
+    .map(lambda w: (f"[time]\n{w} = 1", w)),
+    st.sampled_from([
+        ("[time]\ndt = -1", "dt"), ("[time]\ntheta = 0.7", "theta"),
+        ("[domain]\nnx = 3", "nx"), ("[domain]\nLy = 0", "Ly"),
+        ("[picard]\nk_max = 0", "k_max"),
+        ("[solver]\nblowup_ceiling = -2", "blowup_ceiling"),
+        ("[diagnostics]\nlambda1 = 1.5", "lambda1"),
+        ("[diagnostics]\nr = 2", "r"), ("[eigen]\ntol = 0.5", "tol"),
+        ("[output]\nsnapshot_stride = 0", "snapshot_stride"),
+        ("[data]\npreset = spiral", "preset"),
+        ("[forcing]\nkind = decaying\nrate = 0.1", "rate")]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(filler=st.lists(st.sampled_from(["", "# comment", "[domain]",
+                                        "[output]\ndir = somewhere"]),
+                       max_size=4, unique=True),
+       bad=_BAD_LINES)
+def test_config_errors_name_key_and_line(filler, bad):
+    text, name = bad
+    lines = "\n".join(filler + [text]).split("\n")
+    lineno = len(lines)     # the offending key sits on the last line
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as td:
+        path = os.path.join(td, "bad.cfg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", path]) == 2
+    msg = err.getvalue()
+    assert name in msg and f"{path}:{lineno}:" in msg, msg
 
 
 def test_unknown_key_fails_closed(tmp_path):
@@ -169,6 +237,40 @@ def test_run_blowup_exits_3(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["decay", "lipschitz", "nonneg"])
+@pytest.mark.parametrize("text, t_abort", [
+    (TINY_RUN + "[solver]\nblowup_ceiling = 1.5\n", "0.005"),
+    (FORCED_RUN + FORCED_CEILING, "0.015")])
+def test_judging_subcommands_exit_3_on_blowup(tmp_path, capsys, command,
+                                              text, t_abort):
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    stdout = capsys.readouterr().out
+    assert f"blow-up: blow-up detected at t = {t_abort}:" in stdout
+    assert "PASS" not in stdout and "FAIL" not in stdout
+    assert not out.exists()     # only run writes the partial diagnostics
+
+
+def test_run_blowup_writes_partial_diagnostics(tmp_path, capsys):
+    # the first two rows are written and no snapshot
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, FORCED_RUN),
+                 "--out", str(out)]) == 1   # forced: not a fixed point
+    full = DiagnosticsSeries.from_csv(out / "diagnostics.csv")
+    capped = FORCED_RUN + FORCED_CEILING
+    out_c = tmp_path / "capped"
+    assert main(["run", "--config", write_cfg(tmp_path, capped, "c.cfg"),
+                 "--out", str(out_c)]) == 3
+    assert "blow-up detected at t = 0.015" in capsys.readouterr().out
+    assert os.listdir(out_c) == ["diagnostics.csv"]
+    part = DiagnosticsSeries.from_csv(out_c / "diagnostics.csv")
+    assert len(part) == 2
+    for name in SERIES_COLUMNS:
+        np.testing.assert_array_equal(part.column(name),
+                                      full.column(name)[:2])
+
+
 def test_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, TINY_RUN)
     env_dir = str(tmp_path / "envout")
@@ -204,6 +306,55 @@ def test_nonneg_subcommand(tmp_path, capsys):
     path = write_cfg(tmp_path, text)
     assert main(["nonneg", "--config", path, "--out", str(tmp_path / "o")]) == 0
     assert "PASS non-negativity" in capsys.readouterr().out
+
+
+def _series(min_n):
+    series = DiagnosticsSeries()
+    for k, m in enumerate(min_n, start=1):
+        row = dict.fromkeys(SERIES_COLUMNS, 0.0)
+        row.update(t=k * 1e-3, min_n=m, min_c=1.0, picard_iters=1,
+                   neg_energy_n=1e-3 * min(m, 0.0) ** 2)
+        series.append(**row)
+    return series
+
+
+def test_nonneg_verdict_reads_every_step_and_the_initial_fields(unit16):
+    one = ScalarField.constant(unit16, 1.0)
+    data = GivenData(n0=one, c0=one, u0=VectorField.zero(unit16),
+                     phi_grad=VectorField.zero(unit16),
+                     S=SensitivitySpec.identity())
+    assert _nonneg_verdict(data, _series([0.9, 0.8, 0.7, 0.6]))[0]
+    # with a snapshot stride of 2 the snapshots see only rows 2 and 4; the
+    # dip at row 3 alone must fail the verdict
+    ok, line = _nonneg_verdict(data, _series([0.9, 0.8, -0.1, 0.6]))
+    assert not ok and line.startswith("FAIL non-negativity: min n -0.1,")
+    # negative initial data fails though no step dips below zero: one cell
+    # at -1e-7 passes the energy bound (3.9e-17 <= 1e-16) but not the minimum
+    dip = np.ones(unit16.shape)
+    dip[3, 5] = -1e-7
+    neg = GivenData(n0=ScalarField(unit16, dip), c0=one, u0=data.u0,
+                    phi_grad=data.phi_grad, S=data.S)
+    ok, line = _nonneg_verdict(neg, _series([0.9, 0.8, 0.7, 0.6]))
+    assert not ok and "min n -1e-07," in line and "3.906e-17 /" in line
+
+
+def test_nonneg_subcommand_fails_on_negative_initial_data(tmp_path, capsys):
+    text = TINY_RUN.replace("preset = constant",
+                            "preset = small-wave\nn_base = -0.5")
+    path = write_cfg(tmp_path, text)
+    assert main(["nonneg", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "FAIL non-negativity" in capsys.readouterr().out
+
+
+def test_lipschitz_subcommand(tmp_path, capsys):
+    text = TINY_RUN.replace("preset = constant", "preset = small-wave")
+    path = write_cfg(tmp_path, text)
+    assert main(["lipschitz", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 0
+    stdout = capsys.readouterr().out
+    assert "PASS lipschitz-ratio-stability" in stdout
+    assert "PASS lipschitz-ratio-ceiling" in stdout
+    assert stdout.count("INFO delta") == 2
 
 
 def test_flag_validation(capsys):

@@ -7,7 +7,7 @@ from ksns import ScalarField, VectorField, integrate
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               boundary_residual, compatibility_check,
                               fit_decay_rate, lipschitz_experiment,
-                              mass_identity_residuals, negativity_report,
+                              mass_identity_residuals, negative_part_energy,
                               smallness_functional, weighted_solution_norm)
 from ksns.integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
                              run, step)
@@ -223,17 +223,16 @@ def test_weighted_norm_zero_and_homogeneity(unit16):
     def make_traj(s):
         out = []
         for k, t in enumerate((0.0, 0.1, 0.2)):
-            out.append(SimState(
-                t=t,
-                n=ScalarField.from_function(g, lambda x, y: s * math.exp(-t)
-                                            * np.cos(np.pi * x)),
-                c=ScalarField.constant(g, 0.0),
-                u=VectorField.zero(g), n_bar0=0.0))
+            out.append(SimState.from_fields(
+                t,
+                ScalarField.from_function(g, lambda x, y: s * math.exp(-t)
+                                          * np.cos(np.pi * x)),
+                ScalarField.constant(g, 0.0), VectorField.zero(g), 0.0))
         return out
 
-    zero_traj = [SimState(t=0.0, n=ScalarField.constant(g, 0.0),
-                          c=ScalarField.constant(g, 0.0),
-                          u=VectorField.zero(g), n_bar0=0.0)]
+    zero_traj = [SimState.from_fields(0.0, ScalarField.constant(g, 0.0),
+                                      ScalarField.constant(g, 0.0),
+                                      VectorField.zero(g), 0.0)]
     assert weighted_solution_norm(zero_traj, cfg) == 0.0
     v1 = weighted_solution_norm(make_traj(1.0), cfg)
     v2 = weighted_solution_norm(make_traj(2.0), cfg)
@@ -245,8 +244,8 @@ def test_weighted_norm_single_snapshot_oracle(unit16):
     from ksns.grid import discrete_norm
     cfg = DiagnosticsConfig()
     nt = ScalarField.from_function(unit16, lambda x, y: np.cos(np.pi * x))
-    traj = [SimState(t=0.0, n=nt, c=ScalarField.constant(unit16, 0.0),
-                     u=VectorField.zero(unit16), n_bar0=0.0)]
+    traj = [SimState.from_fields(0.0, nt, ScalarField.constant(unit16, 0.0),
+                                 VectorField.zero(unit16), 0.0)]
     got = weighted_solution_norm(traj, cfg)
     assert got == pytest.approx(discrete_norm(nt, "W2r", 4.0), rel=1e-12)
 
@@ -256,15 +255,12 @@ def test_weighted_norm_single_snapshot_oracle(unit16):
 
 def test_negativity_fields(unit16):
     g = unit16
-    mk = lambda v: SimState(t=0.0, n=ScalarField.constant(g, v),
-                            c=ScalarField.constant(g, v),
-                            u=VectorField.zero(g), n_bar0=0.0)
-    rep = negativity_report([mk(-1.0)])
-    assert rep.max_neg_energy_n == pytest.approx(1.0, abs=1e-12)  # |domain| = 1
-    rep2 = negativity_report([mk(1.0)])
-    assert rep2.max_neg_energy_n == 0.0 and rep2.min_n == 1.0
-    with pytest.raises(ValueError):
-        negativity_report([])
+    # |domain| = 1
+    assert negative_part_energy(ScalarField.constant(g, -1.0)) == \
+        pytest.approx(1.0, abs=1e-12)
+    assert negative_part_energy(ScalarField.constant(g, 1.0)) == 0.0
+    half = ScalarField.from_function(g, lambda x, y: np.where(x < 0.5, -2.0, 3.0))
+    assert negative_part_energy(half) == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +275,10 @@ def test_boundary_residual_stepped_state(unit32):
 def test_boundary_residual_consistent_hand_built(unit32):
     # n constant, grad(c).nu = 0: both fluxes vanish to O(h^2)
     data = wave_data(unit32, n_base=1.0, c_base=0.0, amp=0.0)
-    st = SimState(t=0.0, n=ScalarField.constant(unit32, 1.0),
-                  c=ScalarField.from_function(unit32,
-                                              lambda x, y: np.cos(np.pi * x)),
-                  u=VectorField.zero(unit32), n_bar0=1.0)
+    st = SimState.from_fields(
+        0.0, ScalarField.constant(unit32, 1.0),
+        ScalarField.from_function(unit32, lambda x, y: np.cos(np.pi * x)),
+        VectorField.zero(unit32), 1.0)
     assert boundary_residual(st, data) <= 5e-3
 
 
@@ -293,10 +289,10 @@ def test_boundary_residual_detects_violation(unit64):
                      u0=VectorField.zero(unit64),
                      phi_grad=VectorField.zero(unit64),
                      S=SensitivitySpec.rotation(0.0, 1.0))
-    st = SimState(t=0.0, n=ScalarField.constant(unit64, 1.0),
-                  c=ScalarField.from_function(unit64,
-                                              lambda x, y: np.cos(np.pi * x)),
-                  u=VectorField.zero(unit64), n_bar0=1.0)
+    st = SimState.from_fields(
+        0.0, ScalarField.constant(unit64, 1.0),
+        ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x)),
+        VectorField.zero(unit64), 1.0)
     res = boundary_residual(st, data)
     assert abs(res - np.pi) <= 0.05
 

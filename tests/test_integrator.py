@@ -13,10 +13,8 @@ from ksns.diagnostics import negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
-                             _from_state, chemotactic_flux,
-                             chemotactic_flux_raw, picard_step, run,
-                             shift_transform, step, unshift,
-                             upwind_divergence)
+                             chemotactic_flux, chemotactic_flux_raw,
+                             picard_step, run, step, upwind_divergence)
 from ksns.grid import BoundaryData
 from ksns.linstep import (boundary_source_residual, neumann_heat_core,
                           stokes_core)
@@ -73,13 +71,15 @@ def test_sensitivity_rotation_matches_canonical_form():
 
 
 # ---------------------------------------------------------------------------
-# shift transform
+# the shifted state
 
 def test_shift_constant_state(unit16):
     data = wave_data(unit16, amp=0.0)
     st = data.initial_state()
-    sh = shift_transform(st)
-    assert np.abs(sh.n.values).max() == 0.0
+    assert np.abs(st.nt).max() == 0.0
+    assert st.gamma == 0.0
+    np.testing.assert_array_equal(st.n.values, data.n0.values)
+    np.testing.assert_array_equal(st.c.values, data.c0.values)
 
 
 def test_shift_cached_mean(unit64):
@@ -90,21 +90,50 @@ def test_shift_cached_mean(unit64):
                      S=SensitivitySpec.identity())
     st = data.initial_state()
     assert st.n_bar0 == pytest.approx(2.0, abs=1e-12)
-    sh = shift_transform(st)
-    assert abs(sh.n.values.mean()) <= 1e-12
+    assert abs(st.nt.mean()) <= 1e-12
 
 
 def test_shift_round_trip(unit16, rng):
-    st = SimState(t=0.7,
-                  n=ScalarField(unit16, rng.standard_normal(unit16.shape)),
-                  c=ScalarField(unit16, rng.standard_normal(unit16.shape)),
-                  u=VectorField(unit16, rng.standard_normal(unit16.shape),
-                                rng.standard_normal(unit16.shape)),
-                  n_bar0=1.37)
-    back = unshift(shift_transform(st), st.t)
-    ulp = np.spacing(np.abs(st.n.values).max())
-    assert np.abs(back.n.values - st.n.values).max() <= 2 * ulp
-    assert np.abs(back.c.values - st.c.values).max() <= 2 * ulp
+    n = ScalarField(unit16, rng.standard_normal(unit16.shape))
+    c = ScalarField(unit16, rng.standard_normal(unit16.shape))
+    u = VectorField(unit16, rng.standard_normal(unit16.shape),
+                    rng.standard_normal(unit16.shape))
+    st = SimState.from_fields(0.7, n, c, u, 1.37)
+    assert st.gamma == 1.0 - math.exp(-0.7)
+    np.testing.assert_array_equal(st.nt, n.values - 1.37)
+    np.testing.assert_array_equal(st.chi, c.values - st.gamma * 1.37)
+    ulp = np.spacing(np.abs(n.values).max())
+    assert np.abs(st.n.values - n.values).max() <= 2 * ulp
+    assert np.abs(st.c.values - c.values).max() <= 2 * ulp
+    # the missing face-normal velocity is filled with zero wall trace
+    fx, fy = face_normal_values(u, boundary="zero")
+    np.testing.assert_array_equal(st.u.fx, fx)
+    np.testing.assert_array_equal(st.u.fy, fy)
+    assert st.u.ux is u.ux and st.bc_residual is None
+
+
+def test_state_fields_are_read_only_properties(unit16):
+    st = wave_data(unit16).initial_state()
+    with pytest.raises(AttributeError):
+        st.n = st.n
+    with pytest.raises(AttributeError):
+        st.c = st.c
+
+
+def test_chained_steps_reproduce_run_bitwise(unit16):
+    # each step keeps the state's gamma, so 20 steps are the run's 20 steps;
+    # re-deriving gamma from e^{-t} on each step moves c by about 4e-15
+    data = wave_data(unit16, S=SensitivitySpec.rotation(1.0, 0.5))
+    traj, _ = run(data, T=0.02, dt=1e-3)
+    st = data.initial_state()
+    for _ in range(20):
+        st = step(st, data, dt=1e-3)
+    end = traj[-1]
+    assert st.gamma == end.gamma
+    np.testing.assert_array_equal(st.n.values, end.n.values)
+    np.testing.assert_array_equal(st.c.values, end.c.values)
+    np.testing.assert_array_equal(st.u.ux, end.u.ux)
+    np.testing.assert_array_equal(st.u.uy, end.u.uy)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +367,7 @@ def test_boundary_residual_detects_perturbed_flux(unit32):
     # a boundary source the measured residual reports
     data = wave_data(unit32, amp=0.01, S=SensitivitySpec.rotation(1.0, 0.5))
     st = data.initial_state()
-    nt = st.n.values - st.n_bar0
+    nt = st.nt
     chem = chemotactic_flux(st.n, st.c, data.S)
     bc = BoundaryData(left=-chem.fx[:, 0], right=chem.fx[:, -1],
                       bottom=-chem.fy[0, :], top=chem.fy[-1, :])
@@ -482,8 +511,9 @@ def test_step_checkerboard_velocity_goes_through_stokes(unit16, monkeypatch):
     j, i = np.indices((ny, nx))
     checker = np.where((i + j) % 2 == 0, 1.0, -1.0)
     data = wave_data(unit16)
-    st = replace(data.initial_state(),
-                 u=VectorField(unit16, checker, np.zeros((ny, nx))))
+    st = SimState.from_fields(0.0, data.n0, data.c0,
+                              VectorField(unit16, checker, np.zeros((ny, nx))),
+                              data.initial_state().n_bar0)
     fx, fy = face_normal_values(st.u, boundary="zero")
     assert not (fx.any() or fy.any())
     calls = _count_stokes(monkeypatch)
@@ -551,7 +581,7 @@ def test_run_picard_matches_chained_picard_steps(unit32, rng, kind):
     assert list(series.column("picard_iters")) == iters
     np.testing.assert_allclose(series.column("contraction"), contractions,
                                rtol=1e-6)
-    # the chained steps re-derive the shift from t, so rounding differs
+    # the chained steps add dt to t, so the forcing time differs in rounding
     end = traj[-1]
     for a, b in ((end.n.values, st.n.values), (end.c.values, st.c.values),
                  (end.u.ux, st.u.ux), (end.u.uy, st.u.uy)):
@@ -619,16 +649,16 @@ def test_run_blowup_attaches_state_and_series(unit16):
     (-np.inf, "non-finite values"), (2e6, "exceeds ceiling")])
 def test_check_blowup_reasons_and_last_valid_state(unit16, bad, reason):
     data = wave_data(unit16)
-    last = _from_state(step(data.initial_state(), data, dt=1e-3))
-    new = _from_state(step(data.initial_state(), data, dt=2e-3))
+    last = step(data.initial_state(), data, dt=1e-3)
+    new = step(data.initial_state(), data, dt=2e-3)
     new.chi[3, 5] = bad
     with pytest.raises(BlowUpError, match=reason) as exc_info:
-        _check_blowup(new, 2.0, 1e6, last)
+        _check_blowup(new, 1e6, last)
     err = exc_info.value
-    assert err.state.t == last.t
+    assert err.state is last
     np.testing.assert_array_equal(err.state.n.values, last.nt + 2.0)
     np.testing.assert_array_equal(err.state.c.values, last.chi + last.gamma * 2.0)
-    _check_blowup(last, 2.0, 1e6, last)        # a valid state passes
+    _check_blowup(last, 1e6, last)        # a valid state passes
 
 
 def test_run_nan_forcing_aborts_with_last_valid_state(unit16):
