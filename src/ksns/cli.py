@@ -358,13 +358,19 @@ def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
         out.append(_nonneg_verdict(data, series))
     if cfg.get("data", "preset") == "constant":
         # the state itself must stay put (n, c, u unchanged), checked
-        # against the initial fields at every snapshot
+        # against the initial fields at every snapshot; a force moves the
+        # fluid, so there the deviation is recorded, not asserted
         n0, c0 = trajectory[0].n.values, trajectory[0].c.values
         dev = max(max(np.abs(s.n.values - n0).max(),
                       np.abs(s.c.values - c0).max(),
                       s.u.magnitude_sup()) for s in trajectory[1:])
-        out.append(_verdict("constant-state-fixed-point", dev <= 1e-9,
-                            f"max deviation {dev:.3e} tol 1e-9"))
+        if cfg.get("forcing", "kind") == "zero":
+            out.append(_verdict("constant-state-fixed-point", dev <= 1e-9,
+                                f"max deviation {dev:.3e} tol 1e-9"))
+        else:
+            out.append((True, f"INFO constant-state-fixed-point: max "
+                              f"deviation {dev:.3e} under forcing (recorded, "
+                              f"not asserted)"))
     return out
 
 

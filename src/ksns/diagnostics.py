@@ -226,46 +226,53 @@ def weighted_solution_norm(traj, cfg: DiagnosticsConfig) -> float:
     backward-difference-in-time terms for the first-order-in-time parts.
     A lone snapshot contributes with unit time weight and no derivative
     terms.
-    """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    r, q = cfg.r, cfg.q
-    shifted = [_shifted_parts(s) for s in traj]
-    times = [s.t for s in traj]
 
-    def field_terms(k):
-        nt, ct, u = shifted[k]
-        w1 = math.exp(cfg.lambda1 * times[k])
-        w2 = math.exp(cfg.lambda2 * times[k])
+    ``traj`` is any iterable of states, read once in time order; only the
+    current and the previous state's shifted parts are held.
+    """
+    r, q = cfg.r, cfg.q
+    states = iter(traj)
+    first = next(states, None)
+    if first is None:
+        raise ValueError("empty trajectory")
+    g = first.u.grid
+
+    def field_terms(parts, t):
+        nt, ct, u = parts
+        w1 = math.exp(cfg.lambda1 * t)
+        w2 = math.exp(cfg.lambda2 * t)
         return (w1 * discrete_norm(nt, "W2r", r),
                 w1 * discrete_norm(ct, "W3r", r),
                 w2 * _vector_wkr(u, "W2r", r))
 
-    if len(traj) == 1:
-        a, b, c = field_terms(0)
-        return a + b + c
-
+    prev, t_prev = _shifted_parts(first), first.t
     acc = [0.0, 0.0, 0.0]   # field parts: n, c, u
     accd = [0.0, 0.0, 0.0]  # time-derivative parts
-    g = traj[0].u.grid
-    for k in range(1, len(traj)):
-        dt_k = times[k] - times[k - 1]
+    lone = True
+    for s in states:
+        lone = False
+        cur = _shifted_parts(s)
+        dt_k = s.t - t_prev
         if dt_k <= 0.0:
             raise ValueError("trajectory times must be strictly increasing")
-        a, b, c = field_terms(k - 1)
+        a, b, c = field_terms(prev, t_prev)
         acc[0] += a ** q * dt_k
         acc[1] += b ** q * dt_k
         acc[2] += c ** q * dt_k
-        nt0, ct0, u0 = shifted[k - 1]
-        nt1, ct1, u1 = shifted[k]
-        w1 = math.exp(cfg.lambda1 * times[k])
-        w2 = math.exp(cfg.lambda2 * times[k])
+        nt0, ct0, u0 = prev
+        nt1, ct1, u1 = cur
+        w1 = math.exp(cfg.lambda1 * s.t)
+        w2 = math.exp(cfg.lambda2 * s.t)
         dn = ScalarField(g, (nt1.values - nt0.values) / dt_k)
         dc = ScalarField(g, (ct1.values - ct0.values) / dt_k)
         du = VectorField(g, (u1.ux - u0.ux) / dt_k, (u1.uy - u0.uy) / dt_k)
         accd[0] += (w1 * discrete_norm(dn, "Lr", r)) ** q * dt_k
         accd[1] += (w1 * discrete_norm(dc, "W1r", r)) ** q * dt_k
         accd[2] += (w2 * _vector_wkr(du, "Lr", r)) ** q * dt_k
+        prev, t_prev = cur, s.t
+    if lone:
+        a, b, c = field_terms(prev, t_prev)
+        return a + b + c
     return sum(v ** (1.0 / q) for v in acc) + sum(v ** (1.0 / q) for v in accd)
 
 
@@ -354,7 +361,10 @@ def lipschitz_experiment(base: GivenData, perturbed: GivenData,
     trajectories in shifted variables, and guards the 0/0 case (identical
     data) by returning ratio 0 with the degenerate flag set.  A caller
     comparing several perturbations of one base passes the base run's
-    trajectory (same T, dt and options) as ``base_trajectory``.
+    trajectory (same T, dt and options) as ``base_trajectory``; a pair of
+    states sampled at different times raises ``ValueError``.  The
+    difference states are formed pair by pair as the weighted norm reads
+    them, so only the two trajectories are held.
     """
     from .integrator import RunOptions, run
 
@@ -366,17 +376,23 @@ def lipschitz_experiment(base: GivenData, perturbed: GivenData,
     if len(traj_a) != len(traj_b):
         raise ValueError("trajectory lengths differ; use identical strides")
     g = base.grid
-    diff_traj = []
-    for sa, sb in zip(traj_a, traj_b):
-        na, ca, _ = _shifted_parts(sa)
-        nb, cb, _ = _shifted_parts(sb)
-        diff_traj.append(SimState(
-            t=sa.t, nt=na.values - nb.values, chi=ca.values - cb.values,
-            u=VectorField(g, sa.u.ux - sb.u.ux, sa.u.uy - sb.u.uy),
-            gamma=0.0, n_bar0=0.0))
+
+    def differences():
+        for k, (sa, sb) in enumerate(zip(traj_a, traj_b)):
+            if sa.t != sb.t:
+                raise ValueError(f"sample times differ at state {k}: "
+                                 f"t = {sa.t!r} against {sb.t!r}; use "
+                                 f"identical T, dt and strides")
+            na, ca, _ = _shifted_parts(sa)
+            nb, cb, _ = _shifted_parts(sb)
+            yield SimState(
+                t=sa.t, nt=na.values - nb.values, chi=ca.values - cb.values,
+                u=VectorField(g, sa.u.ux - sb.u.ux, sa.u.uy - sb.u.uy),
+                gamma=0.0, n_bar0=0.0)
+
     gap = smallness_functional(_difference_data(base, perturbed), cfg,
                                T_quad=T)
-    sol = weighted_solution_norm(diff_traj, cfg)
+    sol = weighted_solution_norm(differences(), cfg)
     if gap < 1e-14:
         return LipschitzResult(ratio=0.0, data_gap=gap, solution_gap=sol,
                                degenerate=True)

@@ -212,6 +212,36 @@ def test_run_constant_passes_and_writes(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "snap_000000_n.csv"))
 
 
+def _fixed_point_line(stdout):
+    lines = [ln for ln in stdout.splitlines()
+             if "constant-state-fixed-point" in ln]
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+def test_run_constant_forced_records_deviation(tmp_path, capsys):
+    # a decaying force moves the fluid off the constant state: the
+    # deviation is reported as INFO and does not fail the run
+    text = FORCED_RUN.replace("nx = 8\nny = 8", "nx = 16\nny = 16")
+    assert "nx = 16" in text
+    path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    line = _fixed_point_line(capsys.readouterr().out)
+    assert line.startswith("INFO constant-state-fixed-point: max deviation ")
+    dev = float(line.split("max deviation ")[1].split()[0])
+    assert dev > 1e-4     # the fluid really moved
+
+
+def test_run_constant_gravity_stays_gated(tmp_path, capsys):
+    # gravity on a constant density is a gradient, projected away: the
+    # state stays a fixed point and the verdict stays gated
+    text = TINY_RUN + "[potential]\nkind = linear-gravity\ng = 9.81\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    line = _fixed_point_line(capsys.readouterr().out)
+    assert line.startswith("PASS constant-state-fixed-point: max deviation ")
+
+
 def test_run_deterministic_outputs(tmp_path, capsys):
     # the first run builds the solve plans, the second reuses them
     linstep._solve_plan.cache_clear()
@@ -256,7 +286,7 @@ def test_run_blowup_writes_partial_diagnostics(tmp_path, capsys):
     # the first two rows are written and no snapshot
     out = tmp_path / "o"
     assert main(["run", "--config", write_cfg(tmp_path, FORCED_RUN),
-                 "--out", str(out)]) == 1   # forced: not a fixed point
+                 "--out", str(out)]) == 0   # forced: deviation only recorded
     full = DiagnosticsSeries.from_csv(out / "diagnostics.csv")
     capped = FORCED_RUN + FORCED_CEILING
     out_c = tmp_path / "capped"

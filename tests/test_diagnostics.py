@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,85 @@ def test_weighted_norm_single_snapshot_oracle(unit16):
     assert got == pytest.approx(discrete_norm(nt, "W2r", 4.0), rel=1e-12)
 
 
+def _moving_states(g, n_states, dt=0.01):
+    """A one-shot generator of decaying, drifting states built on demand."""
+    X, Y = g.cell_centers()
+    for k in range(n_states):
+        t = k * dt
+        decay = math.exp(-t)
+        yield SimState(
+            t=t, nt=decay * np.cos(np.pi * X + t),
+            chi=decay * np.cos(np.pi * Y) * np.cos(np.pi * X),
+            u=VectorField(g, decay * np.sin(np.pi * Y), -decay * X * Y),
+            gamma=0.0, n_bar0=0.0)
+
+
+def _indexed_norm_oracle(traj, cfg):
+    """The weighted norm over a list, every shifted state held at once:
+    the left-endpoint field sums and backward-difference time terms in the
+    order the streaming form must reproduce bitwise."""
+    from ksns.grid import discrete_norm
+    r, q, g = cfg.r, cfg.q, traj[0].u.grid
+    parts = [(s.nt, s.chi, s.u) for s in traj]   # gamma = n_bar0 = 0 states
+    times = [s.t for s in traj]
+
+    def wkr(ux, uy, kind):
+        return (discrete_norm(ScalarField(g, ux), kind, r) ** r
+                + discrete_norm(ScalarField(g, uy), kind, r) ** r) ** (1.0 / r)
+
+    acc, accd = [0.0] * 3, [0.0] * 3
+    for k in range(1, len(traj)):
+        h = times[k] - times[k - 1]
+        (n0, c0, u0), (n1, c1, u1) = parts[k - 1], parts[k]
+        w1, w2 = (math.exp(cfg.lambda1 * times[k - 1]),
+                  math.exp(cfg.lambda2 * times[k - 1]))
+        acc[0] += (w1 * discrete_norm(ScalarField(g, n0), "W2r", r)) ** q * h
+        acc[1] += (w1 * discrete_norm(ScalarField(g, c0), "W3r", r)) ** q * h
+        acc[2] += (w2 * wkr(u0.ux, u0.uy, "W2r")) ** q * h
+        w1, w2 = math.exp(cfg.lambda1 * times[k]), math.exp(cfg.lambda2 * times[k])
+        dn = ScalarField(g, (n1 - n0) / h)
+        dc = ScalarField(g, (c1 - c0) / h)
+        accd[0] += (w1 * discrete_norm(dn, "Lr", r)) ** q * h
+        accd[1] += (w1 * discrete_norm(dc, "W1r", r)) ** q * h
+        accd[2] += (w2 * wkr((u1.ux - u0.ux) / h, (u1.uy - u0.uy) / h,
+                             "Lr")) ** q * h
+    return sum(v ** (1.0 / q) for v in acc) + sum(v ** (1.0 / q) for v in accd)
+
+
+def test_weighted_norm_streams_any_iterable_bitwise(unit32):
+    cfg = DiagnosticsConfig(lambda1=0.7, lambda2=0.3)
+    traj = list(_moving_states(unit32, 12))
+    ref = weighted_solution_norm(traj, cfg)
+    assert ref > 0.0
+    assert ref == _indexed_norm_oracle(traj, cfg)
+    assert weighted_solution_norm(iter(traj), cfg) == ref
+    assert weighted_solution_norm(tuple(traj), cfg) == ref
+    assert weighted_solution_norm(_moving_states(unit32, 12), cfg) == ref
+    # a lone state from a generator: its field terms, no time terms
+    assert (weighted_solution_norm(_moving_states(unit32, 1), cfg)
+            == weighted_solution_norm(traj[:1], cfg))
+    with pytest.raises(ValueError, match="empty trajectory"):
+        weighted_solution_norm(iter(()), cfg)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        weighted_solution_norm(iter([traj[0], traj[2], traj[1]]), cfg)
+
+
+def test_weighted_norm_memory_does_not_grow_with_length(unit64):
+    # the norm holds the current and previous states only, so its peak
+    # over a generator is the same for 20 states as for 80
+    cfg = DiagnosticsConfig()
+    weighted_solution_norm(_moving_states(unit64, 3), cfg)   # warm caches
+    peaks = []
+    for n_states in (20, 80):
+        tracemalloc.start()
+        try:
+            weighted_solution_norm(_moving_states(unit64, n_states), cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+
 # ---------------------------------------------------------------------------
 # negativity
 
@@ -337,3 +417,39 @@ def test_lipschitz_local_linearity(unit32):
                                     base_trajectory=base_traj).ratio == res.ratio
         ratios.append(res.ratio)
     assert abs(ratios[0] - ratios[1]) / ratios[1] <= 0.2
+
+
+def test_lipschitz_ratio_matches_materialised_difference(unit16):
+    # reference: the difference trajectory built as a list up front
+    base = wave_data(unit16, amp=0.01, S=SensitivitySpec.rotation(1.0, 0.5))
+    pert = wave_data(unit16, amp=0.011, S=SensitivitySpec.rotation(1.0, 0.5))
+    cfg = DiagnosticsConfig()
+    opts = RunOptions(snapshot_stride=3)
+    traj_a, _ = run(base, T=0.06, dt=5e-3, options=opts)
+    traj_b, _ = run(pert, T=0.06, dt=5e-3, options=opts)
+    diff = []
+    for sa, sb in zip(traj_a, traj_b):
+        diff.append(SimState(
+            t=sa.t,
+            nt=(sa.n.values - sa.n_bar0) - (sb.n.values - sb.n_bar0),
+            chi=((sa.c.values - (1.0 - math.exp(-sa.t)) * sa.n_bar0)
+                 - (sb.c.values - (1.0 - math.exp(-sb.t)) * sb.n_bar0)),
+            u=VectorField(unit16, sa.u.ux - sb.u.ux, sa.u.uy - sb.u.uy),
+            gamma=0.0, n_bar0=0.0))
+    sol = weighted_solution_norm(diff, cfg)
+    res = lipschitz_experiment(base, pert, cfg, T=0.06, dt=5e-3, options=opts)
+    assert not res.degenerate and sol > 0.0
+    assert res.solution_gap == sol
+    assert res.ratio == sol / res.data_gap
+
+
+def test_lipschitz_rejects_mismatched_sample_times(unit16):
+    # T = 0.4, dt = 0.02 and T = 0.2, dt = 0.01 both give 21 states
+    base = wave_data(unit16, amp=0.01)
+    pert = wave_data(unit16, amp=0.011)
+    opts = RunOptions(snapshot_stride=1)
+    base_traj, _ = run(base, T=0.4, dt=0.02, options=opts)
+    assert len(base_traj) == 21
+    with pytest.raises(ValueError, match="sample times differ at state 1"):
+        lipschitz_experiment(base, pert, DiagnosticsConfig(), T=0.2, dt=0.01,
+                             options=opts, base_trajectory=base_traj)
