@@ -30,7 +30,7 @@ from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
 from .grid import (DomainSpec, Grid, ScalarField, VectorField, build_grid,
                    integrate, write_field_snapshot)
 from .integrator import (BlowUpError, GivenData, RunOptions, SensitivitySpec,
-                         run)
+                         run, step_count)
 from .linstep import helmholtz_project
 
 
@@ -118,6 +118,10 @@ def _validate(cfg: RunConfig, where: dict) -> None:
         fail("time", "T", "must be positive")
     if v[("time", "dt")] > v[("time", "T")]:
         fail("time", "dt", "must not exceed T")
+    try:
+        step_count(v[("time", "T")], v[("time", "dt")])
+    except ValueError as exc:
+        fail("time", "T", str(exc))
     if v[("time", "theta")] not in (1.0, 0.5):
         fail("time", "theta", "must be 1 or 0.5")
     if not v[("solver", "blowup_ceiling")] > 0:

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
-                   check_same_grid, ddx, ddy, face_divergence, face_values,
-                   face_normal_values, ghost_pad, integrate, require_finite)
+                   check_same_grid, ddx, ddy, face_divergence, face_gradient,
+                   face_values, face_normal_values, integrate, require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
 
@@ -229,14 +229,12 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
     hx, hy = grid.hx, grid.hy
     s11, s12, _, _ = S.evaluate(t, grid.xf[None, :], grid.yc[:, None])
     _, _, s21, s22 = S.evaluate(t, grid.xc[None, :], grid.yf[:, None])
-    cx = ghost_pad(c_vals, 1)
-    cy = ghost_pad(c_vals, 0)
-    gx = s11 * ((cx[:, 1:] - cx[:, :-1]) / hx)
+    gx = s11 * face_gradient(c_vals, hx, 1)
     if _nonzero(s12):
-        gx += s12 * face_values((cy[2:] - cy[:-2]) / (2.0 * hy), 1)
-    gy = s22 * ((cy[1:] - cy[:-1]) / hy)
+        gx += s12 * face_values(ddy(c_vals, hy), 1)
+    gy = s22 * face_gradient(c_vals, hy, 0)
     if _nonzero(s21):
-        gy += s21 * face_values((cx[:, 2:] - cx[:, :-2]) / (2.0 * hx), 0)
+        gy += s21 * face_values(ddx(c_vals, hx), 0)
     return face_values(n_vals, 1) * gx, face_values(n_vals, 0) * gy
 
 
@@ -448,6 +446,17 @@ def picard_step(state: SimState, data: GivenData, dt: float,
 # ---------------------------------------------------------------------------
 # the time loop
 
+def step_count(T: float, dt: float) -> int:
+    """The number of steps of size ``dt`` that make up ``T``; raises
+    ValueError unless T/dt is a positive whole number to 1e-9 relative,
+    so a run never stops short of T or runs past it."""
+    ratio = T / dt
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > 1e-9 * ratio:
+        raise ValueError(f"T/dt = {ratio!r} is not a whole number of steps")
+    return n
+
+
 def run(data: GivenData, T: float, dt: float,
         options: RunOptions | None = None):
     """Advance to time T, recording diagnostics each step.
@@ -464,11 +473,11 @@ def run(data: GivenData, T: float, dt: float,
         raise ValueError("T must be positive")
     if dt <= 0.0 or dt > T:
         raise ValueError("dt must satisfy 0 < dt <= T")
+    n_steps = step_count(T, dt)
     if opts.theta not in (1.0, 0.5):
         raise ValueError("theta must be 1 or 0.5")
     data.validate()
     grid = data.grid
-    n_steps = max(1, round(T / dt))
 
     st = data.initial_state()
     n_bar0 = st.n_bar0

@@ -18,18 +18,29 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
-                   check_same_grid, face_divergence, face_normal_values,
-                   integrate, require_finite)
+                   _axis_operators, check_same_grid, face_divergence,
+                   face_normal_values, integrate, require_finite)
 
 
 def _lap_zero_flux(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """FV Laplacian with homogeneous Neumann (zero-flux) boundary faces."""
+    """FV Laplacian with homogeneous Neumann (zero-flux) boundary faces.
+
+    An axis of at most ``PRODUCT_MAX_CELLS`` cells applies its second
+    difference as one product with the cached 1-D operator."""
     ny, nx = grid.shape
-    gx = np.zeros((ny, nx + 1))
-    gx[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / grid.hx
+    hx, hy = grid.hx, grid.hy
+    ox, oy = _axis_operators(nx), _axis_operators(ny)
+    if ox is not None:
+        lap_x = (vals @ ox.second) / (hx * hx)
+    else:
+        gx = np.zeros((ny, nx + 1))
+        gx[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / hx
+        lap_x = (gx[:, 1:] - gx[:, :-1]) / hx
+    if oy is not None:
+        return lap_x + (oy.second.T @ vals) / (hy * hy)
     gy = np.zeros((ny + 1, nx))
-    gy[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / grid.hy
-    return face_divergence(grid, gx, gy)
+    gy[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / hy
+    return lap_x + (gy[1:, :] - gy[:-1, :]) / hy
 
 
 def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:

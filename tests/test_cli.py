@@ -161,6 +161,15 @@ def test_exponents_accepted_and_critical_line_rejected(tmp_path):
     assert "critical" in str(err.value)
 
 
+def test_T_not_a_whole_number_of_steps_names_key_and_line(tmp_path):
+    path = write_cfg(tmp_path, "[time]\ndt = 0.4\nT = 1.0\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    msg = str(err.value)
+    assert f"{path}:3:" in msg and "[time] T" in msg, msg
+    assert load_config(write_cfg(tmp_path, "[time]\ndt = 0.1\nT = 0.7\n"))
+
+
 def test_theta_choices(tmp_path):
     assert load_config(write_cfg(tmp_path, "[time]\ntheta = 0.5\n")) is not None
     with pytest.raises(ConfigError):

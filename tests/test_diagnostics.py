@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ksns import ScalarField, VectorField, integrate
+from ksns import grid as grid_mod
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
-                              boundary_residual, compatibility_check,
+                              _vector_wkr, boundary_residual,
+                              compatibility_check,
                               fit_decay_rate, lipschitz_experiment,
                               mass_identity_residuals, negative_part_energy,
                               smallness_functional, weighted_solution_norm)
@@ -238,6 +240,24 @@ def test_weighted_norm_zero_and_homogeneity(unit16):
     v1 = weighted_solution_norm(make_traj(1.0), cfg)
     v2 = weighted_solution_norm(make_traj(2.0), cfg)
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+
+
+def test_zero_velocity_norm_is_zero_without_difference_quotients(
+        unit16, monkeypatch):
+    calls = []
+    for name in ("ddx", "ddy"):
+        real = getattr(grid_mod, name)
+        monkeypatch.setattr(grid_mod, name,
+                            lambda *a, _real=real: calls.append(a) or _real(*a))
+    zero = VectorField.zero(unit16)
+    for kind in ("Lr", "W1r", "W2r", "W3r"):
+        norm = _vector_wkr(zero, kind, 4.0)
+        # the full evaluation sums only +0.0 terms
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+    assert calls == []
+    wave = VectorField.from_functions(unit16, lambda x, y: np.cos(np.pi * x),
+                                      lambda x, y: 0.0 * x)
+    assert _vector_wkr(wave, "W2r", 4.0) > 0.0 and calls    # wrappers seen
 
 
 def test_weighted_norm_single_snapshot_oracle(unit16):

@@ -1,11 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ksns import grid as grid_mod
 from ksns import (BoundaryData, DomainSpec, GridMismatchError, ScalarField,
                   VectorField, build_grid, discrete_norm, divergence,
                   gradient, integrate, laplacian_with_flux,
                   read_field_snapshot, write_field_snapshot)
-from ksns.grid import OUTWARD_NORMALS, SIDES, face_normal_values
+from ksns.grid import (OUTWARD_NORMALS, SIDES, ddx, ddy, face_gradient,
+                       face_normal_values, face_values)
+from ksns.linstep import _lap_zero_flux
 
 
 def random_smooth_field(grid, rng, amp=1.0):
@@ -215,6 +222,54 @@ def test_face_values_exact_for_linear(unit32):
     xf = np.arange(unit32.nx + 1) * unit32.hx
     assert np.abs(fx - xf[None, :]).max() <= 1e-12
     assert abs(fx[0, 0]) <= 1e-12          # boundary extrapolation hits x = 0
+
+
+# ---------------------------------------------------------------------------
+# stencils as 1-D operator products
+
+def _both_forms(fn):
+    """``fn()`` with every axis on the sliced stencils, then on products."""
+    with mock.patch.object(grid_mod, "PRODUCT_MAX_CELLS", 0):
+        stencil = fn()
+    with mock.patch.object(grid_mod, "PRODUCT_MAX_CELLS", 10 ** 9):
+        product = fn()
+    return stencil, product
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(4, 100), m=st.integers(4, 100), axis=st.sampled_from([0, 1]),
+       Lx=st.floats(0.01, 100.0), Ly=st.floats(0.01, 100.0),
+       scale_exp=st.floats(-5.0, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_products_match_sliced_stencils(n, m, axis, Lx, Ly,
+                                                scale_exp, seed):
+    nx, ny = (n, m) if axis == 1 else (m, n)
+    g = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    h = g.hx if axis == 1 else g.hy
+    v = np.random.default_rng(seed).standard_normal(g.shape) * 10.0 ** scale_exp
+    interior = tuple(slice(1, -1) if a == axis else slice(None) for a in (0, 1))
+    first_order = {
+        "face_values": lambda: face_values(v, axis),
+        "face_gradient": lambda: face_gradient(v, h, axis),
+        "central": lambda: ddx(v, h) if axis == 1 else ddy(v, h),
+    }
+    for name, fn in first_order.items():
+        stencil, product = _both_forms(fn)
+        assert product.shape == stencil.shape, name
+        # two terms of weight +-1 add with the stencil's one rounding
+        assert np.array_equal(product[interior], stencil[interior]), name
+        assert np.abs(product - stencil).max() <= 1e-14 * np.abs(stencil).max(), name
+    # the stencil divides by h between its two differences: rounding only
+    stencil, product = _both_forms(lambda: _lap_zero_flux(g, v))
+    assert np.abs(product - stencil).max() <= 1e-14 * np.abs(stencil).max()
+
+
+def test_axis_operators_only_for_short_axes():
+    limit = grid_mod.PRODUCT_MAX_CELLS
+    ops = grid_mod._axis_operators(limit)
+    assert ops is grid_mod._axis_operators(limit)        # cached
+    assert all(not m.flags.writeable for m in ops)
+    assert all(np.array_equal(m, np.round(m)) for m in ops)
+    assert grid_mod._axis_operators(limit + 1) is None
 
 
 # ---------------------------------------------------------------------------

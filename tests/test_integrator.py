@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ksns import (DomainSpec, ScalarField, VectorField, build_grid,
                   helmholtz_project, integrate)
+from ksns import grid as grid_mod
 from ksns import integrator, linstep
 from ksns.diagnostics import negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
@@ -610,12 +611,34 @@ def test_run_constant_state(unit16):
     assert np.all(np.diff(t) > 0) and t[-1] == pytest.approx(0.01)
 
 
+def test_small_axes_build_operators_and_large_ones_none():
+    rotation = SensitivitySpec.rotation(1.0, 0.5)
+    for n, built in ((32, 1), (128, 0)):
+        grid_mod._build_axis_operators.cache_clear()
+        g = build_grid(DomainSpec(1.0, 1.0, n, n))
+        run(wave_data(g, S=rotation), T=2e-3, dt=1e-3)
+        assert grid_mod._build_axis_operators.cache_info().currsize == built
+
+
 def test_run_rejects_bad_times(unit16):
     data = wave_data(unit16)
     with pytest.raises(ValueError):
         run(data, T=0.0, dt=1e-3)
     with pytest.raises(ValueError):
         run(data, T=1e-3, dt=2e-3)     # dt > T
+
+
+@pytest.mark.parametrize("T, dt", [(1.0, 0.4), (0.05, 0.02)])
+def test_run_rejects_T_not_a_whole_number_of_steps(unit16, T, dt):
+    # round(T/dt) steps would stop short of T (at 0.8 and 0.04)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        run(wave_data(unit16), T=T, dt=dt)
+
+
+def test_run_ends_at_T_for_ratios_whole_to_rounding(unit16):
+    assert 0.7 / 0.1 != 7              # 6.999999999999999
+    _, series = run(wave_data(unit16), T=0.7, dt=0.1)
+    assert len(series) == 7 and series.column("t")[-1] == pytest.approx(0.7)
 
 
 def test_run_snapshot_stride(unit16):
