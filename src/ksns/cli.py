@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .diagnostics import (DiagnosticsConfig, compatibility_check,
-                          fit_decay_rate, lipschitz_experiment,
-                          mass_identity_residuals, negative_part_energy)
+from .diagnostics import (FIT_MIN_SAMPLES, DiagnosticsConfig,
+                          compatibility_check, fit_decay_rate,
+                          lipschitz_experiment, mass_identity_residuals,
+                          negative_part_energy)
 from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
 from .grid import (DomainSpec, Grid, ScalarField, VectorField, build_grid,
                    integrate, write_field_snapshot)
@@ -85,21 +86,26 @@ class RunConfig:
     """Resolved, validated configuration for one scenario."""
 
     values: dict = field(default_factory=dict)
+    where: dict = field(default_factory=dict)   # file's keys -> "path:line: "
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
+
+    def error(self, section: str, key: str, msg: str) -> ConfigError:
+        """A config error naming the key, and its ``path:line`` when the
+        file sets it."""
+        return ConfigError(f"{self.where.get((section, key), '')}"
+                           f"[{section}] {key}: {msg}")
 
     def echo_lines(self) -> list[str]:
         return [f"{s}.{k} = {self.values[(s, k)]}"
                 for (s, k) in sorted(self.values)]
 
 
-def _validate(cfg: RunConfig, where: dict) -> None:
-    """Check every value; ``where`` maps each key set in the file to the
-    ``path:line: `` prefix its error names."""
+def _validate(cfg: RunConfig) -> None:
+    """Check every value."""
     def fail(section, key, msg):
-        raise ConfigError(f"{where.get((section, key), '')}"
-                          f"[{section}] {key}: {msg}")
+        raise cfg.error(section, key, msg)
 
     v = cfg.values
     for (s, k), choices in _CHOICES.items():
@@ -206,8 +212,8 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: [{section}] {key}: "
                                   f"{exc}") from None
             values[(section, key)] = val
-    cfg = RunConfig(values=values)
-    _validate(cfg, where)
+    cfg = RunConfig(values=values, where=where)
+    _validate(cfg)
     return cfg
 
 
@@ -455,21 +461,44 @@ def _judge_run(sc, trajectory, series) -> bool:
     return _report(_run_checks(sc.cfg, sc.data, series, trajectory))
 
 
+def _decay_window(cfg) -> tuple[float, float]:
+    """The time window of the decay fits; a config error naming
+    ``[diagnostics] fit_window_frac`` unless it holds FIT_MIN_SAMPLES steps
+    of the run."""
+    T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
+    window = (cfg.get("diagnostics", "fit_window_frac") * T, T)
+    t = np.arange(1, step_count(T, dt) + 1) * dt       # as the run's k * dt
+    steps = int(((window[0] <= t) & (t <= window[1])).sum())
+    if steps < FIT_MIN_SAMPLES:
+        raise cfg.error("diagnostics", "fit_window_frac",
+                        f"the fit window [{window[0]:.3g}, {window[1]:.3g}] "
+                        f"holds {steps} steps; the decay fit needs at least "
+                        f"{FIT_MIN_SAMPLES}")
+    return window
+
+
 def _judge_decay(sc, trajectory, series) -> bool:
-    T = sc.cfg.get("time", "T")
-    window = (sc.cfg.get("diagnostics", "fit_window_frac") * T, T)
+    window = _decay_window(sc.cfg)
+    span = f"(window [{window[0]:.3g}, {window[1]:.3g}])"
     t = series.column("t")
-    fit_n = fit_decay_rate(list(zip(t, series.column("sup_n_dev"))), window)
-    fit_c = fit_decay_rate(list(zip(t, series.column("sup_c_dev"))), window)
     lam1 = sc.diag.lambda1
-    ok = _report([_verdict(
-        f"decay-{name}", fit.rate >= lam1,
-        f"fitted rate {fit.rate:.4f} >= lambda1 {lam1:.4f} "
-        f"(window [{window[0]:.3g}, {window[1]:.3g}])")
-        for name, fit in (("n-deviation", fit_n), ("c-deviation", fit_c))])
+    verdicts, rates = [], {}
+    for name, column in (("n-deviation", "sup_n_dev"),
+                         ("c-deviation", "sup_c_dev")):
+        try:
+            fit = fit_decay_rate(list(zip(t, series.column(column))), window)
+        except ValueError as exc:   # decayed to zero before enough samples
+            verdicts.append(_verdict(f"decay-{name}", False,
+                                     f"no rate fitted: {exc} {span}"))
+            continue
+        rates[name] = f"{fit.rate:.4f}"
+        verdicts.append(_verdict(
+            f"decay-{name}", fit.rate >= lam1,
+            f"fitted rate {fit.rate:.4f} >= lambda1 {lam1:.4f} {span}"))
+    ok = _report(verdicts)
     strong = 0.8 * sc.lamN.lam
-    print(f"INFO empirical n-rate {fit_n.rate:.4f} vs 0.8*lambda_N "
-          f"{strong:.4f} (recorded, not asserted); lambda_N "
+    print(f"INFO empirical n-rate {rates.get('n-deviation', 'none')} vs "
+          f"0.8*lambda_N {strong:.4f} (recorded, not asserted); lambda_N "
           f"{sc.lamN.lam:.6g}, lambda_D {sc.lamD.lam:.6g}")
     return ok
 
@@ -508,6 +537,8 @@ def _simulate(cfg, args, need_eigen: bool) -> int:
     the verdict of ``args.command``.  Exit code 0 when every verdict
     passes, 1 otherwise, 3 on a blow-up (``run`` then writes the
     diagnostics recorded up to it)."""
+    if args.command == "decay":
+        _decay_window(cfg)          # fails closed before the run
     for line in cfg.echo_lines():
         print(line)
     grid = grid_from_config(cfg)

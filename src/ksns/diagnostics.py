@@ -84,15 +84,12 @@ class DiagnosticsSeries:
         return np.asarray(self._data[name], dtype=float)
 
     def to_csv(self, path) -> None:
+        row = ",".join("%d" if name == "picard_iters" else "%.15g"
+                       for name in SERIES_COLUMNS) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for i in range(len(self)):
-                cells = []
-                for name in SERIES_COLUMNS:
-                    v = self._data[name][i]
-                    cells.append(str(int(v)) if name == "picard_iters"
-                                 else f"{v:.15g}")
-                fh.write(",".join(cells) + "\n")
+            fh.writelines(row % r for r in
+                          zip(*(self._data[name] for name in SERIES_COLUMNS)))
 
     @classmethod
     def from_csv(cls, path) -> "DiagnosticsSeries":
@@ -140,6 +137,9 @@ class DecayFit:
     truncated: bool = False
 
 
+FIT_MIN_SAMPLES = 5
+
+
 def fit_decay_rate(samples, window: tuple[float, float]) -> DecayFit:
     """Least squares on log(value) = log(amplitude) - rate * t.
 
@@ -157,9 +157,9 @@ def fit_decay_rate(samples, window: tuple[float, float]) -> DecayFit:
             truncated = True
             break
         kept.append((t, v))
-    if len(kept) < 5:
-        raise ValueError(f"need at least 5 positive samples in the window, "
-                         f"got {len(kept)}")
+    if len(kept) < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} positive samples "
+                         f"in the window, got {len(kept)}")
     t = np.array([p[0] for p in kept])
     logv = np.log([p[1] for p in kept])
     slope, intercept = np.polyfit(t, logv, 1)

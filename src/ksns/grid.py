@@ -354,6 +354,14 @@ def _ghost_pad(vals: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _padded_face_gradient(p: np.ndarray, h: float, axis: int) -> np.ndarray:
+    return (p[:, 1:] - p[:, :-1] if axis == 1 else p[1:] - p[:-1]) / h
+
+
+def _padded_central(p: np.ndarray, h: float, axis: int) -> np.ndarray:
+    return (p[:, 2:] - p[:, :-2] if axis == 1 else p[2:] - p[:-2]) / (2.0 * h)
+
+
 def face_gradient(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Normal derivative of a cell-centered array on the faces normal to
     ``axis`` (1: x, 0: y): the compact difference across each face, the
@@ -361,16 +369,27 @@ def face_gradient(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     ops = _axis_operators(vals.shape[axis])
     if ops is not None:
         return _apply_along(vals, axis, ops.face_gradient) / h
-    p = _ghost_pad(vals, axis)
-    return (p[:, 1:] - p[:, :-1] if axis == 1 else p[1:] - p[:-1]) / h
+    return _padded_face_gradient(_ghost_pad(vals, axis), h, axis)
 
 
 def _central_difference(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     ops = _axis_operators(vals.shape[axis])
     if ops is not None:
         return _apply_along(vals, axis, ops.central) / (2.0 * h)
+    return _padded_central(_ghost_pad(vals, axis), h, axis)
+
+
+def face_gradient_and_central(vals: np.ndarray, h: float, axis: int
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """``face_gradient`` and the central cell difference (``ddx``/``ddy``)
+    along ``axis``, equal to theirs: from one ghost pad on a long axis, as
+    two products on an axis of at most PRODUCT_MAX_CELLS cells."""
+    ops = _axis_operators(vals.shape[axis])
+    if ops is not None:
+        return (_apply_along(vals, axis, ops.face_gradient) / h,
+                _apply_along(vals, axis, ops.central) / (2.0 * h))
     p = _ghost_pad(vals, axis)
-    return (p[:, 2:] - p[:, :-2] if axis == 1 else p[2:] - p[:-2]) / (2.0 * h)
+    return _padded_face_gradient(p, h, axis), _padded_central(p, h, axis)
 
 
 def ddx(vals: np.ndarray, hx: float) -> np.ndarray:

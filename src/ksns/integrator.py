@@ -24,7 +24,8 @@ import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    check_same_grid, ddx, ddy, face_divergence, face_gradient,
-                   face_values, face_normal_values, integrate, require_finite)
+                   face_gradient_and_central, face_values, face_normal_values,
+                   integrate, require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
 
@@ -229,12 +230,18 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
     hx, hy = grid.hx, grid.hy
     s11, s12, _, _ = S.evaluate(t, grid.xf[None, :], grid.yc[:, None])
     _, _, s21, s22 = S.evaluate(t, grid.xc[None, :], grid.yf[:, None])
-    gx = s11 * face_gradient(c_vals, hx, 1)
-    if _nonzero(s12):
-        gx += s12 * face_values(ddy(c_vals, hy), 1)
-    gy = s22 * face_gradient(c_vals, hy, 0)
-    if _nonzero(s21):
-        gy += s21 * face_values(ddx(c_vals, hx), 0)
+    # the central difference along x feeds the y faces (s21), and the
+    # one along y the x faces (s12)
+    fgx, dcx = (face_gradient_and_central(c_vals, hx, 1) if _nonzero(s21)
+                else (face_gradient(c_vals, hx, 1), None))
+    fgy, dcy = (face_gradient_and_central(c_vals, hy, 0) if _nonzero(s12)
+                else (face_gradient(c_vals, hy, 0), None))
+    gx = s11 * fgx
+    if dcy is not None:
+        gx += s12 * face_values(dcy, 1)
+    gy = s22 * fgy
+    if dcx is not None:
+        gy += s21 * face_values(dcx, 0)
     return face_values(n_vals, 1) * gx, face_values(n_vals, 0) * gy
 
 

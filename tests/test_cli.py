@@ -282,6 +282,10 @@ def test_run_blowup_exits_3(tmp_path, capsys):
     (FORCED_RUN + FORCED_CEILING, "0.015")])
 def test_judging_subcommands_exit_3_on_blowup(tmp_path, capsys, command,
                                               text, t_abort):
+    if command == "decay":
+        # a 4-step run leaves 3 steps in decay's fit window, a config error
+        # before the run; 8 steps leave 6, and the run blows up as before
+        text = text.replace("T = 0.02", "T = 0.04")
     path = write_cfg(tmp_path, text)
     out = tmp_path / "o"
     assert main([command, "--config", path, "--out", str(out)]) == 3
@@ -337,6 +341,49 @@ snapshot_stride = 100
     assert "PASS decay-n-deviation" in stdout
     assert "PASS decay-c-deviation" in stdout
     assert "INFO empirical n-rate" in stdout
+
+
+SHORT_DECAY = """
+[domain]
+nx = 8
+ny = 8
+[time]
+dt = 0.001
+T = 0.004
+"""
+
+
+@pytest.mark.parametrize("extra, line", [
+    ("", None), ("[diagnostics]\nfit_window_frac = 0.3\n", 9)])
+def test_decay_short_fit_window_fails_closed_before_the_run(
+        tmp_path, capsys, monkeypatch, extra, line):
+    # [T/3, T] and [0.3 T, T] each hold 3 of the 4 steps; the fit needs 5
+    monkeypatch.setattr("ksns.cli.run", None)       # the run must not start
+    path = write_cfg(tmp_path, SHORT_DECAY + extra)
+    assert main(["decay", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    where = "" if line is None else f"{path}:{line}: "
+    assert out == ""
+    assert err.startswith(f"config error: {where}[diagnostics] "
+                          f"fit_window_frac: the fit window "), err
+    assert "holds 3 steps; the decay fit needs at least 5" in err, err
+
+
+def test_decay_deviation_at_zero_prints_fail_lines(tmp_path, capsys):
+    # the zero state has zero deviations at every step: the window holds
+    # 6 steps but no positive sample, so no rate can be fitted
+    text = TINY_RUN.replace("preset = constant", """preset = constant
+n_base = 0.0
+c_base = 0.0""").replace("T = 0.02", "T = 0.04")
+    path = write_cfg(tmp_path, text)
+    assert main(["decay", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    stdout = capsys.readouterr().out
+    for name in ("n-deviation", "c-deviation"):
+        assert (f"FAIL decay-{name}: no rate fitted: need at least 5 positive "
+                f"samples in the window, got 0 (window [0.0133, 0.04])"
+                in stdout), stdout
+    assert "PASS" not in stdout
+    assert "INFO empirical n-rate none vs" in stdout
 
 
 def test_nonneg_subcommand(tmp_path, capsys):

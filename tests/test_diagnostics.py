@@ -6,8 +6,8 @@ import pytest
 
 from ksns import ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
-from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
-                              _vector_wkr, boundary_residual,
+from ksns.diagnostics import (SERIES_COLUMNS, DiagnosticsConfig,
+                              DiagnosticsSeries, _vector_wkr, boundary_residual,
                               compatibility_check,
                               fit_decay_rate, lipschitz_experiment,
                               mass_identity_residuals, negative_part_energy,
@@ -83,6 +83,36 @@ def test_series_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.column("mass_n"), s.column("mass_n"),
                                rtol=1e-12)
     assert back.column("picard_iters")[0] == 3
+
+
+def test_series_csv_bytes_match_per_cell_format(tmp_path):
+    # the writer of every cell by str(int(v)) or f"{v:.15g}", kept here
+    def per_cell(series, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(SERIES_COLUMNS) + "\n")
+            for i in range(len(series)):
+                fh.write(",".join(
+                    str(int(series._data[name][i])) if name == "picard_iters"
+                    else f"{series._data[name][i]:.15g}"
+                    for name in SERIES_COLUMNS) + "\n")
+
+    rng = np.random.default_rng(11)
+    s = DiagnosticsSeries()
+    specials = (0.0, -0.0, 1e-300, 5e-324, -1.7976931348623157e308, 1e22,
+                -3.25, 0.1, 2, 0)
+    for i in range(40):
+        row = {name: float(v) for name, v in zip(
+            SERIES_COLUMNS, rng.standard_normal(len(SERIES_COLUMNS))
+            * 10.0 ** rng.integers(-200, 200, len(SERIES_COLUMNS)))}
+        row["mass_c"] = specials[i % len(specials)]
+        row["sup_u"] = np.float64(row["sup_u"])
+        row["min_n"] = i - 20                  # an int in a float column
+        row.update(t=1e-3 * (i + 1), picard_iters=(i, np.int64(i), 0)[i % 3])
+        s.append(**row)
+    path, want = tmp_path / "diag.csv", tmp_path / "want.csv"
+    s.to_csv(path)
+    per_cell(s, want)
+    assert path.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from ksns import (BoundaryData, DomainSpec, GridMismatchError, ScalarField,
                   gradient, integrate, laplacian_with_flux,
                   read_field_snapshot, write_field_snapshot)
 from ksns.grid import (OUTWARD_NORMALS, SIDES, ddx, ddy, face_gradient,
-                       face_normal_values, face_values)
+                       face_gradient_and_central, face_normal_values,
+                       face_values)
 from ksns.linstep import _lap_zero_flux
 
 
@@ -261,6 +262,19 @@ def test_stencil_products_match_sliced_stencils(n, m, axis, Lx, Ly,
     # the stencil divides by h between its two differences: rounding only
     stencil, product = _both_forms(lambda: _lap_zero_flux(g, v))
     assert np.abs(product - stencil).max() <= 1e-14 * np.abs(stencil).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 100), m=st.integers(4, 100), axis=st.sampled_from([0, 1]),
+       h=st.floats(0.01, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_face_gradient_and_central_are_the_two_primitives(n, m, axis, h, seed):
+    v = np.random.default_rng(seed).standard_normal((m, n))
+    for patched in (0, 10 ** 9):
+        with mock.patch.object(grid_mod, "PRODUCT_MAX_CELLS", patched):
+            pair = face_gradient_and_central(v, h, axis)
+            central = ddx(v, h) if axis == 1 else ddy(v, h)
+            for got, want in zip(pair, (face_gradient(v, h, axis), central)):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_axis_operators_only_for_short_axes():

@@ -620,6 +620,51 @@ def test_small_axes_build_operators_and_large_ones_none():
         assert grid_mod._build_axis_operators.cache_info().currsize == built
 
 
+def _flux_padding_per_stencil(grid, n, c, S):
+    """The flux with a face gradient and a central difference of its own
+    (and a ghost pad each on a long axis) for every term."""
+    s11, s12, _, _ = S.evaluate(0.0, grid.xf[None, :], grid.yc[:, None])
+    _, _, s21, s22 = S.evaluate(0.0, grid.xc[None, :], grid.yf[:, None])
+    gx = s11 * grid_mod.face_gradient(c, grid.hx, 1)
+    if np.any(s12 != 0.0):
+        gx += s12 * grid_mod.face_values(grid_mod.ddy(c, grid.hy), 1)
+    gy = s22 * grid_mod.face_gradient(c, grid.hy, 0)
+    if np.any(s21 != 0.0):
+        gy += s21 * grid_mod.face_values(grid_mod.ddx(c, grid.hx), 0)
+    return (grid_mod.face_values(n, 1) * gx, grid_mod.face_values(n, 0) * gy)
+
+
+@pytest.mark.parametrize("cells", [32, 128])
+def test_flux_pads_c_once_per_axis_on_long_axes(monkeypatch, rng, cells):
+    # above PRODUCT_MAX_CELLS the face gradient and the central difference
+    # along an axis share one ghost pad, and the identity builds no central
+    # difference; the faces are bitwise those of one pad per stencil
+    g = build_grid(DomainSpec(1.0, 1.0, cells, cells))
+    n = 2.0 + 0.1 * rng.standard_normal(g.shape)
+    c = 1.0 + 0.1 * rng.standard_normal(g.shape)
+    pads = []
+    plain_pad = grid_mod._ghost_pad
+
+    def counted(vals, axis):
+        pads.append(axis)
+        return plain_pad(vals, axis)
+
+    for S in (SensitivitySpec.rotation(1.0, 0.5), SensitivitySpec.identity(),
+              _FLUX_TENSORS["varying"]):
+        want = _flux_padding_per_stencil(g, n, c, S)
+        pads.clear()
+        monkeypatch.setattr(grid_mod, "_ghost_pad", counted)
+        got = chemotactic_flux_raw(g, n, c, S, 0.0)
+        monkeypatch.setattr(grid_mod, "_ghost_pad", plain_pad)
+        assert sorted(pads) == ([0, 1] if cells == 128 else []), S.tag
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), S.tag
+    pads.clear()
+    monkeypatch.setattr(grid_mod, "_ghost_pad", counted)
+    _flux_padding_per_stencil(g, n, c, SensitivitySpec.rotation(1.0, 0.5))
+    assert len(pads) == (4 if cells == 128 else 0)
+
+
 def test_run_rejects_bad_times(unit16):
     data = wave_data(unit16)
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Property tests of the 1-D eigenbases, of the exact spectral solves and
-their cached plans, and of the stream-function projection against the CG
-oracle.
+their cached plans (full and parity-folded bases), and of the
+stream-function projection against the CG oracle.
 
 Grid sizes (odd ones included), aspect ratios, time steps and theta are
 drawn by hypothesis; the right-hand sides come from a drawn seed.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 from cg_oracle import neg_lap_diag, pressure_project_faces, solve_cg
 from ksns import DomainSpec, VectorField, build_grid, helmholtz_project
+from ksns import linstep
 from ksns.grid import face_divergence, face_normal_values
-from ksns.linstep import (_eigenbasis, _lap_dirichlet, _lap_zero_flux,
-                          _project_core, _solve_plan, solve_spectral)
+from ksns.linstep import (_eigenbasis, _Folded, _lap_dirichlet,
+                          _lap_zero_flux, _project_core, _solve_plan,
+                          solve_spectral)
 
 cases = st.fixed_dictionaries({
     "nx": st.integers(4, 40), "ny": st.integers(4, 40),
@@ -128,6 +132,116 @@ def test_cached_plan_solve_is_bitwise_the_inline_formula(nx, ny, Lx, Ly, shift,
     for rhs in (b, np.zeros_like(b)):
         with pytest.raises(ValueError, match="unknown bc"):
             solve_spectral(grid, rhs, shift, scale, "periodic")
+
+
+def _plan_arrays(plan):
+    """Every array of a solve plan, the blocks of a folded basis included."""
+    return [arr for part in plan
+            for arr in (part if isinstance(part, _Folded) else (part,))]
+
+
+def _inline_solve(grid, b, shift, scale, bc):
+    """The full-basis formula with the cached eigenbases, outside the plan."""
+    ny, nx = grid.shape
+    Qy, lam_y = _eigenbasis(ny, grid.hy, bc)
+    Qx, lam_x = _eigenbasis(nx, grid.hx, bc)
+    denom = shift + scale * (lam_y[:, None] + lam_x[None, :])
+    if shift == 0.0 and bc == "neumann0":
+        denom[0, 0] = np.inf
+    return Qy @ ((Qy.T @ b @ Qx) / denom) @ Qx.T
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(90, 160), st.integers(90, 160), st.floats(0.5, 2.0),
+       st.floats(0.5, 2.0), st.sampled_from((0.0, 1.0)) | st.floats(1e-3, 5.0),
+       st.floats(1e-4, 2.0),
+       st.sampled_from(("neumann0", "dirichlet0", "nodal0")),
+       st.integers(0, 2 ** 32 - 1))
+def test_folded_solve_matches_full_basis_formula(nx, ny, Lx, Ly, shift, scale,
+                                                 bc, seed):
+    # axis lengths on both sides of FOLD_MIN_CELLS, odd and even, each
+    # folded or full on its own
+    grid = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    m = 1 if bc == "nodal0" else 0
+    b = np.random.default_rng(seed).standard_normal((ny - m, nx - m))
+    singular = shift == 0.0 and bc == "neumann0"
+    if singular:
+        b -= b.mean()
+    x = solve_spectral(grid, b, shift, scale, bc)
+    inline = _inline_solve(grid, b, shift, scale, bc)
+    assert np.abs(x - inline).max() <= 1e-13 * np.abs(inline).max()
+    # relative to b, the residual of an exact solve grows with the
+    # condition number kappa of the operator (the symbol's max / min); the
+    # full-basis solve reads up to 3e-16 * kappa on these grids, so the
+    # bound is the 1e-12 of the small grids or 1e-15 * kappa, the larger
+    plan = _solve_plan(ny, nx, grid.hy, grid.hx, shift, scale, bc)
+    symbol = plan[2][np.isfinite(plan[2])]
+    kappa = symbol.max() / symbol.min()
+    lap = {"neumann0": _lap_zero_flux, "dirichlet0": _lap_dirichlet,
+           "nodal0": _lap_nodal}[bc]
+    res = np.linalg.norm(shift * x - scale * lap(grid, x) - b)
+    assert res <= 1e-15 * max(kappa, 1e3) * np.linalg.norm(b), (res, kappa)
+    if singular:
+        assert abs(x.mean()) <= 1e-12 * np.abs(x).max()
+    zero = solve_spectral(grid, np.zeros_like(b), shift, scale, bc)
+    assert zero.shape == b.shape and not zero.any()
+    for n_axis, basis in ((ny, plan[0]), (nx, plan[1])):
+        assert isinstance(basis, _Folded) == (n_axis - m
+                                              >= linstep.FOLD_MIN_CELLS)
+    for arr in _plan_arrays(plan):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def _both_paths(fn):
+    """``fn()`` with every axis on full bases, then with every axis folded."""
+    out = []
+    for limit in (10 ** 9, 0):
+        linstep._solve_plan.cache_clear()
+        with mock.patch.object(linstep, "FOLD_MIN_CELLS", limit):
+            out.append(fn())
+        linstep._solve_plan.cache_clear()
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_forced_fold_and_full_paths_agree(case):
+    grid = build_grid(DomainSpec(case["Lx"], case["Ly"], case["nx"], case["ny"]))
+    rng = np.random.default_rng(case["seed"])
+    ny, nx = grid.shape
+    for name, shift, scale, bc in _operators(case["dt"], case["theta"]):
+        b = rng.standard_normal((ny - 1, nx - 1) if bc == "nodal0"
+                                else grid.shape)
+        full, folded = _both_paths(
+            lambda: solve_spectral(grid, b, shift, scale, bc))
+        assert np.abs(folded - full).max() <= 1e-13 * np.abs(full).max(), name
+        full, folded = _both_paths(lambda: _solve_plan(
+            ny, nx, grid.hy, grid.hx, shift, scale, bc))
+        assert not isinstance(full[0], _Folded)
+        assert isinstance(folded[0], _Folded)
+        assert isinstance(folded[1], _Folded)
+
+
+def test_long_axes_fold_without_caching_their_full_basis():
+    grid = build_grid(DomainSpec(2.0, 1.0, 128, 64))
+    linstep._solve_plan.cache_clear()
+    _eigenbasis.cache_clear()
+    plan = _solve_plan(64, 128, grid.hy, grid.hx, 1.0, 1e-3, "neumann0")
+    basis_y, basis_x, denom = plan
+    assert isinstance(basis_x, _Folded) and not isinstance(basis_y, _Folded)
+    assert basis_x.even.shape == basis_x.odd.shape == (64, 64)
+    assert _eigenbasis.cache_info().currsize == 1      # the 64-cell axis only
+    assert denom.shape == (64, 128)
+    folded_bytes = sum(arr.nbytes for arr in _plan_arrays(plan))
+    full_bytes = sum(arr.nbytes for arr in _both_paths(lambda: _solve_plan(
+        64, 128, grid.hy, grid.hx, 1.0, 1e-3, "neumann0"))[0])
+    assert folded_bytes <= full_bytes
+    # the nodal stream function of a 128-cell axis has 127 nodes: 64 + 63
+    nodal = _solve_plan(128, 128, 1 / 128, 1 / 128, 0.0, 1.0, "nodal0")
+    assert nodal[0].even.shape == (64, 64) and nodal[0].odd.shape == (63, 63)
+    linstep._solve_plan.cache_clear()
 
 
 @settings(max_examples=25, deadline=None)
