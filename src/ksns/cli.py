@@ -39,23 +39,13 @@ class ConfigError(Exception):
     """A configuration file failed to parse or validate."""
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 # section -> key -> (python type, default)
 _SCHEMA = {
     "domain": {"Lx": (float, 1.0), "Ly": (float, 1.0),
                "nx": (int, 32), "ny": (int, 32)},
     "time": {"dt": (float, 1e-3), "T": (float, 1.0), "theta": (float, 1.0)},
     "solver": {"blowup_ceiling": (float, 1e6)},
-    "picard": {"enabled": (bool, False), "k_max": (int, 1),
-               "tol": (float, 1e-10)},
+    "picard": {"k_max": (int, 1), "tol": (float, 1e-10)},
     "data": {"preset": (str, "small-wave"), "n_base": (float, 2.0),
              "c_base": (float, 2.0), "amplitude": (float, 0.01),
              "u_preset": (str, "zero"), "u_amplitude": (float, 0.0)},
@@ -200,9 +190,7 @@ def load_config(path: str | None) -> RunConfig:
             where[(section, key)] = f"{path}:{lineno}: "
             typ, _ = _SCHEMA[section][key]
             try:
-                if typ is bool:
-                    val = _parse_bool(raw_val)
-                elif typ is int:
+                if typ is int:
                     val = int(raw_val)
                 elif typ is float:
                     val = float(raw_val)
@@ -301,7 +289,6 @@ def diagnostics_from_config(cfg: RunConfig) -> DiagnosticsConfig:
 def options_from_config(cfg: RunConfig, stride: int | None = None) -> RunOptions:
     return RunOptions(
         theta=cfg.get("time", "theta"),
-        picard_enabled=cfg.get("picard", "enabled"),
         picard_k_max=cfg.get("picard", "k_max"),
         picard_tol=cfg.get("picard", "tol"),
         snapshot_stride=stride or cfg.get("output", "snapshot_stride"),
@@ -438,7 +425,6 @@ def _cmd_eigen(cfg) -> int:
     rN = lambda_neumann(grid, tol)
     rD = lambda_dirichlet(grid, tol)
     print(f"{rN.lam:.12g},{rD.lam:.12g},{grid.hx:.12g},"
-          f"{rN.iterations + rD.iterations},"
           f"{max(rN.residual, rD.residual):.6g}")
     return 0
 

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField
-from .linstep import _eigenbasis, _lap_dirichlet, _lap_zero_flux
+from .grid import Grid, ScalarField, _lap_zero_flux
+from .linstep import _eigenbasis, _lap_dirichlet
 
 
 @dataclass
 class EigenResult:
     lam: float
     eigenfield: ScalarField
-    iterations: int
     residual: float
 
 
@@ -31,7 +30,7 @@ def _result(grid: Grid, lam: float, psi: np.ndarray, apply_op) -> EigenResult:
     res = float(np.linalg.norm(apply_op(psi) - lam * psi))
     vol_norm = np.sqrt(grid.cell_volume)
     return EigenResult(lam=lam, eigenfield=ScalarField(grid, psi / vol_norm),
-                       iterations=0, residual=res)
+                       residual=res)
 
 
 def _check_tol(tol: float) -> None:

@@ -2,10 +2,12 @@
 
 One IMEX step treats diffusion and the (1 - laplacian) shift implicitly and
 freezes the chemotactic flux, the advective transport, and the buoyancy
-forcing at the current iterate; an optional per-step Picard loop re-solves
+forcing at the current iterate.  Each step is a Picard loop that re-solves
 with coefficients frozen at the previous iterate until the combined field
-change stalls.  The three substeps run in the order density -> signal ->
-velocity, with the velocity forcing consuming the freshly solved density.
+change stalls or ``k_max`` iterates are taken; ``k_max = 1`` (the default)
+is the plain IMEX step.  The three substeps run in the order density ->
+signal -> velocity, with the velocity forcing consuming the freshly solved
+density.
 
 The loop integrates the shifted variables: the density deviation from its
 initial mean and the signal minus a scheme-consistent multiple of that
@@ -109,8 +111,11 @@ class SimState:
     On a stepped state, ``bc_residual`` is the largest gap, in face flux
     units, between the boundary source the last density solve actually
     imposed (recovered from its solution) and the chemotactic boundary flux
-    (see ``linstep.boundary_source_residual``), and ``extrema`` holds
-    (min nt, max nt, min chi, max chi) from the blow-up check.
+    (see ``linstep.boundary_source_residual``), ``extrema`` holds
+    (min nt, max nt, min chi, max chi) from the blow-up check,
+    ``picard_iters`` is the number of Picard iterates the step took, and
+    ``contraction`` the ratio of its last two increments (0 when fewer
+    than two were taken; values >= 1 are recorded, not raised).
     """
 
     t: float
@@ -121,6 +126,8 @@ class SimState:
     n_bar0: float
     bc_residual: float | None = None
     extrema: tuple[float, float, float, float] | None = None
+    picard_iters: int | None = None
+    contraction: float | None = None
 
     @classmethod
     def from_fields(cls, t: float, n: ScalarField, c: ScalarField,
@@ -206,10 +213,6 @@ def boundary_normal_derivative_raw(grid: Grid, vals: np.ndarray) -> BoundaryData
     return BoundaryData(left=left, right=right, bottom=bottom, top=top)
 
 
-def boundary_normal_derivative(f: ScalarField) -> BoundaryData:
-    return boundary_normal_derivative_raw(f.grid, f.values)
-
-
 def _nonzero(s) -> bool:
     """Whether a sensitivity entry (a float or an array) is anywhere nonzero."""
     return bool(s) if isinstance(s, float) else bool(s.any())
@@ -288,7 +291,6 @@ def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
 @dataclass
 class RunOptions:
     theta: float = 1.0
-    picard_enabled: bool = False
     picard_k_max: int = 1
     picard_tol: float = 1e-10
     snapshot_stride: int = 1
@@ -307,20 +309,18 @@ def _stays_at_rest(data: GivenData, u: VectorField) -> bool:
         or data.phi_grad.ux.any() or data.phi_grad.uy.any())
 
 
-def _advance(grid: Grid, st: SimState, data: GivenData, dt: float,
-             opts: RunOptions, at_rest: bool, frozen: SimState | None = None
-             ) -> SimState:
+def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
+             dt: float, opts: RunOptions, at_rest: bool) -> SimState:
     """One IMEX step of the shifted system; the new state carries the
     measured boundary-condition residual of its density solve.
 
-    Nonlinear coefficients are evaluated at ``frozen`` (defaults to the
-    current state, which gives the plain step); the implicit solves always
-    advance ``st``.  ``at_rest`` is ``_stays_at_rest(data, st.u)``, decided
+    Nonlinear coefficients are evaluated at the frozen iterate ``w`` (``st``
+    itself gives the plain step); the implicit solves always advance
+    ``st``.  ``at_rest`` is ``_stays_at_rest(data, st.u)``, decided
     by the caller once for its steps: a fluid at rest skips advection and
     the fluid substep, and keeps ``st.u``, so every iterate it freezes is at
     rest too.
     """
-    w = st if frozen is None else frozen
     t0 = st.t
     theta = opts.theta
     n_bar0 = st.n_bar0
@@ -384,15 +384,6 @@ def _check_blowup(st: SimState, ceiling: float, last_valid: SimState,
                       state=last_valid)
 
 
-def step(state: SimState, data: GivenData, dt: float,
-         options: RunOptions | None = None) -> SimState:
-    """Advance one IMEX step with coefficients frozen at the current state."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return _advance(data.grid, state, data, dt, options or RunOptions(),
-                    _stays_at_rest(data, state.u))
-
-
 def _rel_increment(a: SimState, b: SimState) -> float:
     """Sup over the fields n, c and u of the relative L2 change.
 
@@ -413,41 +404,40 @@ def _rel_increment(a: SimState, b: SimState) -> float:
 
 
 def _picard(grid: Grid, st: SimState, data: GivenData, dt: float,
-            opts: RunOptions, k_max: int, tol: float, at_rest: bool
-            ) -> tuple[SimState, int, float]:
-    """Iterate ``_advance`` from ``st`` with coefficients frozen at the
-    previous iterate; returns (iterate, iters, contraction)."""
+            opts: RunOptions, at_rest: bool) -> SimState:
+    """One step: iterate ``_advance`` from ``st`` with coefficients frozen at
+    the previous iterate, at most ``opts.picard_k_max`` times and until the
+    relative increment falls below ``opts.picard_tol``.  The returned
+    iterate records its ``picard_iters`` and ``contraction``.  At
+    ``k_max = 1`` this is the plain IMEX step and computes no increment."""
+    k_max, tol = opts.picard_k_max, opts.picard_tol
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    iterate = st
-    prev_inc = None
-    contraction = 0.0
+    iterate, prev_inc, contraction = st, 0.0, 0.0
     for m in range(1, k_max + 1):
-        new = _advance(grid, st, data, dt, opts, at_rest, frozen=iterate)
-        inc = _rel_increment(new, iterate)  # iterate starts at st
-        if prev_inc is not None and prev_inc > 0.0:
+        new = _advance(grid, st, iterate, data, dt, opts, at_rest)
+        # only a further iterate or a contraction ratio needs the increment
+        inc = (_rel_increment(new, iterate) if m < k_max or prev_inc > 0.0
+               else 0.0)                    # iterate starts at st
+        if prev_inc > 0.0:
             contraction = inc / prev_inc
         iterate = new
         if inc < tol:
-            return iterate, m, contraction
+            break
         prev_inc = inc
-    return iterate, k_max, contraction
+    iterate.picard_iters, iterate.contraction = m, contraction
+    return iterate
 
 
-def picard_step(state: SimState, data: GivenData, dt: float,
-                k_max: int = 4, tol: float = 1e-10,
-                options: RunOptions | None = None
-                ) -> tuple[SimState, int, float]:
-    """Iterate the step map with coefficients frozen at the previous iterate.
-
-    Returns (new state, iterations used, contraction estimate).  The
-    contraction estimate is the ratio of the last two increments (0 when
-    fewer than two were taken); values >= 1 are reported, not raised.
-    """
+def step(state: SimState, data: GivenData, dt: float,
+         options: RunOptions | None = None) -> SimState:
+    """Advance one step of size ``dt``: the Picard loop set by ``options``
+    (by default one IMEX step with coefficients frozen at ``state``).  The
+    new state records ``picard_iters`` and ``contraction``."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _picard(data.grid, state, data, dt, options or RunOptions(), k_max,
-                   tol, _stays_at_rest(data, state.u))
+    return _picard(data.grid, state, data, dt, options or RunOptions(),
+                   _stays_at_rest(data, state.u))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +486,7 @@ def run(data: GivenData, T: float, dt: float,
 
     for k in range(1, n_steps + 1):
         try:
-            if opts.picard_enabled:
-                st, iters, contraction = _picard(
-                    grid, st, data, dt, opts, opts.picard_k_max,
-                    opts.picard_tol, at_rest)
-            else:
-                st = _advance(grid, st, data, dt, opts, at_rest)
-                iters, contraction = 1, 0.0
+            st = _picard(grid, st, data, dt, opts, at_rest)
         except BlowUpError as exc:
             exc.series = series
             raise
@@ -528,8 +512,8 @@ def run(data: GivenData, T: float, dt: float,
             float((np.minimum(st.nt + n_bar0, 0.0) ** 2).sum()) * vol,
             neg_energy_c=0.0 if min_c >= 0.0 else
             float((np.minimum(st.chi + c_shift, 0.0) ** 2).sum()) * vol,
-            picard_iters=iters,
-            contraction=contraction,
+            picard_iters=st.picard_iters,
+            contraction=st.contraction,
         )
         if k % opts.snapshot_stride == 0 or k == n_steps:
             trajectory.append(st)

@@ -21,29 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
-                   _axis_operators, check_same_grid, face_divergence,
-                   face_normal_values, integrate, require_finite)
-
-
-def _lap_zero_flux(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """FV Laplacian with homogeneous Neumann (zero-flux) boundary faces.
-
-    An axis of at most ``PRODUCT_MAX_CELLS`` cells applies its second
-    difference as one product with the cached 1-D operator."""
-    ny, nx = grid.shape
-    hx, hy = grid.hx, grid.hy
-    ox, oy = _axis_operators(nx), _axis_operators(ny)
-    if ox is not None:
-        lap_x = (vals @ ox.second) / (hx * hx)
-    else:
-        gx = np.zeros((ny, nx + 1))
-        gx[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / hx
-        lap_x = (gx[:, 1:] - gx[:, :-1]) / hx
-    if oy is not None:
-        return lap_x + (oy.second.T @ vals) / (hy * hy)
-    gy = np.zeros((ny + 1, nx))
-    gy[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / hy
-    return lap_x + (gy[1:, :] - gy[:-1, :]) / hy
+                   _boundary_source, _lap_zero_flux, check_same_grid,
+                   face_divergence, face_normal_values, integrate,
+                   require_finite)
 
 
 def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
@@ -214,16 +194,6 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
 
 # ---------------------------------------------------------------------------
 # heat steps (array-level cores plus field-level wrappers)
-
-def _boundary_source(grid: Grid, b: BoundaryData) -> np.ndarray:
-    """Cell source from prescribed boundary fluxes: b * face_len / volume."""
-    src = np.zeros(grid.shape)
-    src[:, 0] += b.left / grid.hx
-    src[:, -1] += b.right / grid.hx
-    src[0, :] += b.bottom / grid.hy
-    src[-1, :] += b.top / grid.hy
-    return src
-
 
 def _heat_explicit_part(grid: Grid, u: np.ndarray, forcing: np.ndarray,
                         dt: float, theta: float) -> np.ndarray:

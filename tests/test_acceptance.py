@@ -337,8 +337,7 @@ def test_criterion_11_lipschitz_continuity():
 def test_criterion_12_picard_contraction():
     data = wave_data(GRID32, n_base=2.0, c_base=2.0, amp=0.01,
                      S=SensitivitySpec.identity())
-    opts = RunOptions(picard_enabled=True, picard_k_max=3, picard_tol=1e-14,
-                      snapshot_stride=50)
+    opts = RunOptions(picard_k_max=3, picard_tol=1e-14, snapshot_stride=50)
     _, series = run(data, T=0.05, dt=1e-3, options=opts)
     contr = series.column("contraction")
     assert contr.max() < 1.0

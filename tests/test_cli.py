@@ -130,6 +130,14 @@ def test_retired_solver_tolerance_fails_closed(tmp_path, capsys):
     assert "cg_tol" in capsys.readouterr().err
 
 
+def test_retired_picard_switch_fails_closed(tmp_path, capsys):
+    # k_max = 1 is the plain step; there is no separate on/off switch
+    path = write_cfg(tmp_path, "[picard]\nenabled = true\n")
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "[picard] enabled" in err and f"{path}:2:" in err
+
+
 def test_unknown_section_fails_closed(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, "[wormhole]\nx = 1\n"))
@@ -200,12 +208,12 @@ def test_eigen_line(tmp_path, capsys):
     assert main(["eigen", "--config", path]) == 0
     line = capsys.readouterr().out.strip()
     parts = line.split(",")
-    assert len(parts) == 5
+    assert len(parts) == 4
     lam_n, lam_d, h = float(parts[0]), float(parts[1]), float(parts[2])
     assert abs(lam_n - np.pi ** 2) <= 0.2       # coarse grid
     assert abs(lam_d - 2 * np.pi ** 2) <= 0.4
     assert h == 1.0 / 16.0
-    assert int(parts[3]) == 0 and float(parts[4]) <= 1e-12
+    assert float(parts[3]) <= 1e-12
 
 
 def test_run_constant_passes_and_writes(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 
 from ksns import DomainSpec, build_grid
 from ksns.eigen import lambda_dirichlet, lambda_neumann
-from ksns.linstep import _lap_dirichlet, _lap_zero_flux
+from ksns.grid import _lap_zero_flux
+from ksns.linstep import _lap_dirichlet
 
 
 def discrete_neumann_eigenvalue(h, L=1.0):

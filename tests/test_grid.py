@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksns import grid as grid_mod
@@ -10,10 +10,9 @@ from ksns import (BoundaryData, DomainSpec, GridMismatchError, ScalarField,
                   VectorField, build_grid, discrete_norm, divergence,
                   gradient, integrate, laplacian_with_flux,
                   read_field_snapshot, write_field_snapshot)
-from ksns.grid import (OUTWARD_NORMALS, SIDES, ddx, ddy, face_gradient,
-                       face_gradient_and_central, face_normal_values,
-                       face_values)
-from ksns.linstep import _lap_zero_flux
+from ksns.grid import (OUTWARD_NORMALS, SIDES, _lap_zero_flux, ddx, ddy,
+                       face_gradient, face_gradient_and_central,
+                       face_normal_values, face_values)
 
 
 def random_smooth_field(grid, rng, amp=1.0):
@@ -205,6 +204,29 @@ def test_laplacian_gauss_random_pairs(unit16, rng):
         bsum = b.boundary_sum(unit16)
         scale = max(1.0, abs(bsum))
         assert abs(integrate(lap) - bsum) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(Lx=st.floats(0.1, 10.0), Ly=st.floats(0.1, 10.0),
+       nx=st.integers(4, 120), ny=st.integers(4, 120),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(Lx=1.0, Ly=1.0, nx=grid_mod.PRODUCT_MAX_CELLS,
+         ny=grid_mod.PRODUCT_MAX_CELLS + 1, seed=0)
+def test_laplacian_gauss_identity_any_grid(Lx, Ly, nx, ny, seed):
+    # the identity on any aspect ratio and size, with the second difference
+    # as a product on axes of at most PRODUCT_MAX_CELLS cells and as a
+    # stencil above; the gap is scaled as in acceptance criterion 02
+    g = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    rng = np.random.default_rng(seed)
+    f = ScalarField(g, rng.standard_normal(g.shape))
+    b = BoundaryData(left=rng.standard_normal(ny),
+                     right=rng.standard_normal(ny),
+                     bottom=rng.standard_normal(nx),
+                     top=rng.standard_normal(nx))
+    bsum = b.boundary_sum(g)
+    scale = max(1.0, abs(bsum), b.max_abs() * 2 * (Lx + Ly))
+    gap = abs(integrate(laplacian_with_flux(f, b)) - bsum) / scale
+    assert gap <= 1e-12
 
 
 def test_laplacian_missing_flux_entries(unit16):

@@ -14,8 +14,8 @@ from ksns.diagnostics import negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
-                             chemotactic_flux, chemotactic_flux_raw,
-                             picard_step, run, step, upwind_divergence)
+                             chemotactic_flux, chemotactic_flux_raw, run,
+                             step, upwind_divergence)
 from ksns.grid import BoundaryData
 from ksns.linstep import (boundary_source_residual, neumann_heat_core,
                           stokes_core)
@@ -431,20 +431,20 @@ def _count_stokes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("picard", [False, True])
+@pytest.mark.parametrize("k_max", [1, 3])
 def test_run_at_rest_skips_fluid_substep_with_identical_output(
-        unit16, monkeypatch, tmp_path, picard):
+        unit16, monkeypatch, tmp_path, k_max):
     # a zero forcing function turns the skip off without changing the
     # arithmetic, so both runs must write the same bytes
     data = wave_data(unit16, amp=0.1, S=SensitivitySpec.rotation(1.0, 0.5))
     zero = VectorField.zero(unit16)
     forced = replace(data, f=lambda t: zero)
-    opts = RunOptions(picard_enabled=picard, picard_k_max=3, picard_tol=0.0)
+    opts = RunOptions(picard_k_max=k_max, picard_tol=0.0)
     calls = _count_stokes(monkeypatch)
     traj, series = run(data, T=5e-3, dt=1e-3, options=opts)
     assert not calls
     traj_f, series_f = run(forced, T=5e-3, dt=1e-3, options=opts)
-    assert len(calls) == (15 if picard else 5)
+    assert len(calls) == 5 * k_max
     series.to_csv(tmp_path / "skip.csv")
     series_f.to_csv(tmp_path / "solve.csv")
     assert (tmp_path / "skip.csv").read_bytes() == \
@@ -541,61 +541,86 @@ def test_step_rejects_bad_dt(unit16):
 # ---------------------------------------------------------------------------
 # picard iteration
 
-def test_picard_kmax_one_equals_step(unit32, rng):
+def test_step_kmax_one_is_the_plain_imex_step(unit32, rng):
     data = rich_data(unit32, rng)
     st = data.initial_state()
-    plain = step(st, data, dt=1e-3)
-    picard, iters, contraction = picard_step(st, data, dt=1e-3, k_max=1)
-    assert iters == 1 and contraction == 0.0
-    np.testing.assert_array_equal(plain.n.values, picard.n.values)
-    np.testing.assert_array_equal(plain.c.values, picard.c.values)
-    np.testing.assert_array_equal(plain.u.ux, picard.u.ux)
+    plain = integrator._advance(unit32, st, st, data, 1e-3, RunOptions(),
+                                integrator._stays_at_rest(data, st.u))
+    for opts in (None, RunOptions(picard_k_max=1, picard_tol=0.0)):
+        out = step(st, data, dt=1e-3, options=opts)
+        assert out.picard_iters == 1 and out.contraction == 0.0
+        np.testing.assert_array_equal(plain.n.values, out.n.values)
+        np.testing.assert_array_equal(plain.c.values, out.c.values)
+        np.testing.assert_array_equal(plain.u.ux, out.u.ux)
 
 
 def test_picard_constant_state_converges_immediately(unit16):
     data = wave_data(unit16, amp=0.0)
-    _, iters, contraction = picard_step(data.initial_state(), data, dt=1e-3,
-                                        k_max=5, tol=1e-12)
-    assert iters == 1
-    assert contraction == 0.0
+    out = step(data.initial_state(), data, dt=1e-3,
+               options=RunOptions(picard_k_max=5, picard_tol=1e-12))
+    assert out.picard_iters == 1
+    assert out.contraction == 0.0
 
 
 def test_picard_contracts_at_small_data(unit32):
     data = wave_data(unit32, amp=0.01)
-    _, iters, contraction = picard_step(data.initial_state(), data, dt=1e-3,
-                                        k_max=4, tol=1e-14)
-    assert 0.0 < contraction < 1.0
+    out = step(data.initial_state(), data, dt=1e-3,
+               options=RunOptions(picard_k_max=4, picard_tol=1e-14))
+    assert 0.0 < out.contraction < 1.0
 
 
+@pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("kind", ["rich", "constant"])
-def test_run_picard_matches_chained_picard_steps(unit32, rng, kind):
-    # rich data takes all 3 iterations; a constant state stops after one
+def test_run_matches_chained_steps_bitwise(unit32, rng, kind, k_max):
+    # rich data takes every iteration; a constant state stops after one.
+    # dt = 2^-10 makes the chained t + dt equal the run's k * dt, so the
+    # forcing is evaluated at the same times
     data = rich_data(unit32, rng) if kind == "rich" else wave_data(unit32, amp=0.0)
-    opts = RunOptions(picard_enabled=True, picard_k_max=3, picard_tol=1e-14)
-    traj, series = run(data, T=5e-3, dt=1e-3, options=opts)
+    dt = 2.0 ** -10
+    opts = RunOptions(picard_k_max=k_max, picard_tol=1e-14)
+    traj, series = run(data, T=5 * dt, dt=dt, options=opts)
     st = data.initial_state()
     iters, contractions = [], []
     for _ in range(5):
-        st, m, q = picard_step(st, data, 1e-3, k_max=3, tol=1e-14)
-        iters.append(m)
-        contractions.append(q)
+        st = step(st, data, dt, options=opts)
+        iters.append(st.picard_iters)
+        contractions.append(st.contraction)
     assert list(series.column("picard_iters")) == iters
-    np.testing.assert_allclose(series.column("contraction"), contractions,
-                               rtol=1e-6)
-    # the chained steps add dt to t, so the forcing time differs in rounding
+    assert list(series.column("contraction")) == contractions
+    if kind == "rich":
+        assert iters == [k_max] * 5
+        assert all(q > 0.0 for q in contractions) == (k_max > 1)
     end = traj[-1]
+    assert st.t == end.t and st.gamma == end.gamma
     for a, b in ((end.n.values, st.n.values), (end.c.values, st.c.values),
                  (end.u.ux, st.u.ux), (end.u.uy, st.u.uy)):
-        assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1.0)
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_increment_computed_only_when_needed(unit16, rng, monkeypatch, k_max):
+    # at k_max = 1 a step is the plain IMEX step and measures no increment;
+    # with tol = 0, three iterates measure three (the last for the ratio)
+    calls = []
+    plain = integrator._rel_increment
+
+    def counted(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(integrator, "_rel_increment", counted)
+    run(rich_data(unit16, rng), T=5e-3, dt=1e-3,
+        options=RunOptions(picard_k_max=k_max, picard_tol=0.0))
+    assert len(calls) == (0 if k_max == 1 else 15)
 
 
 def test_picard_requires_kmax(unit16):
     data = wave_data(unit16)
     with pytest.raises(ValueError):
-        picard_step(data.initial_state(), data, dt=1e-3, k_max=0)
+        step(data.initial_state(), data, dt=1e-3,
+             options=RunOptions(picard_k_max=0))
     with pytest.raises(ValueError, match="k_max"):
-        run(data, T=2e-3, dt=1e-3,
-            options=RunOptions(picard_enabled=True, picard_k_max=0))
+        run(data, T=2e-3, dt=1e-3, options=RunOptions(picard_k_max=0))
 
 
 # ---------------------------------------------------------------------------

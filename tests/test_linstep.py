@@ -5,8 +5,8 @@ from ksns import (BoundaryData, ScalarField, VectorField, helmholtz_project,
                   integrate, step_neumann_heat, step_shifted_heat, step_stokes)
 from ksns.diagnostics import fit_decay_rate
 from ksns.eigen import lambda_dirichlet, lambda_neumann
-from ksns.grid import face_divergence, face_normal_values
-from ksns.linstep import _lap_zero_flux, neumann_heat_core, stokes_core
+from ksns.grid import _lap_zero_flux, face_divergence, face_normal_values
+from ksns.linstep import neumann_heat_core, stokes_core
 from cg_oracle import SolverError, neg_lap_diag as _neg_lap_diag, solve_cg
 from test_grid import random_smooth_field
 

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from cg_oracle import neg_lap_diag, pressure_project_faces, solve_cg
 from ksns import DomainSpec, VectorField, build_grid, helmholtz_project
 from ksns import linstep
-from ksns.grid import face_divergence, face_normal_values
+from ksns.grid import _lap_zero_flux, face_divergence, face_normal_values
 from ksns.linstep import (_eigenbasis, _Folded, _lap_dirichlet,
-                          _lap_zero_flux, _project_core, _solve_plan,
-                          solve_spectral)
+                          _project_core, _solve_plan, solve_spectral)
 
 cases = st.fixed_dictionaries({
     "nx": st.integers(4, 40), "ny": st.integers(4, 40),
