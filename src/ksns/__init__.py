@@ -5,17 +5,13 @@ __version__ = "0.1.0"
 
 from .grid import (BoundaryData, DomainSpec, Grid, GridMismatchError,
                    ScalarField, VectorField, build_grid, discrete_norm,
-                   divergence, gradient, integrate, laplacian_with_flux,
-                   read_field_snapshot, write_field_snapshot)
-from .linstep import (helmholtz_project, step_neumann_heat, step_shifted_heat,
-                      step_stokes)
+                   integrate, read_field_snapshot, write_field_snapshot)
 from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
 
 __all__ = [
     "BoundaryData", "DomainSpec", "Grid", "GridMismatchError", "ScalarField",
-    "VectorField", "build_grid", "discrete_norm", "divergence", "gradient",
-    "integrate", "laplacian_with_flux", "read_field_snapshot",
-    "write_field_snapshot", "helmholtz_project", "step_neumann_heat",
-    "step_shifted_heat", "step_stokes", "EigenResult", "lambda_dirichlet", "lambda_neumann",
+    "VectorField", "build_grid", "discrete_norm", "integrate",
+    "read_field_snapshot", "write_field_snapshot", "EigenResult",
+    "lambda_dirichlet", "lambda_neumann",
     "__version__",
 ]

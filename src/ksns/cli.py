@@ -32,7 +32,7 @@ from .grid import (DomainSpec, Grid, ScalarField, VectorField, build_grid,
                    integrate, write_field_snapshot)
 from .integrator import (BlowUpError, GivenData, RunOptions, SensitivitySpec,
                          run, step_count)
-from .linstep import helmholtz_project
+from .linstep import helmholtz_project_core
 
 
 class ConfigError(Exception):
@@ -233,7 +233,7 @@ def _vortex(grid: Grid, amplitude: float) -> VectorField:
         * np.sin(np.pi * y / Ly) * np.cos(np.pi * y / Ly),
         lambda x, y: -amplitude * 2 * np.pi * np.sin(np.pi * x / Lx)
         * np.cos(np.pi * x / Lx) * np.sin(np.pi * y / Ly) ** 2)
-    return helmholtz_project(u)
+    return helmholtz_project_core(u)
 
 
 def given_data_from_config(cfg: RunConfig, grid: Grid,
@@ -583,3 +583,7 @@ def main(argv=None) -> int:
 
 def cli_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli_entry()

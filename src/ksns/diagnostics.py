@@ -1,6 +1,6 @@
 """Quantitative verdicts on runs: mass identities, decay-rate fits,
 smallness and weighted solution norms (discrete Sobolev proxies),
-non-negativity monitors, and boundary/compatibility residuals.
+non-negativity monitors, and the initial flux-balance residual.
 
 The smoothness-graded norms here are integer-order difference-quotient
 proxies for the interpolation-space norms the analysis works with; they
@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundaryData, ScalarField, VectorField, discrete_norm
+from .grid import (BoundaryData, ScalarField, VectorField, discrete_norm,
+                   face_gradient)
 from .integrator import (GivenData, SensitivitySpec, SimState,
-                         boundary_normal_derivative_raw, chemotactic_flux_raw)
+                         chemotactic_flux_raw)
 
 SERIES_COLUMNS = (
     "t", "mass_n", "mass_c", "sup_n_dev", "sup_c_dev", "sup_u",
@@ -286,30 +287,7 @@ def negative_part_energy(f: ScalarField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# boundary and compatibility residuals
-
-def _boundary_gap(a, b) -> float:
-    return max(float(np.abs(getattr(a, s) - getattr(b, s)).max())
-               for s in ("left", "right", "bottom", "top"))
-
-
-def boundary_residual(state: SimState, data: GivenData) -> float:
-    """Max over boundary faces of |diffusive flux - chemotactic flux|.
-
-    A stepped state carries the residual its density solve measured: the
-    boundary source recovered from the solved field against the
-    chemotactic flux.  For hand-built states the detector falls back to the
-    one-sided normal derivative of the density against a freshly evaluated
-    chemotactic flux.
-    """
-    if state.bc_residual is not None:
-        return state.bc_residual
-    n = state.n
-    diff = boundary_normal_derivative_raw(n.grid, n.values)
-    faces = chemotactic_flux_raw(n.grid, n.values, state.c.values, data.S,
-                                 state.t)
-    return _boundary_gap(diff, BoundaryData.from_faces(*faces))
-
+# compatibility residual
 
 def compatibility_check(n0: ScalarField, c0: ScalarField,
                         S: SensitivitySpec) -> float:
@@ -319,9 +297,10 @@ def compatibility_check(n0: ScalarField, c0: ScalarField,
     range; the scheme runs either way, so this is a detector, not a gate.
     """
     g = n0.grid
-    diff = boundary_normal_derivative_raw(g, n0.values)
-    faces = chemotactic_flux_raw(g, n0.values, c0.values, S, 0.0)
-    return _boundary_gap(diff, BoundaryData.from_faces(*faces))
+    fx, fy = chemotactic_flux_raw(g, n0.values, c0.values, S, 0.0)
+    gap = BoundaryData.from_faces(face_gradient(n0.values, g.hx, 1) - fx,
+                                  face_gradient(n0.values, g.hy, 0) - fy)
+    return gap.max_abs()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ along x, matching the snapshot file layout (one row per y line, increasing
 y downward in the file).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -214,17 +214,6 @@ class BoundaryData:
     def zeros(cls, grid: Grid) -> "BoundaryData":
         return cls(np.zeros(grid.ny), np.zeros(grid.ny),
                    np.zeros(grid.nx), np.zeros(grid.nx))
-
-    @classmethod
-    def full(cls, grid: Grid, value: float) -> "BoundaryData":
-        v = float(value)
-        return cls(np.full(grid.ny, v), np.full(grid.ny, v),
-                   np.full(grid.nx, v), np.full(grid.nx, v))
-
-    def check_shape(self, grid: Grid) -> None:
-        if (self.left.shape != (grid.ny,) or self.right.shape != (grid.ny,)
-                or self.bottom.shape != (grid.nx,) or self.top.shape != (grid.nx,)):
-            raise ValueError("boundary data shapes do not match grid face counts")
 
     @classmethod
     def from_faces(cls, fx: np.ndarray, fy: np.ndarray) -> "BoundaryData":
@@ -473,32 +462,6 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum()) * f.grid.cell_volume
 
 
-def mean(f: ScalarField) -> float:
-    return integrate(f) / f.grid.volume
-
-
-def gradient(f: ScalarField) -> VectorField:
-    """Cell-centered gradient (central interior, one-sided at boundary)."""
-    require_finite(f.values, "field")
-    g = f.grid
-    return VectorField(g, ddx(f.values, g.hx), ddy(f.values, g.hy))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    """Divergence of a vector field.
-
-    Uses exact finite-volume telescoping of the face-normal values when the
-    field carries them; otherwise central/one-sided differences of the
-    cell-centered components.
-    """
-    g = v.grid
-    if v.fx is not None and v.fy is not None:
-        return ScalarField(g, face_divergence(g, v.fx, v.fy))
-    require_finite(v.ux, "ux")
-    require_finite(v.uy, "uy")
-    return ScalarField(g, ddx(v.ux, g.hx) + ddy(v.uy, g.hy))
-
-
 def laplacian_flux_raw(grid: Grid, vals: np.ndarray, b: BoundaryData) -> np.ndarray:
     """Finite-volume Laplacian with prescribed boundary normal derivative.
 
@@ -509,20 +472,6 @@ def laplacian_flux_raw(grid: Grid, vals: np.ndarray, b: BoundaryData) -> np.ndar
     rounding: the integral equals the boundary flux sum.
     """
     return _lap_zero_flux(grid, vals) + _boundary_source(grid, b)
-
-
-def laplacian_with_flux(f: ScalarField, boundary_flux) -> ScalarField:
-    """FV Laplacian of ``f`` with boundary flux data (BoundaryData or scalar)."""
-    g = f.grid
-    require_finite(f.values, "field")
-    if isinstance(boundary_flux, (int, float)):
-        b = BoundaryData.full(g, float(boundary_flux))
-    elif isinstance(boundary_flux, BoundaryData):
-        b = boundary_flux
-        b.check_shape(g)
-    else:
-        raise ValueError("boundary_flux must be BoundaryData or a scalar")
-    return ScalarField(g, laplacian_flux_raw(g, f.values, b))
 
 
 _NORM_ORDERS = {"Lr": 0, "W1r": 1, "W2r": 2, "W3r": 3}

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
-                   check_same_grid, ddx, ddy, face_divergence, face_gradient,
+                   check_same_grid, face_divergence, face_gradient,
                    face_gradient_and_central, face_values, face_normal_values,
                    integrate, require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
@@ -177,7 +177,8 @@ class GivenData:
         require_finite(self.c0.values, "c0")
         scale_c = 1.0 + float(np.abs(self.c0.values).max())
         tol_c = 50.0 * max(g.hx, g.hy) ** 2 * scale_c
-        bnd = boundary_normal_derivative_raw(g, self.c0.values)
+        bnd = BoundaryData.from_faces(face_gradient(self.c0.values, g.hx, 1),
+                                      face_gradient(self.c0.values, g.hy, 0))
         if bnd.max_abs() > tol_c:
             raise ValueError(
                 f"c0 violates the zero-flux condition: max |grad(c0).nu| = "
@@ -202,16 +203,6 @@ class GivenData:
 
 # ---------------------------------------------------------------------------
 # chemotactic flux
-
-def boundary_normal_derivative_raw(grid: Grid, vals: np.ndarray) -> BoundaryData:
-    """One-sided second-order outward normal derivative at boundary faces."""
-    hx, hy = grid.hx, grid.hy
-    left = (2.0 * vals[:, 0] - 3.0 * vals[:, 1] + vals[:, 2]) / hx
-    right = (2.0 * vals[:, -1] - 3.0 * vals[:, -2] + vals[:, -3]) / hx
-    bottom = (2.0 * vals[0, :] - 3.0 * vals[1, :] + vals[2, :]) / hy
-    top = (2.0 * vals[-1, :] - 3.0 * vals[-2, :] + vals[-3, :]) / hy
-    return BoundaryData(left=left, right=right, bottom=bottom, top=top)
-
 
 def _nonzero(s) -> bool:
     """Whether a sensitivity entry (a float or an array) is anywhere nonzero."""
@@ -246,25 +237,6 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
     if dcx is not None:
         gy += s21 * face_values(dcx, 0)
     return face_values(n_vals, 1) * gx, face_values(n_vals, 0) * gy
-
-
-def chemotactic_flux(n: ScalarField, c: ScalarField, S: SensitivitySpec,
-                     t: float = 0.0) -> VectorField:
-    """Cell-centered chemotactic flux n * (S grad c) with face-normal values.
-
-    The boundary face values (one-sided signal gradient, face-interpolated
-    density) are exactly the fluxes the density equation imposes as its
-    boundary condition, so the flux balance there holds identically.
-    """
-    check_same_grid(n, c)
-    require_finite(n.values, "n")
-    require_finite(c.values, "c")
-    g = n.grid
-    fx, fy = chemotactic_flux_raw(g, n.values, c.values, S, t)
-    dcx, dcy = ddx(c.values, g.hx), ddy(c.values, g.hy)
-    s11, s12, s21, s22 = S.evaluate(t, g.xc[None, :], g.yc[:, None])
-    return VectorField(g, n.values * (s11 * dcx + s12 * dcy),
-                       n.values * (s21 * dcx + s22 * dcy), fx, fy)
 
 
 def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,

@@ -11,6 +11,7 @@ the solve divides by), keyed on the grid, the coefficients and the boundary
 condition: built by its first solve and reused by every later one.  An axis
 of at least ``FOLD_MIN_CELLS`` cells or nodes holds its basis as two
 half-size parity blocks, which halve the arithmetic of its products.
+Each operator is one function on raw arrays, the one the integrator calls.
 The heat steps support the theta time scheme (theta = 1 implicit Euler,
 theta = 1/2 Crank-Nicolson); the Stokes step is implicit Euler only.
 """
@@ -20,10 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (BoundaryData, Grid, ScalarField, VectorField,
-                   _boundary_source, _lap_zero_flux, check_same_grid,
-                   face_divergence, face_normal_values, integrate,
-                   require_finite)
+from .grid import (BoundaryData, Grid, VectorField, _boundary_source,
+                   _lap_zero_flux, face_divergence, face_normal_values)
 
 
 def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
@@ -193,7 +192,7 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
 
 
 # ---------------------------------------------------------------------------
-# heat steps (array-level cores plus field-level wrappers)
+# heat steps
 
 def _heat_explicit_part(grid: Grid, u: np.ndarray, forcing: np.ndarray,
                         dt: float, theta: float) -> np.ndarray:
@@ -215,11 +214,14 @@ def _imposed_source_gap(grid: Grid, x: np.ndarray, explicit: np.ndarray,
 def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
                       forcing: np.ndarray, dt: float, theta: float = 1.0,
                       residual: bool = False):
-    """One theta step of du/dt = lap(u) + forcing with boundary flux b.
+    """One theta step of du/dt = lap(u) + forcing, grad(u).nu = b on the walls.
 
     Solves (I - theta*dt*L0) u' = u + (1-theta)*dt*L0 u
                                   + dt*(forcing + boundary source).
-    The prescribed flux enters once (weight 1) as boundary source data.
+    The prescribed flux enters once (weight 1) as boundary source data, so
+    the integral of u changes by dt*(integral of forcing + b.boundary_sum)
+    to rounding.  The density step passes a face flux F in divergence form:
+    forcing -face_divergence(F) + f and b = BoundaryData.from_faces(F).
     With ``residual`` returns (u', boundary_source_residual of u'), the
     residual built from this solve's own explicit part and source.
     """
@@ -247,30 +249,6 @@ def boundary_source_residual(grid: Grid, u: np.ndarray, x: np.ndarray,
         _boundary_source(grid, b), dt, theta)
 
 
-def step_neumann_heat(U: ScalarField, F_B: VectorField, F_E: ScalarField,
-                      dt: float, theta: float = 1.0) -> ScalarField:
-    """Implicit heat step with divergence-form forcing and inhomogeneous flux.
-
-    Advances ``U`` by one theta step of
-        du/dt = lap(u) - div(F_B) + F_E,   grad(u).nu = F_B.nu on the boundary,
-    where div(F_B) and the boundary flux come from the same face-normal
-    representation of F_B, so the cell mean of U is preserved exactly
-    (discrete Gauss identity) whenever integrate(F_E) = 0.
-    """
-    g = U.grid
-    check_same_grid(U, F_B, F_E)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    require_finite(U.values, "U")
-    fe_norm = float(np.sqrt((F_E.values ** 2).sum() * g.cell_volume))
-    if abs(integrate(F_E)) > 1e-8 * max(fe_norm, 1e-300):
-        raise ValueError("F_E violates the mean-zero precondition")
-    fx, fy = face_normal_values(F_B)
-    b = BoundaryData.from_faces(fx, fy)
-    forcing = -face_divergence(g, fx, fy) + F_E.values
-    return ScalarField(g, neumann_heat_core(g, U.values, b, forcing, dt, theta))
-
-
 def shifted_heat_core(grid: Grid, c: np.ndarray, rhs_src: np.ndarray,
                       dt: float, theta: float = 1.0) -> np.ndarray:
     """One theta step of dc/dt = lap(c) - c + rhs_src with zero flux."""
@@ -279,17 +257,6 @@ def shifted_heat_core(grid: Grid, c: np.ndarray, rhs_src: np.ndarray,
     if theta < 1.0:
         rhs = rhs + (1.0 - theta) * dt * (_lap_zero_flux(grid, c) - c)
     return solve_spectral(grid, rhs, 1.0 + td, td, "neumann0")
-
-
-def step_shifted_heat(c: ScalarField, rhs: ScalarField, dt: float,
-                      theta: float = 1.0) -> ScalarField:
-    """Theta step of the shifted Neumann heat operator (1 - lap)."""
-    check_same_grid(c, rhs)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    require_finite(c.values, "c")
-    out = shifted_heat_core(c.grid, c.values, rhs.values, dt, theta)
-    return ScalarField(c.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +279,14 @@ def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray
 
 def helmholtz_project_core(v: VectorField, boundary: str = "extrapolate"
                            ) -> VectorField:
+    """Project onto discretely divergence-free fields with zero normal trace.
+
+    Returns v - grad(p) with lap(p) = div(v), grad(p).nu = v.nu, p not
+    formed: the new face values are the discrete curl of a nodal stream
+    function vanishing on the walls (``_project_core``), the cell values
+    subtract the average of the removed face parts.  Face values ``v`` does
+    not carry come from ``face_normal_values(v, boundary)``.
+    """
     g = v.grid
     fx, fy = face_normal_values(v, boundary=boundary)
     fx_new, fy_new = _project_core(g, fx, fy)
@@ -322,41 +297,11 @@ def helmholtz_project_core(v: VectorField, boundary: str = "extrapolate"
                        v.uy - 0.5 * (gpy[1:, :] + gpy[:-1, :]), fx_new, fy_new)
 
 
-def helmholtz_project(v: VectorField) -> VectorField:
-    """Project onto discretely divergence-free fields with zero normal trace.
-
-    Returns v - grad(p) where p solves the pressure Poisson problem
-    lap(p) = div(v), grad(p).nu = v.nu.  p itself is not formed: the
-    face-normal values of the result are the discrete curl of a nodal
-    stream function that vanishes on the walls (one exact solve), so their
-    finite-volume divergence vanishes to rounding and their boundary values
-    vanish exactly.  The cell values subtract the average of the removed
-    face gradient.
-    """
-    require_finite(v.ux, "ux")
-    require_finite(v.uy, "uy")
-    return helmholtz_project_core(v)
-
-
 def stokes_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
                 force_x: np.ndarray, force_y: np.ndarray, dt: float
                 ) -> VectorField:
-    """Chorin split Stokes step on raw arrays."""
+    """Implicit Euler Stokes step: the no-slip viscous solve
+    (I - dt*lap) u* = u + dt*force, then the Helmholtz projection."""
     sx = solve_spectral(grid, ux + dt * force_x, 1.0, dt, "dirichlet0")
     sy = solve_spectral(grid, uy + dt * force_y, 1.0, dt, "dirichlet0")
     return helmholtz_project_core(VectorField(grid, sx, sy), boundary="zero")
-
-
-def step_stokes(u: VectorField, force: VectorField, dt: float) -> VectorField:
-    """Implicit Euler Stokes step: no-slip viscous solve, then projection.
-
-    (I - dt*lap) u* = u + dt*force with u* = 0 on the boundary, followed by
-    the Helmholtz projection.  The result is discretely divergence-free to
-    rounding and has zero normal boundary flux.
-    """
-    check_same_grid(u, force)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    require_finite(u.ux, "ux")
-    require_finite(u.uy, "uy")
-    return stokes_core(u.grid, u.ux, u.uy, force.ux, force.uy, dt)

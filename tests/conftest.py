@@ -1,3 +1,15 @@
+import os
+import sys
+
+# One BLAS thread: on a shared host a BLAS-bound test otherwise swings
+# tenfold with the threads OpenBLAS starts.  OpenBLAS reads these once,
+# when numpy loads it, so they are set before the import below.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+NUMPY_LOADED_FIRST = "numpy" in sys.modules
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -191,6 +193,25 @@ def test_version_subcommand(capsys):
     assert main(["version"]) == 0
     from ksns import __version__
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # ``python -m ksns.cli`` runs main and exits with its code
+    import ksns
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(ksns.__file__)))
+
+    def module_cli(*args):
+        return subprocess.run([sys.executable, "-m", "ksns.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=60)
+
+    version = module_cli("version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == ksns.__version__
+    missing = module_cli("run", "--config", str(tmp_path / "absent.cfg"))
+    assert missing.returncode == 2
+    assert "not found" in missing.stderr
 
 
 def test_unknown_subcommand_exits_2(capsys):

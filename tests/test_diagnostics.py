@@ -7,13 +7,13 @@ import pytest
 from ksns import ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns.diagnostics import (SERIES_COLUMNS, DiagnosticsConfig,
-                              DiagnosticsSeries, _vector_wkr, boundary_residual,
+                              DiagnosticsSeries, _vector_wkr,
                               compatibility_check,
                               fit_decay_rate, lipschitz_experiment,
                               mass_identity_residuals, negative_part_energy,
                               smallness_functional, weighted_solution_norm)
 from ksns.integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
-                             run, step)
+                             run)
 from test_integrator import wave_data
 
 
@@ -394,37 +394,15 @@ def test_negativity_fields(unit16):
 
 
 # ---------------------------------------------------------------------------
-# boundary and compatibility residuals
-
-def test_boundary_residual_stepped_state(unit32):
-    data = wave_data(unit32, amp=0.01, S=SensitivitySpec.rotation(1.0, 0.5))
-    out = step(data.initial_state(), data, dt=1e-3)
-    assert boundary_residual(out, data) <= 1e-12
-
+# compatibility residual
 
 def test_boundary_residual_consistent_hand_built(unit32):
     # n constant, grad(c).nu = 0: both fluxes vanish to O(h^2)
-    data = wave_data(unit32, n_base=1.0, c_base=0.0, amp=0.0)
     st = SimState.from_fields(
         0.0, ScalarField.constant(unit32, 1.0),
         ScalarField.from_function(unit32, lambda x, y: np.cos(np.pi * x)),
         VectorField.zero(unit32), 1.0)
-    assert boundary_residual(st, data) <= 5e-3
-
-
-def test_boundary_residual_detects_violation(unit64):
-    # zero diffusive flux against a rotated tangential gradient: residual pi
-    data = GivenData(n0=ScalarField.constant(unit64, 1.0),
-                     c0=ScalarField.constant(unit64, 0.0),
-                     u0=VectorField.zero(unit64),
-                     phi_grad=VectorField.zero(unit64),
-                     S=SensitivitySpec.rotation(0.0, 1.0))
-    st = SimState.from_fields(
-        0.0, ScalarField.constant(unit64, 1.0),
-        ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x)),
-        VectorField.zero(unit64), 1.0)
-    res = boundary_residual(st, data)
-    assert abs(res - np.pi) <= 0.05
+    assert compatibility_check(st.n, st.c, SensitivitySpec.identity()) <= 5e-3
 
 
 def test_compatibility_check_cases(unit64):

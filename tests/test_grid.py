@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from ksns import grid as grid_mod
 from ksns import (BoundaryData, DomainSpec, GridMismatchError, ScalarField,
-                  VectorField, build_grid, discrete_norm, divergence,
-                  gradient, integrate, laplacian_with_flux,
+                  VectorField, build_grid, discrete_norm, integrate,
                   read_field_snapshot, write_field_snapshot)
 from ksns.grid import (OUTWARD_NORMALS, SIDES, _lap_zero_flux, ddx, ddy,
-                       face_gradient, face_gradient_and_central,
-                       face_normal_values, face_values)
+                       face_divergence, face_gradient,
+                       face_gradient_and_central, face_normal_values,
+                       face_values, laplacian_flux_raw)
 
 
 def random_smooth_field(grid, rng, amp=1.0):
@@ -120,64 +120,62 @@ def test_norm_rejects_small_r(unit16):
 
 
 # ---------------------------------------------------------------------------
-# gradient / divergence
+# cell differences / face divergence
 
 def test_gradient_constant_is_zero(unit16):
-    gf = gradient(ScalarField.constant(unit16, 3.0))
-    assert np.abs(gf.ux).max() == 0.0
-    assert np.abs(gf.uy).max() == 0.0
+    vals = np.full(unit16.shape, 3.0)
+    assert np.abs(ddx(vals, unit16.hx)).max() == 0.0
+    assert np.abs(ddy(vals, unit16.hy)).max() == 0.0
 
 
 def test_gradient_linear_exact(unit32):
-    gf = gradient(ScalarField.from_function(unit32, lambda x, y: x))
-    assert np.abs(gf.ux - 1.0).max() <= 1e-12
-    assert np.abs(gf.uy).max() <= 1e-12
+    vals = ScalarField.from_function(unit32, lambda x, y: x).values
+    assert np.abs(ddx(vals, unit32.hx) - 1.0).max() <= 1e-12
+    assert np.abs(ddy(vals, unit32.hy)).max() <= 1e-12
 
 
 def test_divergence_constant_field(unit16):
     ny, nx = unit16.shape
-    v = VectorField(unit16, np.ones((ny, nx)), np.zeros((ny, nx)))
-    d = divergence(v)
-    assert np.abs(d.values).max() <= 1e-12
-    # with face values supplied the telescoping path is used
-    v2 = VectorField(unit16, np.ones((ny, nx)), np.zeros((ny, nx)),
-                     np.ones((ny, nx + 1)), np.zeros((ny + 1, nx)))
-    d2 = divergence(v2)
-    assert np.abs(d2.values).max() == 0.0
+    d = face_divergence(unit16, np.ones((ny, nx + 1)), np.zeros((ny + 1, nx)))
+    assert np.abs(d).max() == 0.0
 
 
 def test_face_divergence_telescopes_to_boundary_sum(unit16, rng):
     ny, nx = unit16.shape
-    v = VectorField(unit16, np.zeros((ny, nx)), np.zeros((ny, nx)),
-                    rng.standard_normal((ny, nx + 1)),
-                    rng.standard_normal((ny + 1, nx)))
-    total = integrate(divergence(v))
-    bsum = (v.fx[:, -1].sum() - v.fx[:, 0].sum()) * unit16.hy \
-        + (v.fy[-1, :].sum() - v.fy[0, :].sum()) * unit16.hx
+    fx = rng.standard_normal((ny, nx + 1))
+    fy = rng.standard_normal((ny + 1, nx))
+    total = integrate(ScalarField(unit16, face_divergence(unit16, fx, fy)))
+    bsum = (fx[:, -1].sum() - fx[:, 0].sum()) * unit16.hy \
+        + (fy[-1, :].sum() - fy[0, :].sum()) * unit16.hx
     assert abs(total - bsum) <= 1e-12 * max(1.0, abs(bsum))
 
 
 # ---------------------------------------------------------------------------
 # laplacian with flux
 
+def lap_integral(grid, vals, b):
+    return integrate(ScalarField(grid, laplacian_flux_raw(grid, vals, b)))
+
+
 def test_laplacian_gauss_zero_flux(unit32, rng):
     f = random_smooth_field(unit32, rng)
-    lap = laplacian_with_flux(f, 0.0)
-    assert abs(integrate(lap)) <= 1e-12
+    assert abs(lap_integral(unit32, f.values, BoundaryData.zeros(unit32))) \
+        <= 1e-12
 
 
 def test_laplacian_gauss_unit_flux():
-    g = build_grid(DomainSpec(1.0, 1.0, 16, 16))
-    lap = laplacian_with_flux(ScalarField.constant(g, 0.0), 1.0)
-    assert integrate(lap) == pytest.approx(4.0, abs=1e-12)  # |boundary| = 4
-    g2 = build_grid(DomainSpec(2.0, 1.0, 32, 16))
-    lap2 = laplacian_with_flux(ScalarField.constant(g2, 0.0), 1.0)
-    assert integrate(lap2) == pytest.approx(6.0, abs=1e-12)
+    for g, perimeter in ((build_grid(DomainSpec(1.0, 1.0, 16, 16)), 4.0),
+                         (build_grid(DomainSpec(2.0, 1.0, 32, 16)), 6.0)):
+        ones = BoundaryData(np.ones(g.ny), np.ones(g.ny),
+                            np.ones(g.nx), np.ones(g.nx))
+        assert lap_integral(g, np.zeros(g.shape), ones) == \
+            pytest.approx(perimeter, abs=1e-12)
 
 
 def test_laplacian_constant_annihilation(unit32):
-    lap = laplacian_with_flux(ScalarField.constant(unit32, 7.5), 0.0)
-    assert np.abs(lap.values).max() == 0.0
+    lap = laplacian_flux_raw(unit32, np.full(unit32.shape, 7.5),
+                             BoundaryData.zeros(unit32))
+    assert np.abs(lap).max() == 0.0
 
 
 def test_laplacian_cosine_second_order(unit32, unit64):
@@ -185,8 +183,8 @@ def test_laplacian_cosine_second_order(unit32, unit64):
     errs = {}
     for g in (unit32, unit64):
         f = ScalarField.from_function(g, lambda x, y: np.cos(np.pi * x))
-        lap = laplacian_with_flux(f, 0.0)
-        errs[g.nx] = np.abs(lap.values + np.pi ** 2 * f.values).max()
+        lap = laplacian_flux_raw(g, f.values, BoundaryData.zeros(g))
+        errs[g.nx] = np.abs(lap + np.pi ** 2 * f.values).max()
     assert errs[64] <= 2.5e-3              # measured 1.98e-3 at h = 1/64
     order = np.log2(errs[32] / errs[64])
     assert order >= 1.9
@@ -200,10 +198,9 @@ def test_laplacian_gauss_random_pairs(unit16, rng):
                          right=rng.standard_normal(unit16.ny),
                          bottom=rng.standard_normal(unit16.nx),
                          top=rng.standard_normal(unit16.nx))
-        lap = laplacian_with_flux(f, b)
         bsum = b.boundary_sum(unit16)
         scale = max(1.0, abs(bsum))
-        assert abs(integrate(lap) - bsum) <= 1e-12 * scale
+        assert abs(lap_integral(unit16, f.values, b) - bsum) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,15 +222,8 @@ def test_laplacian_gauss_identity_any_grid(Lx, Ly, nx, ny, seed):
                      top=rng.standard_normal(nx))
     bsum = b.boundary_sum(g)
     scale = max(1.0, abs(bsum), b.max_abs() * 2 * (Lx + Ly))
-    gap = abs(integrate(laplacian_with_flux(f, b)) - bsum) / scale
+    gap = abs(lap_integral(g, f.values, b) - bsum) / scale
     assert gap <= 1e-12
-
-
-def test_laplacian_missing_flux_entries(unit16):
-    bad = BoundaryData(left=np.zeros(3), right=np.zeros(unit16.ny),
-                       bottom=np.zeros(unit16.nx), top=np.zeros(unit16.nx))
-    with pytest.raises(ValueError):
-        laplacian_with_flux(ScalarField.constant(unit16, 0.0), bad)
 
 
 # ---------------------------------------------------------------------------
