@@ -58,7 +58,7 @@ _SCHEMA = {
                     "lambda1": (float, 0.5), "lambda2": (float, 0.25),
                     "fit_window_frac": (float, 1.0 / 3.0),
                     "lipschitz_ceiling": (float, 10.0)},
-    "eigen": {"tol": (float, 1e-8)},
+    "eigen": {"tol": (float, 1e-8)},   # range-checked, read by nothing
     "output": {"dir": (str, ""), "snapshot_stride": (int, 10)},
 }
 
@@ -277,13 +277,12 @@ def given_data_from_config(cfg: RunConfig, grid: Grid,
 
 
 def diagnostics_from_config(cfg: RunConfig) -> DiagnosticsConfig:
-    try:
-        return DiagnosticsConfig(r=cfg.get("diagnostics", "r"),
-                                 q=cfg.get("diagnostics", "q"),
-                                 lambda1=cfg.get("diagnostics", "lambda1"),
-                                 lambda2=cfg.get("diagnostics", "lambda2"))
-    except ValueError as exc:
-        raise ConfigError(f"[diagnostics] {exc}") from None
+    """The weighted-norm exponents and rates; ``_validate`` has checked
+    them against ``DiagnosticsConfig``'s conditions when the file loaded."""
+    return DiagnosticsConfig(r=cfg.get("diagnostics", "r"),
+                             q=cfg.get("diagnostics", "q"),
+                             lambda1=cfg.get("diagnostics", "lambda1"),
+                             lambda2=cfg.get("diagnostics", "lambda2"))
 
 
 def options_from_config(cfg: RunConfig, stride: int | None = None) -> RunOptions:
@@ -398,9 +397,8 @@ def _startup_diagnostics(cfg, grid, data, need_eigen: bool):
     diag = diagnostics_from_config(cfg)
     lamN = lamD = None
     if need_eigen:
-        tol = cfg.get("eigen", "tol")
-        lamN = lambda_neumann(grid, tol)
-        lamD = lambda_dirichlet(grid, tol)
+        lamN = lambda_neumann(grid)
+        lamD = lambda_dirichlet(grid)
         try:
             diag.validate_rates(lamN.lam, lamD.lam)
         except ValueError as exc:
@@ -421,9 +419,8 @@ def _startup_diagnostics(cfg, grid, data, need_eigen: bool):
 
 def _cmd_eigen(cfg) -> int:
     grid = grid_from_config(cfg)
-    tol = cfg.get("eigen", "tol")
-    rN = lambda_neumann(grid, tol)
-    rD = lambda_dirichlet(grid, tol)
+    rN = lambda_neumann(grid)
+    rD = lambda_dirichlet(grid)
     print(f"{rN.lam:.12g},{rD.lam:.12g},{grid.hx:.12g},"
           f"{max(rN.residual, rD.residual):.6g}")
     return 0
@@ -502,10 +499,12 @@ def _judge_lipschitz(sc, trajectory, series) -> bool:
         print(f"INFO delta {delta:g}: ratio {res.ratio:.6g} "
               f"data gap {res.data_gap:.6g}")
     ceiling = cfg.get("diagnostics", "lipschitz_ceiling")
+    # the ratio is differentiable in the amplitude, so the two ratios
+    # differ by O(delta): gated at 10 times the larger delta
     gap = abs(ratios[0] - ratios[1]) / max(ratios[1], 1e-300)
     return _report([
-        _verdict("lipschitz-ratio-stability", gap <= 0.2,
-                 f"relative gap {gap:.3%} tol 20%"),
+        _verdict("lipschitz-ratio-stability", gap <= 1e-2,
+                 f"relative gap {gap:.3e} tol 1.0e-02"),
         _verdict("lipschitz-ratio-ceiling", max(ratios) <= ceiling,
                  f"max ratio {max(ratios):.4g} ceiling {ceiling:g}")])
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .grid import (BoundaryData, ScalarField, VectorField, discrete_norm,
                    face_gradient)
-from .integrator import (GivenData, SensitivitySpec, SimState,
-                         chemotactic_flux_raw)
+from .integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
+                         chemotactic_flux_raw, run)
 
 SERIES_COLUMNS = (
     "t", "mass_n", "mass_c", "sup_n_dev", "sup_c_dev", "sup_u",
@@ -180,12 +180,12 @@ def _vector_wkr(v: VectorField, kind: str, r: float) -> float:
 
 
 def smallness_functional(data: GivenData, cfg: DiagnosticsConfig,
-                         T_quad: float, dt_quad: float | None = None) -> float:
+                         T_quad: float) -> float:
     """Scalar size of the given data.
 
     Sums the order-2 proxy norm of n0, the order-3 proxy norm of c0, the
     order-2 proxy norm of u0, and the weighted time-L^q quadrature of the
-    forcing (left-endpoint Riemann sum on [0, T_quad]).
+    forcing (left-endpoint Riemann sum of 256 steps on [0, T_quad]).
     """
     r, q = cfg.r, cfg.q
     total = discrete_norm(data.n0, "W2r", r)
@@ -194,8 +194,8 @@ def smallness_functional(data: GivenData, cfg: DiagnosticsConfig,
     if data.f is not None:
         if T_quad <= 0.0:
             raise ValueError("T_quad must be positive when forcing is present")
-        h = dt_quad if dt_quad is not None else T_quad / 256.0
-        n_steps = max(1, round(T_quad / h))
+        n_steps = 256
+        h = T_quad / n_steps
         acc = 0.0
         for k in range(n_steps):
             t = k * h
@@ -225,11 +225,10 @@ def weighted_solution_norm(traj, cfg: DiagnosticsConfig) -> float:
     proxy of the shifted density and the order-3 proxy of the shifted
     signal, e^{lambda2 t} times the order-2 proxy of the velocity, plus
     backward-difference-in-time terms for the first-order-in-time parts.
-    A lone snapshot contributes with unit time weight and no derivative
-    terms.
 
-    ``traj`` is any iterable of states, read once in time order; only the
-    current and the previous state's shifted parts are held.
+    ``traj`` is any iterable of at least two states, read once in time
+    order; only the current and the previous state's shifted parts are
+    held.
     """
     r, q = cfg.r, cfg.q
     states = iter(traj)
@@ -237,31 +236,21 @@ def weighted_solution_norm(traj, cfg: DiagnosticsConfig) -> float:
     if first is None:
         raise ValueError("empty trajectory")
     g = first.u.grid
-
-    def field_terms(parts, t):
-        nt, ct, u = parts
-        w1 = math.exp(cfg.lambda1 * t)
-        w2 = math.exp(cfg.lambda2 * t)
-        return (w1 * discrete_norm(nt, "W2r", r),
-                w1 * discrete_norm(ct, "W3r", r),
-                w2 * _vector_wkr(u, "W2r", r))
-
     prev, t_prev = _shifted_parts(first), first.t
     acc = [0.0, 0.0, 0.0]   # field parts: n, c, u
     accd = [0.0, 0.0, 0.0]  # time-derivative parts
-    lone = True
     for s in states:
-        lone = False
         cur = _shifted_parts(s)
         dt_k = s.t - t_prev
         if dt_k <= 0.0:
             raise ValueError("trajectory times must be strictly increasing")
-        a, b, c = field_terms(prev, t_prev)
-        acc[0] += a ** q * dt_k
-        acc[1] += b ** q * dt_k
-        acc[2] += c ** q * dt_k
         nt0, ct0, u0 = prev
         nt1, ct1, u1 = cur
+        w1 = math.exp(cfg.lambda1 * t_prev)
+        w2 = math.exp(cfg.lambda2 * t_prev)
+        acc[0] += (w1 * discrete_norm(nt0, "W2r", r)) ** q * dt_k
+        acc[1] += (w1 * discrete_norm(ct0, "W3r", r)) ** q * dt_k
+        acc[2] += (w2 * _vector_wkr(u0, "W2r", r)) ** q * dt_k
         w1 = math.exp(cfg.lambda1 * s.t)
         w2 = math.exp(cfg.lambda2 * s.t)
         dn = ScalarField(g, (nt1.values - nt0.values) / dt_k)
@@ -271,9 +260,8 @@ def weighted_solution_norm(traj, cfg: DiagnosticsConfig) -> float:
         accd[1] += (w1 * discrete_norm(dc, "W1r", r)) ** q * dt_k
         accd[2] += (w2 * _vector_wkr(du, "Lr", r)) ** q * dt_k
         prev, t_prev = cur, s.t
-    if lone:
-        a, b, c = field_terms(prev, t_prev)
-        return a + b + c
+    if t_prev == first.t:       # later states have later times: none came
+        raise ValueError("a trajectory needs at least two states")
     return sum(v ** (1.0 / q) for v in acc) + sum(v ** (1.0 / q) for v in accd)
 
 
@@ -332,32 +320,26 @@ def _difference_data(a: GivenData, b: GivenData) -> GivenData:
 
 def lipschitz_experiment(base: GivenData, perturbed: GivenData,
                          cfg: DiagnosticsConfig, T: float, dt: float,
-                         options=None, base_trajectory=None) -> LipschitzResult:
+                         options: RunOptions, base_trajectory: list[SimState]
+                         ) -> LipschitzResult:
     """Ratio of the weighted norm of the trajectory difference to the
     smallness functional of the data difference.
 
-    Runs both data sets with identical stepping, differences the
-    trajectories in shifted variables, and guards the 0/0 case (identical
-    data) by returning ratio 0 with the degenerate flag set.  A caller
-    comparing several perturbations of one base passes the base run's
-    trajectory (same T, dt and options) as ``base_trajectory``; a pair of
-    states sampled at different times raises ``ValueError``.  The
-    difference states are formed pair by pair as the weighted norm reads
-    them, so only the two trajectories are held.
+    Runs ``perturbed`` with the stepping (T, dt, ``options``) that gave
+    ``base_trajectory``, the run of ``base``, differences the trajectories
+    in shifted variables, and guards the 0/0 case (identical data) by
+    returning ratio 0 with the degenerate flag set.  A pair of states
+    sampled at different times raises ``ValueError``.  The difference
+    states are formed pair by pair as the weighted norm reads them, so
+    only the two trajectories are held.
     """
-    from .integrator import RunOptions, run
-
-    opts = options or RunOptions()
-    traj_a = base_trajectory
-    if traj_a is None:
-        traj_a, _ = run(base, T, dt, opts)
-    traj_b, _ = run(perturbed, T, dt, opts)
-    if len(traj_a) != len(traj_b):
+    traj_b, _ = run(perturbed, T, dt, options)
+    if len(base_trajectory) != len(traj_b):
         raise ValueError("trajectory lengths differ; use identical strides")
     g = base.grid
 
     def differences():
-        for k, (sa, sb) in enumerate(zip(traj_a, traj_b)):
+        for k, (sa, sb) in enumerate(zip(base_trajectory, traj_b)):
             if sa.t != sb.t:
                 raise ValueError(f"sample times differ at state {k}: "
                                  f"t = {sa.t!r} against {sb.t!r}; use "

@@ -33,20 +33,13 @@ def _result(grid: Grid, lam: float, psi: np.ndarray, apply_op) -> EigenResult:
                        residual=res)
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
-
-
-def lambda_neumann(grid: Grid, tol: float = 1e-8) -> EigenResult:
+def lambda_neumann(grid: Grid) -> EigenResult:
     """Smallest nonzero eigenvalue of the zero-flux Laplacian.
 
     The eigenfield is cos(pi x / Lx) or cos(pi y / Ly), whichever direction
-    has the smaller symbol (x on a tie); it is mean-zero.  ``tol`` is
-    validated for compatibility with the ``[eigen] tol`` setting; the
-    closed form leaves a residual at rounding level.
+    has the smaller symbol (x on a tie); it is mean-zero.  The closed form
+    leaves a residual at rounding level.
     """
-    _check_tol(tol)
     ny, nx = grid.shape
     Qx, lam_x = _eigenbasis(nx, grid.hx, "neumann0")
     Qy, lam_y = _eigenbasis(ny, grid.hy, "neumann0")
@@ -58,10 +51,9 @@ def lambda_neumann(grid: Grid, tol: float = 1e-8) -> EigenResult:
                    lambda v: -_lap_zero_flux(grid, v))
 
 
-def lambda_dirichlet(grid: Grid, tol: float = 1e-8) -> EigenResult:
+def lambda_dirichlet(grid: Grid) -> EigenResult:
     """Smallest eigenvalue of the Dirichlet Laplacian, sin(pi x / Lx) *
     sin(pi y / Ly) sampled at the cell centres."""
-    _check_tol(tol)
     ny, nx = grid.shape
     Qx, lam_x = _eigenbasis(nx, grid.hx, "dirichlet0")
     Qy, lam_y = _eigenbasis(ny, grid.hy, "dirichlet0")

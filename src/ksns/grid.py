@@ -17,15 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-SIDES = ("left", "right", "bottom", "top")
-OUTWARD_NORMALS = {
-    "left": (-1.0, 0.0),
-    "right": (1.0, 0.0),
-    "bottom": (0.0, -1.0),
-    "top": (0.0, 1.0),
-}
-
-
 class GridMismatchError(ValueError):
     """A field was combined with a grid it does not belong to."""
 
@@ -93,17 +84,13 @@ class Grid:
     def volume(self) -> float:
         return self.spec.Lx * self.spec.Ly
 
-    @property
-    def n_boundary_faces(self) -> int:
-        return 2 * (self.spec.nx + self.spec.ny)
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrids X, Y of cell center coordinates, shape (ny, nx)."""
         return np.meshgrid(self.xc, self.yc)
 
 
 def build_grid(spec: DomainSpec) -> Grid:
-    """Construct a Grid with consistent face and normal tables.
+    """Construct a Grid with its cell-centre and face coordinates.
 
     Raises ValueError for non-positive lengths or cell counts below 4.
     """
@@ -139,9 +126,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -229,10 +213,6 @@ class BoundaryData:
     def max_abs(self) -> float:
         return max(float(np.abs(s).max()) for s in
                    (self.left, self.right, self.bottom, self.top))
-
-    def copy(self) -> "BoundaryData":
-        return BoundaryData(self.left.copy(), self.right.copy(),
-                            self.bottom.copy(), self.top.copy())
 
 
 def check_same_grid(*fields) -> None:
@@ -478,15 +458,13 @@ _NORM_ORDERS = {"Lr": 0, "W1r": 1, "W2r": 2, "W3r": 3}
 
 
 def discrete_norm(f: ScalarField, kind: str = "Lr", r: float = 2.0) -> float:
-    """Discrete norms: ``Lr``, ``sup``, and Sobolev proxies ``W1r``..``W3r``.
+    """Discrete norms: ``Lr`` and the Sobolev proxies ``W1r``..``W3r``.
 
     The W-norms add L^r norms of all difference quotients up to the stated
     order, built from the same one-sided/central stencils as the operators.
     """
     require_finite(f.values, "field")
     g = f.grid
-    if kind == "sup":
-        return float(np.abs(f.values).max())
     if kind not in _NORM_ORDERS:
         raise ValueError(f"unknown norm kind {kind!r}")
     if r < 1.0:

@@ -303,17 +303,14 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
     rhs_c = w.nt
     if not at_rest:
         ufx, ufy = face_normal_values(w.u, boundary="zero")
-        adv_ux = adv_uy = 0.0
-        if ufx.any() or ufy.any():  # zero faces transport nothing
-            up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
-            adv_n, adv_c, adv_ux, adv_uy = (
-                upwind_divergence(grid, phi, ufx, ufy, up)
-                for phi in (w.nt, w.chi, w.u.ux, w.u.uy))
-            forcing_n = forcing_n - adv_n
-            rhs_c = rhs_c - adv_c
+        up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
+        adv_n, adv_c, adv_ux, adv_uy = (
+            upwind_divergence(grid, phi, ufx, ufy, up)
+            for phi in (w.nt, w.chi, w.u.ux, w.u.uy))
+        forcing_n = forcing_n - adv_n
+        rhs_c = rhs_c - adv_c
 
-    nt_new, bc_res = neumann_heat_core(grid, st.nt, bc, forcing_n, dt, theta,
-                                       residual=True)
+    nt_new, bc_res = neumann_heat_core(grid, st.nt, bc, forcing_n, dt, theta)
     chi_new = shifted_heat_core(grid, st.chi, rhs_c, dt, theta)
 
     if at_rest:

@@ -151,16 +151,16 @@ def _solve_plan(ny: int, nx: int, hy: float, hx: float, shift: float,
     """Read-only (basis y, basis x, denominator) of the operator
     shift*I - scale*lap_h with boundary condition ``bc``; a basis is an
     array Q or, on a long axis, its ``_Folded`` blocks, with the
-    denominator's modes in the same order.  The singular Neumann problem
-    (shift = 0) divides its constant mode, index 0 in either order, by
-    inf."""
+    denominator's modes in the same order.  The zero-flux operator without
+    a shift is singular (its constant mode has symbol 0) and raises
+    ValueError."""
     if bc not in ("neumann0", "dirichlet0", "nodal0"):
         raise ValueError(f"unknown bc {bc!r}")
+    if shift == 0.0 and bc == "neumann0":
+        raise ValueError("the zero-flux operator needs a nonzero shift")
     Qy, lam_y = _axis_basis(ny, hy, bc)
     Qx, lam_x = _axis_basis(nx, hx, bc)
     denom = shift + scale * (lam_y[:, None] + lam_x[None, :])
-    if shift == 0.0 and bc == "neumann0":
-        denom[0, 0] = np.inf
     denom.setflags(write=False)
     return Qy, Qx, denom
 
@@ -176,15 +176,12 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
     The solve is four matrix products with the cached 1-D eigenbases,
     x = Qy ((Qy^T b Qx) / symbol) Qx^T, where the bases and the symbol come
     from one cached plan per operator; a folded axis makes each of its two
-    products as two half-size ones.  For the singular Neumann problem
-    (shift = 0) the constant mode of the solution is set to zero, which
-    solves the problem restricted to mean-zero data.  A zero right-hand
-    side returns zeros without a product.
+    products as two half-size ones.  ``"neumann0"`` needs a nonzero
+    ``shift``: without one the operator is singular and the solve raises
+    ValueError.
     """
     ny, nx = grid.shape
     Qy, Qx, denom = _solve_plan(ny, nx, grid.hy, grid.hx, shift, scale, bc)
-    if not b.any():
-        return np.zeros(b.shape)
     if not isinstance(Qy, _Folded) and not isinstance(Qx, _Folded):
         return Qy @ ((Qy.T @ b @ Qx) / denom) @ Qx.T
     coef = _to_modes(_to_modes(b, Qy), Qx)
@@ -212,8 +209,8 @@ def _imposed_source_gap(grid: Grid, x: np.ndarray, explicit: np.ndarray,
 
 
 def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
-                      forcing: np.ndarray, dt: float, theta: float = 1.0,
-                      residual: bool = False):
+                      forcing: np.ndarray, dt: float, theta: float = 1.0
+                      ) -> tuple[np.ndarray, float]:
     """One theta step of du/dt = lap(u) + forcing, grad(u).nu = b on the walls.
 
     Solves (I - theta*dt*L0) u' = u + (1-theta)*dt*L0 u
@@ -222,14 +219,12 @@ def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
     the integral of u changes by dt*(integral of forcing + b.boundary_sum)
     to rounding.  The density step passes a face flux F in divergence form:
     forcing -face_divergence(F) + f and b = BoundaryData.from_faces(F).
-    With ``residual`` returns (u', boundary_source_residual of u'), the
-    residual built from this solve's own explicit part and source.
+    Returns (u', boundary_source_residual of u'), the residual built from
+    this solve's own explicit part and source.
     """
     explicit = _heat_explicit_part(grid, u, forcing, dt, theta)
     src = _boundary_source(grid, b)
     x = solve_spectral(grid, explicit + dt * src, 1.0, theta * dt, "neumann0")
-    if not residual:
-        return x
     return x, _imposed_source_gap(grid, x, explicit, src, dt, theta)
 
 

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from ksns import ScalarField, VectorField, linstep
 from ksns.cli import ConfigError, _nonneg_verdict, load_config, main
-from ksns.diagnostics import DiagnosticsSeries, SERIES_COLUMNS
+from ksns.diagnostics import (DiagnosticsSeries, LipschitzResult,
+                              SERIES_COLUMNS)
 from ksns.integrator import GivenData, SensitivitySpec
 
 
@@ -56,6 +59,17 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.get("domain", "nx") == 32
     assert cfg.get("time", "theta") == 1.0
     assert cfg.get("solver", "blowup_ceiling") == 1e6
+
+
+def test_benchmark_workload_configs_load():
+    # the benchmark runs these files; a config change that rejects one of
+    # them (a removed key, a tightened range) fails here first
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+    paths = sorted(workloads.glob("*.cfg"))
+    assert paths, f"no workload configs under {workloads}"
+    for path in paths:
+        cfg = load_config(str(path))
+        assert cfg.where, f"{path.name} sets no key"
 
 
 def test_missing_file_rejected():
@@ -467,9 +481,27 @@ def test_lipschitz_subcommand(tmp_path, capsys):
     assert main(["lipschitz", "--config", path,
                  "--out", str(tmp_path / "o")]) == 0
     stdout = capsys.readouterr().out
-    assert "PASS lipschitz-ratio-stability" in stdout
+    assert re.search(r"PASS lipschitz-ratio-stability: relative gap "
+                     r"\d\.\d{3}e-\d\d tol 1\.0e-02\n", stdout), stdout
     assert "PASS lipschitz-ratio-ceiling" in stdout
     assert stdout.count("INFO delta") == 2
+
+
+@pytest.mark.parametrize("ratio, verdict", [(1.0099, "PASS"),
+                                            (1.0101, "FAIL")])
+def test_lipschitz_stability_gate_is_one_percent(tmp_path, capsys,
+                                                 monkeypatch, ratio, verdict):
+    # the delta = 1e-3 ratio against a delta = 1e-4 ratio of 1
+    ratios = iter((ratio, 1.0))
+    monkeypatch.setattr("ksns.cli.lipschitz_experiment", lambda *a, **k:
+                        LipschitzResult(next(ratios), 1.0, 1.0, False))
+    path = write_cfg(tmp_path, TINY_RUN.replace("preset = constant",
+                                                "preset = small-wave"))
+    code = main(["lipschitz", "--config", path, "--out", str(tmp_path / "o")])
+    stdout = capsys.readouterr().out
+    assert code == (0 if verdict == "PASS" else 1)
+    assert (f"{verdict} lipschitz-ratio-stability: relative gap "
+            f"{ratio - 1.0:.3e} tol 1.0e-02") in stdout
 
 
 def test_flag_validation(capsys):

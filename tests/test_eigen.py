@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from ksns import DomainSpec, build_grid
 from ksns.eigen import lambda_dirichlet, lambda_neumann
@@ -14,7 +13,7 @@ def discrete_neumann_eigenvalue(h, L=1.0):
 
 
 def test_unit_square_neumann(unit32):
-    res = lambda_neumann(unit32, 1e-8)
+    res = lambda_neumann(unit32)
     assert abs(res.lam - np.pi ** 2) <= 0.05
     assert abs(res.lam - discrete_neumann_eigenvalue(unit32.hx)) <= 1e-6
     assert res.residual <= 1e-8
@@ -22,34 +21,34 @@ def test_unit_square_neumann(unit32):
 
 
 def test_unit_square_dirichlet(unit32):
-    res = lambda_dirichlet(unit32, 1e-8)
+    res = lambda_dirichlet(unit32)
     assert abs(res.lam - 2.0 * np.pi ** 2) <= 0.1
     assert res.residual <= 1e-8
 
 
 def test_rectangle_2x1(rect2x1):
-    rN = lambda_neumann(rect2x1, 1e-8)
+    rN = lambda_neumann(rect2x1)
     assert abs(rN.lam - np.pi ** 2 / 4.0) <= 0.02
-    rD = lambda_dirichlet(rect2x1, 1e-8)
+    rD = lambda_dirichlet(rect2x1)
     assert abs(rD.lam - np.pi ** 2 * 1.25) <= 0.1
 
 
 def test_dirichlet_exceeds_neumann(unit32, rect2x1):
     for g in (unit32, rect2x1):
-        assert lambda_dirichlet(g, 1e-7).lam > lambda_neumann(g, 1e-7).lam
+        assert lambda_dirichlet(g).lam > lambda_neumann(g).lam
 
 
 def test_dirichlet_domain_monotonicity(unit32, rect2x1):
     # the unit square is contained in the 2x1 rectangle
-    assert lambda_dirichlet(unit32, 1e-7).lam > lambda_dirichlet(rect2x1, 1e-7).lam
+    assert lambda_dirichlet(unit32).lam > lambda_dirichlet(rect2x1).lam
 
 
 def test_rayleigh_quotient_consistency(unit32):
-    res = lambda_neumann(unit32, 1e-8)
+    res = lambda_neumann(unit32)
     v = res.eigenfield.values
     rq = float((v * -_lap_zero_flux(unit32, v)).sum() / (v * v).sum())
     assert abs(rq - res.lam) <= 10.0 * max(res.residual, 1e-15)
-    resD = lambda_dirichlet(unit32, 1e-8)
+    resD = lambda_dirichlet(unit32)
     vD = resD.eigenfield.values
     rqD = float((vD * -_lap_dirichlet(unit32, vD)).sum() / (vD * vD).sum())
     assert abs(rqD - resD.lam) <= 10.0 * max(resD.residual, 1e-15)
@@ -59,14 +58,8 @@ def test_refinement_is_second_order():
     lams = {}
     for n in (8, 16, 32):
         g = build_grid(DomainSpec(1.0, 1.0, n, n))
-        lams[n] = lambda_neumann(g, 1e-9).lam
+        lams[n] = lambda_neumann(g).lam
     d_coarse = abs(lams[8] - lams[16])
     d_fine = abs(lams[16] - lams[32])
     assert d_coarse <= 4.0 * d_fine + 1e-6
 
-
-def test_tol_precondition(unit16):
-    with pytest.raises(ValueError):
-        lambda_neumann(unit16, 1e-2)
-    with pytest.raises(ValueError):
-        lambda_dirichlet(unit16, 0.0)

@@ -9,10 +9,9 @@ from ksns import grid as grid_mod
 from ksns import (BoundaryData, DomainSpec, GridMismatchError, ScalarField,
                   VectorField, build_grid, discrete_norm, integrate,
                   read_field_snapshot, write_field_snapshot)
-from ksns.grid import (OUTWARD_NORMALS, SIDES, _lap_zero_flux, ddx, ddy,
-                       face_divergence, face_gradient,
-                       face_gradient_and_central, face_normal_values,
-                       face_values, laplacian_flux_raw)
+from ksns.grid import (_lap_zero_flux, ddx, ddy, face_divergence,
+                       face_gradient, face_gradient_and_central,
+                       face_normal_values, face_values, laplacian_flux_raw)
 
 
 def random_smooth_field(grid, rng, amp=1.0):
@@ -33,14 +32,13 @@ def test_build_grid_unit_square():
     g = build_grid(DomainSpec(1.0, 1.0, 4, 4))
     assert g.hx == 0.25 and g.hy == 0.25
     assert g.shape == (4, 4)
-    assert g.n_boundary_faces == 16
     assert g.nx * g.ny == 16
 
 
 def test_build_grid_rectangle():
     g = build_grid(DomainSpec(2.0, 1.0, 8, 4))
     assert g.hx == 0.25 and g.hy == 0.25
-    assert g.n_boundary_faces == 24
+    assert g.shape == (4, 8)
 
 
 @pytest.mark.parametrize("spec", [
@@ -57,13 +55,6 @@ def test_build_grid_rejects_bad_spec(spec):
 def test_total_volume_exact(rect2x1):
     vol = rect2x1.cell_volume * rect2x1.nx * rect2x1.ny
     assert abs(vol - 2.0) <= 1e-12
-
-
-def test_outward_normals_axis_aligned():
-    for side in SIDES:
-        nx_, ny_ = OUTWARD_NORMALS[side]
-        assert abs(nx_ ** 2 + ny_ ** 2 - 1.0) == 0.0
-        assert (nx_ == 0.0) != (ny_ == 0.0)  # exactly one nonzero component
 
 
 def test_field_shape_mismatch_raises(unit16):
@@ -102,7 +93,8 @@ def test_norm_constant(unit32):
     assert discrete_norm(f, "Lr", 2.0) == pytest.approx(2.0, abs=1e-13)
     # the gradient term of a constant vanishes identically
     assert discrete_norm(f, "W1r", 2.0) == pytest.approx(2.0, abs=1e-13)
-    assert discrete_norm(f, "sup") == 2.0
+    with pytest.raises(ValueError, match="unknown norm kind"):
+        discrete_norm(f, "sup")
 
 
 def test_norm_cosine_l2(unit64):
