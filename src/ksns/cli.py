@@ -9,7 +9,8 @@ then judge the run.
 
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
-every value is validated against the module preconditions at load time.
+every value is checked at load time, by the library type it sets where it
+sets one (``_FIELDS``).
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
 error, 3 blow-up.
 """
@@ -18,7 +19,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,8 +30,7 @@ from .diagnostics import (FIT_MIN_SAMPLES, DiagnosticsConfig,
                           lipschitz_experiment, mass_identity_residuals,
                           negative_part_energy)
 from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
-from .grid import (DomainSpec, Grid, ScalarField, VectorField, build_grid,
-                   integrate, write_field_snapshot)
+from .grid import Grid, ScalarField, VectorField, integrate, write_field_snapshot
 from .integrator import (BlowUpError, GivenData, RunOptions, SensitivitySpec,
                          run, step_count)
 from .linstep import helmholtz_project_core
@@ -62,6 +63,21 @@ _SCHEMA = {
     "output": {"dir": (str, ""), "snapshot_stride": (int, 10)},
 }
 
+# library field -> the config key that sets it.  Grid, step_count,
+# RunOptions and DiagnosticsConfig check the ranges of these fields, and
+# each of their ValueError messages starts with the field's name.
+_FIELDS = {
+    "Lx": ("domain", "Lx"), "Ly": ("domain", "Ly"),
+    "nx": ("domain", "nx"), "ny": ("domain", "ny"),
+    "T": ("time", "T"), "dt": ("time", "dt"), "theta": ("time", "theta"),
+    "picard_k_max": ("picard", "k_max"), "picard_tol": ("picard", "tol"),
+    "snapshot_stride": ("output", "snapshot_stride"),
+    "blowup_ceiling": ("solver", "blowup_ceiling"),
+    "r": ("diagnostics", "r"), "q": ("diagnostics", "q"),
+    "lambda1": ("diagnostics", "lambda1"),
+    "lambda2": ("diagnostics", "lambda2"),
+}
+
 _CHOICES = {
     ("data", "preset"): ("constant", "small-wave"),
     ("data", "u_preset"): ("zero", "vortex"),
@@ -92,8 +108,27 @@ class RunConfig:
                 for (s, k) in sorted(self.values)]
 
 
+@contextmanager
+def _keyed(cfg: RunConfig):
+    """Re-raise a library range error as the config error naming the key
+    of the field its message starts with."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, msg = str(exc).partition(" ")
+        raise cfg.error(*_FIELDS[name], msg) from None
+
+
+def _build(cls, cfg: RunConfig):
+    """``cls`` built from the config keys of its fields."""
+    with _keyed(cfg):
+        return cls(**{f.name: cfg.get(*_FIELDS[f.name])
+                      for f in fields(cls) if f.init})
+
+
 def _validate(cfg: RunConfig) -> None:
-    """Check every value."""
+    """Check every value: the library types check their fields' keys, and
+    the rules below, which no library type holds, check the rest."""
     def fail(section, key, msg):
         raise cfg.error(section, key, msg)
 
@@ -101,54 +136,25 @@ def _validate(cfg: RunConfig) -> None:
     for (s, k), choices in _CHOICES.items():
         if v[(s, k)] not in choices:
             fail(s, k, f"must be one of {choices}, got {v[(s, k)]!r}")
-    if not (math.isfinite(v[("domain", "Lx")]) and v[("domain", "Lx")] > 0):
-        fail("domain", "Lx", "must be a positive length")
-    if not (math.isfinite(v[("domain", "Ly")]) and v[("domain", "Ly")] > 0):
-        fail("domain", "Ly", "must be a positive length")
-    for k in ("nx", "ny"):
-        if v[("domain", k)] < 4:
-            fail("domain", k, "must be at least 4")
-    if not 0 < v[("time", "dt")]:
-        fail("time", "dt", "must be positive")
-    if not 0 < v[("time", "T")]:
-        fail("time", "T", "must be positive")
-    if v[("time", "dt")] > v[("time", "T")]:
-        fail("time", "dt", "must not exceed T")
-    try:
+    grid_from_config(cfg)
+    with _keyed(cfg):
         step_count(v[("time", "T")], v[("time", "dt")])
-    except ValueError as exc:
-        fail("time", "T", str(exc))
-    if v[("time", "theta")] not in (1.0, 0.5):
-        fail("time", "theta", "must be 1 or 0.5")
-    if not v[("solver", "blowup_ceiling")] > 0:
-        fail("solver", "blowup_ceiling", "must be positive")
-    if v[("picard", "k_max")] < 1:
-        fail("picard", "k_max", "must be at least 1")
+    options_from_config(cfg)
+    diagnostics_from_config(cfg)
+    # RunOptions takes picard_tol = 0, which runs all k_max iterates of a
+    # step; a config file must give a stopping tolerance
     if not v[("picard", "tol")] > 0:
         fail("picard", "tol", "must be positive")
     if not math.isfinite(v[("data", "amplitude")]):
         fail("data", "amplitude", "must be finite")
-    r, q = v[("diagnostics", "r")], v[("diagnostics", "q")]
-    if not r > 2:
-        fail("diagnostics", "r", "must exceed 2 (the space dimension)")
-    if not q > 2:
-        fail("diagnostics", "q", "must exceed 2")
-    if abs(1.0 / r + 2.0 / q - 1.0) < 1e-12:
-        fail("diagnostics", "q", "1/r + 2/q = 1 is the excluded critical line")
-    lam1, lam2 = v[("diagnostics", "lambda1")], v[("diagnostics", "lambda2")]
-    if not 0 < lam1 <= 1:
-        fail("diagnostics", "lambda1", "must lie in (0, 1]")
-    if not 0 <= lam2 <= lam1:
-        fail("diagnostics", "lambda2", "must lie in [0, lambda1]")
     if not 0 < v[("diagnostics", "fit_window_frac")] < 1:
         fail("diagnostics", "fit_window_frac", "must lie in (0, 1)")
     if not v[("diagnostics", "lipschitz_ceiling")] > 0:
         fail("diagnostics", "lipschitz_ceiling", "must be positive")
     if not 0 < v[("eigen", "tol")] <= 1e-3:
         fail("eigen", "tol", "must lie in (0, 1e-3]")
-    if v[("output", "snapshot_stride")] < 1:
-        fail("output", "snapshot_stride", "must be at least 1")
-    if v[("forcing", "kind")] == "decaying" and v[("forcing", "rate")] <= lam2:
+    if (v[("forcing", "kind")] == "decaying"
+            and v[("forcing", "rate")] <= v[("diagnostics", "lambda2")]):
         fail("forcing", "rate", "must exceed diagnostics.lambda2 for an "
              "integrable weighted forcing")
 
@@ -209,10 +215,7 @@ def load_config(path: str | None) -> RunConfig:
 # scenario builders
 
 def grid_from_config(cfg: RunConfig) -> Grid:
-    return build_grid(DomainSpec(Lx=cfg.get("domain", "Lx"),
-                                 Ly=cfg.get("domain", "Ly"),
-                                 nx=cfg.get("domain", "nx"),
-                                 ny=cfg.get("domain", "ny")))
+    return _build(Grid, cfg)
 
 
 def sensitivity_from_config(cfg: RunConfig) -> SensitivitySpec:
@@ -226,7 +229,7 @@ def sensitivity_from_config(cfg: RunConfig) -> SensitivitySpec:
 
 
 def _vortex(grid: Grid, amplitude: float) -> VectorField:
-    Lx, Ly = grid.spec.Lx, grid.spec.Ly
+    Lx, Ly = grid.Lx, grid.Ly
     u = VectorField.from_functions(
         grid,
         lambda x, y: amplitude * 2 * np.pi * np.sin(np.pi * x / Lx) ** 2
@@ -242,7 +245,7 @@ def given_data_from_config(cfg: RunConfig, grid: Grid,
     n_base = cfg.get("data", "n_base")
     c_base = cfg.get("data", "c_base")
     amp = cfg.get("data", "amplitude") if amplitude is None else amplitude
-    Lx, Ly = grid.spec.Lx, grid.spec.Ly
+    Lx, Ly = grid.Lx, grid.Ly
     if preset == "constant":
         n0 = ScalarField.constant(grid, n_base)
         c0 = ScalarField.constant(grid, c_base)
@@ -277,21 +280,19 @@ def given_data_from_config(cfg: RunConfig, grid: Grid,
 
 
 def diagnostics_from_config(cfg: RunConfig) -> DiagnosticsConfig:
-    """The weighted-norm exponents and rates; ``_validate`` has checked
-    them against ``DiagnosticsConfig``'s conditions when the file loaded."""
-    return DiagnosticsConfig(r=cfg.get("diagnostics", "r"),
-                             q=cfg.get("diagnostics", "q"),
-                             lambda1=cfg.get("diagnostics", "lambda1"),
-                             lambda2=cfg.get("diagnostics", "lambda2"))
+    return _build(DiagnosticsConfig, cfg)
 
 
 def options_from_config(cfg: RunConfig, stride: int | None = None) -> RunOptions:
-    return RunOptions(
-        theta=cfg.get("time", "theta"),
-        picard_k_max=cfg.get("picard", "k_max"),
-        picard_tol=cfg.get("picard", "tol"),
-        snapshot_stride=stride or cfg.get("output", "snapshot_stride"),
-        blowup_ceiling=cfg.get("solver", "blowup_ceiling"))
+    """The run options; ``stride``, the ``--snapshot-stride`` flag, takes
+    the place of ``[output] snapshot_stride`` when given."""
+    opts = _build(RunOptions, cfg)
+    if stride is None:
+        return opts
+    try:
+        return replace(opts, snapshot_stride=stride)
+    except ValueError as exc:
+        raise ConfigError(f"--snapshot-stride: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +400,8 @@ def _startup_diagnostics(cfg, grid, data, need_eigen: bool):
     if need_eigen:
         lamN = lambda_neumann(grid)
         lamD = lambda_dirichlet(grid)
-        try:
+        with _keyed(cfg):
             diag.validate_rates(lamN.lam, lamD.lam)
-        except ValueError as exc:
-            raise ConfigError(f"[diagnostics] {exc}") from None
     r, q = diag.r, diag.q
     if 1.0 / r + 2.0 / q < 1.0:
         resid = compatibility_check(data.n0, data.c0, data.S)
@@ -517,7 +516,7 @@ _JUDGES = {"run": _judge_run, "decay": _judge_decay,
            "lipschitz": _judge_lipschitz, "nonneg": _judge_nonneg}
 
 
-def _simulate(cfg, args, need_eigen: bool) -> int:
+def _simulate(cfg, args, opts, need_eigen: bool) -> int:
     """Echo the config, build and run the scenario, and judge the run with
     the verdict of ``args.command``.  Exit code 0 when every verdict
     passes, 1 otherwise, 3 on a blow-up (``run`` then writes the
@@ -529,8 +528,7 @@ def _simulate(cfg, args, need_eigen: bool) -> int:
     grid = grid_from_config(cfg)
     data = given_data_from_config(cfg, grid)
     diag, lamN, lamD = _startup_diagnostics(cfg, grid, data, need_eigen)
-    sc = _Scenario(cfg, args, data, diag, lamN, lamD,
-                   options_from_config(cfg, stride=args.snapshot_stride))
+    sc = _Scenario(cfg, args, data, diag, lamN, lamD, opts)
     try:
         trajectory, series = run(data, cfg.get("time", "T"),
                                  cfg.get("time", "dt"), sc.opts)
@@ -563,18 +561,16 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(__version__)
         return 0
-    if args.snapshot_stride is not None and args.snapshot_stride < 1:
-        print("error: --snapshot-stride must be at least 1", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        opts = options_from_config(cfg, stride=args.snapshot_stride)
         if args.command == "eigen":
             return _cmd_eigen(cfg)
-        return _simulate(cfg, args, need_eigen=args.command == "decay")
+        return _simulate(cfg, args, opts, need_eigen=args.command == "decay")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

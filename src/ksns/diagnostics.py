@@ -30,8 +30,9 @@ class DiagnosticsConfig:
     """Exponents and decay rates used by the weighted norms.
 
     ``r`` and ``q`` must exceed 2 and stay off the critical line
-    1/r + 2/q = 1; the rate windows against the computed Poincare
-    constants are checked by ``validate_rates`` once a grid is known.
+    1/r + 2/q = 1, and 0 <= lambda2 <= lambda1 <= 1 with lambda1 > 0; the
+    rate windows against the computed Poincare constants are checked by
+    ``validate_rates`` once a grid is known.
     """
 
     r: float = 4.0
@@ -45,21 +46,22 @@ class DiagnosticsConfig:
         if not self.q > 2.0:
             raise ValueError(f"q must exceed 2, got {self.q}")
         if abs(1.0 / self.r + 2.0 / self.q - 1.0) < 1e-12:
-            raise ValueError("1/r + 2/q = 1 is the excluded critical line")
+            raise ValueError("q must keep 1/r + 2/q off 1, the excluded "
+                             "critical line")
         if not 0.0 < self.lambda1 <= 1.0:
             raise ValueError(f"lambda1 must lie in (0, 1], got {self.lambda1}")
         if not 0.0 <= self.lambda2 <= self.lambda1:
-            raise ValueError("lambda2 must lie in [0, lambda1]")
+            raise ValueError(f"lambda2 must lie in [0, lambda1], "
+                             f"got {self.lambda2}")
 
     def validate_rates(self, lambda_N: float, lambda_D: float) -> None:
         hi1 = min(1.0, lambda_N / self.q)
         if not self.lambda1 < hi1:
             raise ValueError(
-                f"lambda1 = {self.lambda1} is not below min(1, lambda_N/q) = {hi1:.6g}")
+                f"lambda1 must lie below min(1, lambda_N/q) = {hi1:.6g}")
         if not self.lambda2 < lambda_D / self.q:
             raise ValueError(
-                f"lambda2 = {self.lambda2} is not below lambda_D/q = "
-                f"{lambda_D / self.q:.6g}")
+                f"lambda2 must lie below lambda_D/q = {lambda_D / self.q:.6g}")
 
 
 class DiagnosticsSeries:

@@ -11,7 +11,7 @@ along x, matching the snapshot file layout (one row per y line, increasing
 y downward in the file).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,33 +21,14 @@ class GridMismatchError(ValueError):
     """A field was combined with a grid it does not belong to."""
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Axis-aligned rectangle (0, Lx) x (0, Ly) split into nx x ny cells."""
-
-    Lx: float
-    Ly: float
-    nx: int
-    ny: int
-
-    def validate(self) -> None:
-        for name in ("Lx", "Ly"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a finite positive length, got {v!r}")
-        for name in ("nx", "ny"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 4:
-                raise ValueError(f"{name} must be an integer >= 4, got {v!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Cell-centered discretization of a DomainSpec.
+    """Cell-centered discretization of the rectangle (0, Lx) x (0, Ly)
+    split into nx x ny cells.  Raises ValueError unless Lx and Ly are
+    finite positive lengths and nx and ny integers of at least 4.
 
     Attributes
     ----------
-    spec : DomainSpec
     hx, hy : float
         Cell sizes Lx/nx and Ly/ny.
     xc, yc : ndarray
@@ -56,25 +37,38 @@ class Grid:
         Cell face coordinates along x (nx+1,) and y (ny+1,).
     """
 
-    spec: DomainSpec
-    hx: float
-    hy: float
-    xc: np.ndarray
-    yc: np.ndarray
-    xf: np.ndarray
-    yf: np.ndarray
+    Lx: float
+    Ly: float
+    nx: int
+    ny: int
+    hx: float = field(init=False)
+    hy: float = field(init=False)
+    xc: np.ndarray = field(init=False)
+    yc: np.ndarray = field(init=False)
+    xf: np.ndarray = field(init=False)
+    yf: np.ndarray = field(init=False)
 
-    @property
-    def nx(self) -> int:
-        return self.spec.nx
-
-    @property
-    def ny(self) -> int:
-        return self.spec.ny
+    def __post_init__(self):
+        for name in ("Lx", "Ly"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be a finite positive length, got {v!r}")
+        for name in ("nx", "ny"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 4:
+                raise ValueError(f"{name} must be an integer >= 4, got {v!r}")
+        hx, hy = self.Lx / self.nx, self.Ly / self.ny
+        put = object.__setattr__            # the dataclass is frozen
+        put(self, "hx", hx)
+        put(self, "hy", hy)
+        put(self, "xc", (np.arange(self.nx) + 0.5) * hx)
+        put(self, "yc", (np.arange(self.ny) + 0.5) * hy)
+        put(self, "xf", np.arange(self.nx + 1) * hx)
+        put(self, "yf", np.arange(self.ny + 1) * hy)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.spec.ny, self.spec.nx)
+        return (self.ny, self.nx)
 
     @property
     def cell_volume(self) -> float:
@@ -82,26 +76,11 @@ class Grid:
 
     @property
     def volume(self) -> float:
-        return self.spec.Lx * self.spec.Ly
+        return self.Lx * self.Ly
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrids X, Y of cell center coordinates, shape (ny, nx)."""
         return np.meshgrid(self.xc, self.yc)
-
-
-def build_grid(spec: DomainSpec) -> Grid:
-    """Construct a Grid with its cell-centre and face coordinates.
-
-    Raises ValueError for non-positive lengths or cell counts below 4.
-    """
-    spec.validate()
-    hx = spec.Lx / spec.nx
-    hy = spec.Ly / spec.ny
-    xc = (np.arange(spec.nx) + 0.5) * hx
-    yc = (np.arange(spec.ny) + 0.5) * hy
-    xf = np.arange(spec.nx + 1) * hx
-    yf = np.arange(spec.ny + 1) * hy
-    return Grid(spec=spec, hx=hx, hy=hy, xc=xc, yc=yc, xf=xf, yf=yf)
 
 
 @dataclass
@@ -497,7 +476,7 @@ def write_field_snapshot(path, f: ScalarField, name: str, t: float) -> None:
         raise ValueError("snapshot name must not contain a comma")
     g = f.grid
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.nx},{g.ny},{g.spec.Lx:.17g},{g.spec.Ly:.17g},{name},{t:.17g}\n")
+        fh.write(f"{g.nx},{g.ny},{g.Lx:.17g},{g.Ly:.17g},{name},{t:.17g}\n")
         row = ",".join(["%.17g"] * g.nx) + "\n"
         fh.writelines(row % tuple(r) for r in f.values.tolist())
 
@@ -513,5 +492,5 @@ def read_field_snapshot(path) -> tuple[ScalarField, str, float]:
         vals = np.loadtxt(fh, delimiter=",", ndmin=2)
     if vals.shape != (ny, nx):
         raise ValueError(f"snapshot body shape {vals.shape} does not match header")
-    grid = build_grid(DomainSpec(Lx=Lx, Ly=Ly, nx=nx, ny=ny))
+    grid = Grid(Lx, Ly, nx, ny)
     return ScalarField(grid, vals), name, t

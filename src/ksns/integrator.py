@@ -260,13 +260,29 @@ def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
 # ---------------------------------------------------------------------------
 # the IMEX step
 
-@dataclass
+@dataclass(frozen=True)
 class RunOptions:
+    """The options of a step and a run.  Raises ValueError unless ``theta``
+    is 1 (implicit Euler) or 0.5 (Crank-Nicolson), ``picard_k_max`` and
+    ``snapshot_stride`` are at least 1 and ``blowup_ceiling`` is positive.
+    ``picard_tol`` is not checked: 0 takes all ``picard_k_max`` iterates."""
+
     theta: float = 1.0
     picard_k_max: int = 1
     picard_tol: float = 1e-10
     snapshot_stride: int = 1
     blowup_ceiling: float = 1e6
+
+    def __post_init__(self):
+        if self.theta not in (1.0, 0.5):
+            raise ValueError(f"theta must be 1 or 0.5, got {self.theta!r}")
+        for name in ("picard_k_max", "snapshot_stride"):
+            v = getattr(self, name)
+            if not v >= 1:
+                raise ValueError(f"{name} must be at least 1, got {v!r}")
+        if not self.blowup_ceiling > 0.0:
+            raise ValueError(f"blowup_ceiling must be positive, "
+                             f"got {self.blowup_ceiling!r}")
 
 
 def _gamma_update(gamma: float, dt: float, theta: float) -> float:
@@ -380,8 +396,6 @@ def _picard(grid: Grid, st: SimState, data: GivenData, dt: float,
     iterate records its ``picard_iters`` and ``contraction``.  At
     ``k_max = 1`` this is the plain IMEX step and computes no increment."""
     k_max, tol = opts.picard_k_max, opts.picard_tol
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     iterate, prev_inc, contraction = st, 0.0, 0.0
     for m in range(1, k_max + 1):
         new = _advance(grid, st, iterate, data, dt, opts, at_rest)
@@ -414,12 +428,20 @@ def step(state: SimState, data: GivenData, dt: float,
 
 def step_count(T: float, dt: float) -> int:
     """The number of steps of size ``dt`` that make up ``T``; raises
-    ValueError unless T/dt is a positive whole number to 1e-9 relative,
-    so a run never stops short of T or runs past it."""
+    ValueError unless T and dt are positive, dt does not exceed T and T/dt
+    is a finite whole number to 1e-9 relative, so a run never stops short
+    of T or runs past it."""
+    if not T > 0.0:
+        raise ValueError(f"T must be positive, got {T!r}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if dt > T:
+        raise ValueError("dt must not exceed T")
     ratio = T / dt
-    n = round(ratio)
+    n = round(ratio) if math.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 1e-9 * ratio:
-        raise ValueError(f"T/dt = {ratio!r} is not a whole number of steps")
+        raise ValueError(f"T must be a whole number of steps dt, "
+                         f"got T/dt = {ratio!r}")
     return n
 
 
@@ -435,13 +457,7 @@ def run(data: GivenData, T: float, dt: float,
     from .diagnostics import DiagnosticsSeries
 
     opts = options or RunOptions()
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if dt <= 0.0 or dt > T:
-        raise ValueError("dt must satisfy 0 < dt <= T")
     n_steps = step_count(T, dt)
-    if opts.theta not in (1.0, 0.5):
-        raise ValueError("theta must be 1 or 0.5")
     data.validate()
     grid = data.grid
 

@@ -13,28 +13,28 @@ for _var in BLAS_THREAD_VARS:
 import numpy as np
 import pytest
 
-from ksns import DomainSpec, build_grid
+from ksns import Grid
 
 
 @pytest.fixture(scope="session")
 def unit16():
-    return build_grid(DomainSpec(1.0, 1.0, 16, 16))
+    return Grid(1.0, 1.0, 16, 16)
 
 
 @pytest.fixture(scope="session")
 def unit32():
-    return build_grid(DomainSpec(1.0, 1.0, 32, 32))
+    return Grid(1.0, 1.0, 32, 32)
 
 
 @pytest.fixture(scope="session")
 def unit64():
-    return build_grid(DomainSpec(1.0, 1.0, 64, 64))
+    return Grid(1.0, 1.0, 64, 64)
 
 
 @pytest.fixture(scope="session")
 def rect2x1():
     # same cell size h = 1/32 in both directions
-    return build_grid(DomainSpec(2.0, 1.0, 64, 32))
+    return Grid(2.0, 1.0, 64, 32)
 
 
 @pytest.fixture()

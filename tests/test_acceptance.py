@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ksns import (BoundaryData, DomainSpec, ScalarField, VectorField,
-                  build_grid, integrate)
+from ksns import BoundaryData, Grid, ScalarField, VectorField, integrate
 from ksns.cli import main
 from ksns.diagnostics import (DiagnosticsConfig, compatibility_check,
                               fit_decay_rate,
@@ -26,8 +25,8 @@ from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
                           stokes_core)
 from test_integrator import wave_data
 
-GRID32 = build_grid(DomainSpec(1.0, 1.0, 32, 32))
-GRID64 = build_grid(DomainSpec(1.0, 1.0, 64, 64))
+GRID32 = Grid(1.0, 1.0, 32, 32)
+GRID64 = Grid(1.0, 1.0, 64, 64)
 Q = 4.0
 
 

@@ -1,10 +1,12 @@
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksns import ScalarField, VectorField, linstep
-from ksns.cli import ConfigError, _nonneg_verdict, load_config, main
-from ksns.diagnostics import (DiagnosticsSeries, LipschitzResult,
-                              SERIES_COLUMNS)
-from ksns.integrator import GivenData, SensitivitySpec
+from ksns import Grid, ScalarField, VectorField, linstep
+from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _nonneg_verdict,
+                      diagnostics_from_config, grid_from_config, load_config,
+                      main, options_from_config)
+from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
+                              LipschitzResult, SERIES_COLUMNS)
+from ksns.integrator import GivenData, RunOptions, SensitivitySpec, step_count
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -90,7 +94,7 @@ def test_range_error_on_default_key_has_no_line(tmp_path):
     assert str(err.value) == "[time] dt: must not exceed T"
 
 
-# an unknown section, an unknown key, or a value out of range: (line, name)
+# an unknown section or an unknown key: (text, name)
 _BAD_LINES = st.one_of(
     st.from_regex(r"[a-z]{3,8}", fullmatch=True)
     .filter(lambda w: w not in ("domain", "time", "solver", "picard", "data",
@@ -99,17 +103,7 @@ _BAD_LINES = st.one_of(
     .map(lambda w: (f"[{w}]", w)),
     st.from_regex(r"[a-z]{3,8}", fullmatch=True)
     .filter(lambda w: w not in ("dt", "theta"))
-    .map(lambda w: (f"[time]\n{w} = 1", w)),
-    st.sampled_from([
-        ("[time]\ndt = -1", "dt"), ("[time]\ntheta = 0.7", "theta"),
-        ("[domain]\nnx = 3", "nx"), ("[domain]\nLy = 0", "Ly"),
-        ("[picard]\nk_max = 0", "k_max"),
-        ("[solver]\nblowup_ceiling = -2", "blowup_ceiling"),
-        ("[diagnostics]\nlambda1 = 1.5", "lambda1"),
-        ("[diagnostics]\nr = 2", "r"), ("[eigen]\ntol = 0.5", "tol"),
-        ("[output]\nsnapshot_stride = 0", "snapshot_stride"),
-        ("[data]\npreset = spiral", "preset"),
-        ("[forcing]\nkind = decaying\nrate = 0.1", "rate")]))
+    .map(lambda w: (f"[time]\n{w} = 1", w)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,6 +125,128 @@ def test_config_errors_name_key_and_line(filler, bad):
             assert main(["run", "--config", path]) == 2
     msg = err.getvalue()
     assert name in msg and f"{path}:{lineno}:" in msg, msg
+
+
+# a value out of range, set on the file's last line: (text, key)
+@pytest.mark.parametrize("text, key", [
+    ("[time]\ndt = -1", "[time] dt"), ("[time]\nT = 0", "[time] T"),
+    ("[time]\nT = inf", "[time] T"), ("[time]\ntheta = 0.7", "[time] theta"),
+    ("[domain]\nnx = 3", "[domain] nx"), ("[domain]\nny = 2", "[domain] ny"),
+    ("[domain]\nLy = 0", "[domain] Ly"), ("[domain]\nLx = nan", "[domain] Lx"),
+    ("[picard]\nk_max = 0", "[picard] k_max"),
+    ("[picard]\ntol = 0", "[picard] tol"),
+    ("[solver]\nblowup_ceiling = -2", "[solver] blowup_ceiling"),
+    ("[diagnostics]\nlambda1 = 1.5", "[diagnostics] lambda1"),
+    ("[diagnostics]\nlambda2 = 0.9", "[diagnostics] lambda2"),
+    ("[diagnostics]\nr = 2", "[diagnostics] r"),
+    ("[diagnostics]\nq = 2", "[diagnostics] q"),
+    ("[diagnostics]\nr = 3\nq = 3", "[diagnostics] q"),    # critical line
+    ("[eigen]\ntol = 0.5", "[eigen] tol"),
+    ("[output]\nsnapshot_stride = 0", "[output] snapshot_stride"),
+    ("[data]\npreset = spiral", "[data] preset"),
+    ("[forcing]\nkind = decaying\nrate = 0.1", "[forcing] rate")])
+def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
+    path = write_cfg(tmp_path, "# a comment\n" + text + "\n")
+    lineno = text.count("\n") + 2
+    assert main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {path}:{lineno}: {key}: "), err
+
+
+# ---------------------------------------------------------------------------
+# one home per range: the library types check, the loader names the key
+
+_OWNERS = {f.name: cls for cls in (Grid, RunOptions, DiagnosticsConfig)
+           for f in fields(cls) if f.init}
+_DEFAULTS = {name: _SCHEMA[s][k][1] for name, (s, k) in _FIELDS.items()}
+
+
+def test_field_table_covers_the_library_fields():
+    assert set(_FIELDS) == set(_OWNERS) | {"T", "dt"}
+
+
+def test_builders_read_each_field_from_its_key(tmp_path):
+    # every key off its default and no two alike, so a swapped table entry
+    # builds a different object
+    cfg = load_config(write_cfg(tmp_path, """[domain]
+Lx = 2.0
+Ly = 0.5
+nx = 8
+ny = 6
+[time]
+theta = 0.5
+[solver]
+blowup_ceiling = 50.0
+[picard]
+k_max = 3
+tol = 1e-6
+[diagnostics]
+r = 3.0
+q = 5.0
+lambda1 = 0.4
+lambda2 = 0.3
+[output]
+snapshot_stride = 7
+"""))
+    grid = grid_from_config(cfg)
+    assert (grid.Lx, grid.Ly, grid.nx, grid.ny) == (2.0, 0.5, 8, 6)
+    assert options_from_config(cfg) == RunOptions(
+        theta=0.5, picard_k_max=3, picard_tol=1e-6, snapshot_stride=7,
+        blowup_ceiling=50.0)
+    assert diagnostics_from_config(cfg) == DiagnosticsConfig(
+        r=3.0, q=5.0, lambda1=0.4, lambda2=0.3)
+
+
+def _library_error(name, value):
+    """The message of the ValueError the library raises with ``value`` in
+    field ``name`` and every other field at its config default, or None."""
+    args = dict(_DEFAULTS, **{name: value})
+    try:
+        if name in ("T", "dt"):
+            step_count(args["T"], args["dt"])
+        else:
+            cls = _OWNERS[name]
+            cls(**{f.name: args[f.name] for f in fields(cls) if f.init})
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_FLOAT_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-4,
+                     1e-3, 0.25, 0.5, 1.0, 1.5, 2.0, 8.0 / 3.0, 3.0, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True))
+_INT_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 4, 5]),
+                        st.integers(-10 ** 6, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loader_and_library_agree_on_every_range(data):
+    # the loader rejects a value exactly when the library type does, with
+    # the library's message under the key of the field it names; only
+    # [picard] tol adds a rule of its own (RunOptions allows 0)
+    name = data.draw(st.sampled_from(sorted(_FIELDS)))
+    section, key = _FIELDS[name]
+    typ = _SCHEMA[section][key][0]
+    value = data.draw(_INT_VALUES if typ is int else _FLOAT_VALUES)
+    want = _library_error(name, value)
+    with tempfile.TemporaryDirectory() as td:
+        path = os.path.join(td, "range.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"[{section}]\n{key} = {value!r}\n")
+        if want is None and (name != "picard_tol" or value > 0):
+            load_config(path)
+            return
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+    if want is None:
+        want = "picard_tol must be positive"
+    field, _, rest = want.partition(" ")
+    s, k = _FIELDS[field]
+    where = f"{path}:2: " if (s, k) == (section, key) else ""
+    assert str(err.value) == f"{where}[{s}] {k}: {rest}"
 
 
 def test_unknown_key_fails_closed(tmp_path):
@@ -504,8 +620,41 @@ def test_lipschitz_stability_gate_is_one_percent(tmp_path, capsys,
             f"{ratio - 1.0:.3e} tol 1.0e-02") in stdout
 
 
-def test_flag_validation(capsys):
+def test_flag_validation(capsys, monkeypatch):
+    # the flag is checked by RunOptions, before the config echo and the run
+    monkeypatch.setattr("ksns.cli.run", None)
     assert main(["run", "--snapshot-stride", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: --snapshot-stride: snapshot_stride must be "
+                   "at least 1, got 0\n"), err
+
+
+def test_stride_flag_replaces_the_config_stride():
+    cfg = load_config(None)
+    assert options_from_config(cfg).snapshot_stride == 10
+    assert options_from_config(cfg, stride=3).snapshot_stride == 3
+    with pytest.raises(ConfigError, match="snapshot_stride"):
+        options_from_config(cfg, stride=0)      # not the config's 10
+
+
+def test_rate_window_error_names_key_and_line(tmp_path, capsys):
+    # lambda1 = 0.5 lies inside (0, 1] but not below lambda_N/q on a
+    # 4 x 1 domain, which only the computed Poincare constant shows
+    path = write_cfg(tmp_path, """[domain]
+Lx = 4.0
+nx = 8
+ny = 8
+[time]
+dt = 0.01
+T = 0.1
+[diagnostics]
+lambda1 = 0.5
+""")
+    assert main(["decay", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}:9: [diagnostics] lambda1: must lie below "
+        f"min(1, lambda_N/q) = 0.152241\n")
 
 
 def test_compatibility_warning_emitted(tmp_path, capsys):

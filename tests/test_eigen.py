@@ -1,6 +1,6 @@
 import numpy as np
 
-from ksns import DomainSpec, build_grid
+from ksns import Grid
 from ksns.eigen import lambda_dirichlet, lambda_neumann
 from ksns.grid import _lap_zero_flux
 from ksns.linstep import _lap_dirichlet
@@ -57,7 +57,7 @@ def test_rayleigh_quotient_consistency(unit32):
 def test_refinement_is_second_order():
     lams = {}
     for n in (8, 16, 32):
-        g = build_grid(DomainSpec(1.0, 1.0, n, n))
+        g = Grid(1.0, 1.0, n, n)
         lams[n] = lambda_neumann(g).lam
     d_coarse = abs(lams[8] - lams[16])
     d_fine = abs(lams[16] - lams[32])

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksns import grid as grid_mod
-from ksns import (BoundaryData, DomainSpec, GridMismatchError, ScalarField,
-                  VectorField, build_grid, discrete_norm, integrate,
+from ksns import (BoundaryData, Grid, GridMismatchError, ScalarField,
+                  VectorField, discrete_norm, integrate,
                   read_field_snapshot, write_field_snapshot)
 from ksns.grid import (_lap_zero_flux, ddx, ddy, face_divergence,
                        face_gradient, face_gradient_and_central,
@@ -20,36 +20,38 @@ def random_smooth_field(grid, rng, amp=1.0):
     vals = np.zeros(grid.shape)
     for kx, ky in ((1, 0), (0, 1), (1, 1), (2, 1)):
         coef = amp * rng.uniform(-1.0, 1.0)
-        vals += coef * np.cos(kx * np.pi * X / grid.spec.Lx) \
-            * np.cos(ky * np.pi * Y / grid.spec.Ly)
+        vals += coef * np.cos(kx * np.pi * X / grid.Lx) \
+            * np.cos(ky * np.pi * Y / grid.Ly)
     return ScalarField(grid, vals)
 
 
 # ---------------------------------------------------------------------------
 # construction
 
-def test_build_grid_unit_square():
-    g = build_grid(DomainSpec(1.0, 1.0, 4, 4))
+def test_grid_unit_square():
+    g = Grid(1.0, 1.0, 4, 4)
     assert g.hx == 0.25 and g.hy == 0.25
     assert g.shape == (4, 4)
     assert g.nx * g.ny == 16
 
 
-def test_build_grid_rectangle():
-    g = build_grid(DomainSpec(2.0, 1.0, 8, 4))
+def test_grid_rectangle():
+    g = Grid(2.0, 1.0, 8, 4)
     assert g.hx == 0.25 and g.hy == 0.25
     assert g.shape == (4, 8)
 
 
-@pytest.mark.parametrize("spec", [
-    DomainSpec(0.0, 1.0, 4, 4),
-    DomainSpec(1.0, -2.0, 4, 4),
-    DomainSpec(1.0, 1.0, 3, 4),
-    DomainSpec(1.0, 1.0, 4, 0),
+# argument tuples, not grids: a bad Grid(...) in the list would raise at
+# collection and error this module and test_linstep, which imports it
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 1.0, 4, 4), "Lx"), ((1.0, -2.0, 4, 4), "Ly"),
+    ((np.nan, 1.0, 4, 4), "Lx"), ((1.0, np.inf, 4, 4), "Ly"),
+    ((1.0, 1.0, 3, 4), "nx"), ((1.0, 1.0, 4, 0), "ny"),
+    ((1.0, 1.0, 4.0, 4), "nx"),
 ])
-def test_build_grid_rejects_bad_spec(spec):
-    with pytest.raises(ValueError):
-        build_grid(spec)
+def test_grid_rejects_bad_arguments(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        Grid(*args)
 
 
 def test_total_volume_exact(rect2x1):
@@ -156,8 +158,8 @@ def test_laplacian_gauss_zero_flux(unit32, rng):
 
 
 def test_laplacian_gauss_unit_flux():
-    for g, perimeter in ((build_grid(DomainSpec(1.0, 1.0, 16, 16)), 4.0),
-                         (build_grid(DomainSpec(2.0, 1.0, 32, 16)), 6.0)):
+    for g, perimeter in ((Grid(1.0, 1.0, 16, 16), 4.0),
+                         (Grid(2.0, 1.0, 32, 16), 6.0)):
         ones = BoundaryData(np.ones(g.ny), np.ones(g.ny),
                             np.ones(g.nx), np.ones(g.nx))
         assert lap_integral(g, np.zeros(g.shape), ones) == \
@@ -205,7 +207,7 @@ def test_laplacian_gauss_identity_any_grid(Lx, Ly, nx, ny, seed):
     # the identity on any aspect ratio and size, with the second difference
     # as a product on axes of at most PRODUCT_MAX_CELLS cells and as a
     # stencil above; the gap is scaled as in acceptance criterion 02
-    g = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    g = Grid(Lx, Ly, nx, ny)
     rng = np.random.default_rng(seed)
     f = ScalarField(g, rng.standard_normal(g.shape))
     b = BoundaryData(left=rng.standard_normal(ny),
@@ -248,7 +250,7 @@ def _both_forms(fn):
 def test_stencil_products_match_sliced_stencils(n, m, axis, Lx, Ly,
                                                 scale_exp, seed):
     nx, ny = (n, m) if axis == 1 else (m, n)
-    g = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    g = Grid(Lx, Ly, nx, ny)
     h = g.hx if axis == 1 else g.hy
     v = np.random.default_rng(seed).standard_normal(g.shape) * 10.0 ** scale_exp
     interior = tuple(slice(1, -1) if a == axis else slice(None) for a in (0, 1))
@@ -319,7 +321,7 @@ def test_snapshot_rejects_comma_name(tmp_path, unit16):
 
 
 def test_snapshot_bytes_match_per_value_format(tmp_path):
-    grid = build_grid(DomainSpec(1.5, 0.75, 7, 5))
+    grid = Grid(1.5, 0.75, 7, 5)
     vals = np.random.default_rng(7).standard_normal(grid.shape) \
         * 10.0 ** np.arange(-8, 27, 5)
     vals[0, :5] = (-0.0, 1e-300, 5e-324, -1.7976931348623157e308, 0.1)

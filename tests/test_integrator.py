@@ -1,19 +1,19 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksns import DomainSpec, ScalarField, VectorField, build_grid, integrate
+from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns import integrator, linstep
 from ksns.diagnostics import fit_decay_rate, negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
-                             chemotactic_flux_raw, run, step,
+                             chemotactic_flux_raw, run, step, step_count,
                              upwind_divergence)
 from ksns.grid import BoundaryData
 from ksns.linstep import (boundary_source_residual, helmholtz_project_core,
@@ -249,7 +249,7 @@ _FLUX_TENSORS = {
        st.floats(0.5, 2.0), st.sampled_from(sorted(_FLUX_TENSORS)),
        st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))
 def test_chem_flux_faces_match_explicit_stencils(nx, ny, Lx, Ly, kind, t, seed):
-    grid = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    grid = Grid(Lx, Ly, nx, ny)
     rng = np.random.default_rng(seed)
     n = 2.0 + 0.5 * rng.standard_normal(grid.shape)
     c = 1.0 + 0.5 * rng.standard_normal(grid.shape)
@@ -624,6 +624,39 @@ def test_picard_requires_kmax(unit16):
         run(data, T=2e-3, dt=1e-3, options=RunOptions(picard_k_max=0))
 
 
+@pytest.mark.parametrize("kw, name", [
+    (dict(theta=0.7), "theta"), (dict(theta=math.nan), "theta"),
+    (dict(picard_k_max=0), "picard_k_max"),
+    (dict(snapshot_stride=0), "snapshot_stride"),
+    (dict(blowup_ceiling=-1.0), "blowup_ceiling"),
+    (dict(blowup_ceiling=0.0), "blowup_ceiling"),
+    (dict(blowup_ceiling=math.nan), "blowup_ceiling"),
+])
+def test_run_options_reject_bad_values_when_built(kw, name):
+    # a stride of 0 used to divide by zero in run, a negative ceiling to
+    # report a false blow-up, and step to take theta = 0.7 silently
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        RunOptions(**kw)
+
+
+def test_run_options_are_frozen():
+    # a checked value cannot be changed after the check
+    opts = RunOptions(theta=0.5, picard_tol=0.0)      # a zero tol is allowed
+    with pytest.raises(FrozenInstanceError):
+        opts.theta = 0.7
+
+
+@pytest.mark.parametrize("T, dt, name", [
+    (0.0, 1e-3, "T"), (-1.0, 1e-3, "T"), (math.nan, 1e-3, "T"),
+    (1.0, 0.0, "dt"), (1.0, -1e-3, "dt"), (1.0, math.nan, "dt"),
+    (1e-3, 2e-3, "dt"), (1.0, 0.4, "T"),
+    (math.inf, 1e-3, "T"), (1.0, 5e-324, "T"),    # T/dt overflows
+])
+def test_step_count_rejects_bad_times(T, dt, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        step_count(T, dt)
+
+
 # ---------------------------------------------------------------------------
 # run loop
 
@@ -642,7 +675,7 @@ def test_run_decay_rates_match_the_linearised_scheme():
     # recursion per cosine mode: the gaps are +0.14% (n) and +1.9e-6
     # relative (c) at 16^2, 32^2 and 48^2, and a chemotactic flux scaled by
     # 1.05 inside the step moves them to -2.0% and -3.9e-5
-    grid = build_grid(DomainSpec(1.0, 1.0, 16, 16))
+    grid = Grid(1.0, 1.0, 16, 16)
     T, dt = 0.3, 1e-3
     _, series = run(wave_data(grid, amp=0.01), T=T, dt=dt)
     window = (T / 3.0, T)
@@ -659,7 +692,7 @@ def test_small_axes_build_operators_and_large_ones_none():
     rotation = SensitivitySpec.rotation(1.0, 0.5)
     for n, built in ((32, 1), (128, 0)):
         grid_mod._build_axis_operators.cache_clear()
-        g = build_grid(DomainSpec(1.0, 1.0, n, n))
+        g = Grid(1.0, 1.0, n, n)
         run(wave_data(g, S=rotation), T=2e-3, dt=1e-3)
         assert grid_mod._build_axis_operators.cache_info().currsize == built
 
@@ -683,7 +716,7 @@ def test_flux_pads_c_once_per_axis_on_long_axes(monkeypatch, rng, cells):
     # above PRODUCT_MAX_CELLS the face gradient and the central difference
     # along an axis share one ghost pad, and the identity builds no central
     # difference; the faces are bitwise those of one pad per stencil
-    g = build_grid(DomainSpec(1.0, 1.0, cells, cells))
+    g = Grid(1.0, 1.0, cells, cells)
     n = 2.0 + 0.1 * rng.standard_normal(g.shape)
     c = 1.0 + 0.1 * rng.standard_normal(g.shape)
     pads = []

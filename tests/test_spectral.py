@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cg_oracle import neg_lap_diag, pressure_project_faces, solve_cg
-from ksns import DomainSpec, VectorField, build_grid
+from ksns import Grid, VectorField
 from ksns import linstep
 from ksns.grid import _lap_zero_flux, face_divergence, face_normal_values
 from ksns.linstep import (_eigenbasis, _Folded, _lap_dirichlet,
@@ -74,7 +74,7 @@ def _operators(dt, theta):
 @settings(max_examples=25, deadline=None)
 @given(cases)
 def test_spectral_solves_match_operator_and_cg_oracle(case):
-    grid = build_grid(DomainSpec(case["Lx"], case["Ly"], case["nx"], case["ny"]))
+    grid = Grid(case["Lx"], case["Ly"], case["nx"], case["ny"])
     rng = np.random.default_rng(case["seed"])
     ny, nx = grid.shape
     for name, shift, scale, bc in _operators(case["dt"], case["theta"]):
@@ -104,7 +104,7 @@ def test_spectral_solves_match_operator_and_cg_oracle(case):
        st.integers(0, 2 ** 32 - 1))
 def test_cached_plan_solve_is_bitwise_the_inline_formula(nx, ny, Lx, Ly, shift,
                                                           scale, bc, seed):
-    grid = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    grid = Grid(Lx, Ly, nx, ny)
     m = 1 if bc == "nodal0" else 0
     b = np.random.default_rng(seed).standard_normal((ny - m, nx - m))
     if shift == 0.0 and bc == "neumann0":
@@ -171,7 +171,7 @@ def test_folded_solve_matches_full_basis_formula(nx, ny, Lx, Ly, shift, scale,
                                                  bc, seed):
     # axis lengths on both sides of FOLD_MIN_CELLS, odd and even, each
     # folded or full on its own
-    grid = build_grid(DomainSpec(Lx, Ly, nx, ny))
+    grid = Grid(Lx, Ly, nx, ny)
     m = 1 if bc == "nodal0" else 0
     b = np.random.default_rng(seed).standard_normal((ny - m, nx - m))
     if shift == 0.0 and bc == "neumann0":
@@ -215,7 +215,7 @@ def _both_paths(fn):
 @settings(max_examples=40, deadline=None)
 @given(cases)
 def test_forced_fold_and_full_paths_agree(case):
-    grid = build_grid(DomainSpec(case["Lx"], case["Ly"], case["nx"], case["ny"]))
+    grid = Grid(case["Lx"], case["Ly"], case["nx"], case["ny"])
     rng = np.random.default_rng(case["seed"])
     ny, nx = grid.shape
     for name, shift, scale, bc in _operators(case["dt"], case["theta"]):
@@ -232,7 +232,7 @@ def test_forced_fold_and_full_paths_agree(case):
 
 
 def test_long_axes_fold_without_caching_their_full_basis():
-    grid = build_grid(DomainSpec(2.0, 1.0, 128, 64))
+    grid = Grid(2.0, 1.0, 128, 64)
     linstep._solve_plan.cache_clear()
     _eigenbasis.cache_clear()
     plan = _solve_plan(64, 128, grid.hy, grid.hx, 1.0, 1e-3, "neumann0")
@@ -254,7 +254,7 @@ def test_long_axes_fold_without_caching_their_full_basis():
 @settings(max_examples=25, deadline=None)
 @given(cases)
 def test_projection_properties(case):
-    grid = build_grid(DomainSpec(case["Lx"], case["Ly"], case["nx"], case["ny"]))
+    grid = Grid(case["Lx"], case["Ly"], case["nx"], case["ny"])
     rng = np.random.default_rng(case["seed"])
     ny, nx = grid.shape
     v = VectorField(grid, rng.standard_normal((ny, nx)),
@@ -277,7 +277,7 @@ def test_projection_properties(case):
 def test_stream_function_projection_matches_pressure_projection(case):
     # the curl of the nodal stream function and v - grad(p) are the same
     # orthogonal projection; the oracle forms p by CG
-    grid = build_grid(DomainSpec(case["Lx"], case["Ly"], case["nx"], case["ny"]))
+    grid = Grid(case["Lx"], case["Ly"], case["nx"], case["ny"])
     rng = np.random.default_rng(case["seed"])
     ny, nx = grid.shape
     v = VectorField(grid, rng.standard_normal((ny, nx)),
