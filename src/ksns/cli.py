@@ -69,7 +69,7 @@ _SCHEMA = {
 _FIELDS = {
     "Lx": ("domain", "Lx"), "Ly": ("domain", "Ly"),
     "nx": ("domain", "nx"), "ny": ("domain", "ny"),
-    "T": ("time", "T"), "dt": ("time", "dt"), "theta": ("time", "theta"),
+    "T": ("time", "T"), "dt": ("time", "dt"),
     "picard_k_max": ("picard", "k_max"), "picard_tol": ("picard", "tol"),
     "snapshot_stride": ("output", "snapshot_stride"),
     "blowup_ceiling": ("solver", "blowup_ceiling"),
@@ -151,8 +151,12 @@ def _validate(cfg: RunConfig) -> None:
         fail("diagnostics", "fit_window_frac", "must lie in (0, 1)")
     if not v[("diagnostics", "lipschitz_ceiling")] > 0:
         fail("diagnostics", "lipschitz_ceiling", "must be positive")
+    # [eigen] tol and [time] theta stay keys only while the benchmark
+    # workloads set them (ROADMAP item 3); every step is implicit Euler
     if not 0 < v[("eigen", "tol")] <= 1e-3:
         fail("eigen", "tol", "must lie in (0, 1e-3]")
+    if v[("time", "theta")] != 1.0:
+        fail("time", "theta", "must be 1 (implicit Euler)")
     if (v[("forcing", "kind")] == "decaying"
             and v[("forcing", "rate")] <= v[("diagnostics", "lambda2")]):
         fail("forcing", "rate", "must exceed diagnostics.lambda2 for an "
@@ -338,13 +342,11 @@ def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
     out.append(_verdict("n-mass-conservation", rel <= 1e-10,
                         f"relative drift {rel:.3e} tol 1e-10"))
     dt = cfg.get("time", "dt")
-    theta = cfg.get("time", "theta")
     mc = series.column("mass_c")
     mn = series.column("mass_n")
     prev_mc = np.concatenate(([M_c0], mc[:-1]))
     prev_mn = np.concatenate(([M_n0], mn[:-1]))
-    rec = np.abs(mc * (1 + theta * dt)
-                 - (prev_mc * (1 - (1 - theta) * dt) + dt * prev_mn)).max()
+    rec = np.abs(mc * (1 + dt) - (prev_mc + dt * prev_mn)).max()
     scale = max(1.0, abs(M_c0) + abs(M_n0))
     out.append(_verdict("c-mass-recursion", rec <= 1e-9 * scale,
                         f"max residual {rec:.3e} tol {1e-9 * scale:.1e}"))
@@ -393,24 +395,16 @@ def _write_outputs(out_dir, trajectory, series) -> None:
                 ScalarField(state.u.grid, comp), name, state.t)
 
 
-def _startup_diagnostics(cfg, grid, data, need_eigen: bool):
-    """Eigen-dependent rate validation and the compatibility warning."""
-    diag = diagnostics_from_config(cfg)
-    lamN = lamD = None
-    if need_eigen:
-        lamN = lambda_neumann(grid)
-        lamD = lambda_dirichlet(grid)
-        with _keyed(cfg):
-            diag.validate_rates(lamN.lam, lamD.lam)
-    r, q = diag.r, diag.q
-    if 1.0 / r + 2.0 / q < 1.0:
+def _compatibility_warning(grid, data, diag) -> None:
+    """Warn when the exponents require the initial flux balance and the
+    data miss it."""
+    if 1.0 / diag.r + 2.0 / diag.q < 1.0:
         resid = compatibility_check(data.n0, data.c0, data.S)
         h2 = max(grid.hx, grid.hy) ** 2
         scale = 1.0 + float(np.abs(data.n0.values).max())
         if resid > 50.0 * h2 * scale:
             print(f"warning: initial flux-balance residual {resid:.6g} "
                   f"(balance required at these exponents, 1/r + 2/q < 1)")
-    return diag, lamN, lamD
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +514,20 @@ def _simulate(cfg, args, opts, need_eigen: bool) -> int:
     """Echo the config, build and run the scenario, and judge the run with
     the verdict of ``args.command``.  Exit code 0 when every verdict
     passes, 1 otherwise, 3 on a blow-up (``run`` then writes the
-    diagnostics recorded up to it)."""
-    if args.command == "decay":
-        _decay_window(cfg)          # fails closed before the run
+    diagnostics recorded up to it).  With ``need_eigen`` the fit window
+    and the rate window against lambda_N fail closed before the echo."""
+    grid = grid_from_config(cfg)
+    diag = diagnostics_from_config(cfg)
+    lamN = lamD = None
+    if need_eigen:
+        _decay_window(cfg)
+        lamN, lamD = lambda_neumann(grid), lambda_dirichlet(grid)
+        with _keyed(cfg):
+            diag.validate_rates(lamN.lam)
     for line in cfg.echo_lines():
         print(line)
-    grid = grid_from_config(cfg)
     data = given_data_from_config(cfg, grid)
-    diag, lamN, lamD = _startup_diagnostics(cfg, grid, data, need_eigen)
+    _compatibility_warning(grid, data, diag)
     sc = _Scenario(cfg, args, data, diag, lamN, lamD, opts)
     try:
         trajectory, series = run(data, cfg.get("time", "T"),

@@ -31,7 +31,7 @@ class DiagnosticsConfig:
 
     ``r`` and ``q`` must exceed 2 and stay off the critical line
     1/r + 2/q = 1, and 0 <= lambda2 <= lambda1 <= 1 with lambda1 > 0; the
-    rate windows against the computed Poincare constants are checked by
+    rate window against the computed Poincare constant is checked by
     ``validate_rates`` once a grid is known.
     """
 
@@ -54,14 +54,14 @@ class DiagnosticsConfig:
             raise ValueError(f"lambda2 must lie in [0, lambda1], "
                              f"got {self.lambda2}")
 
-    def validate_rates(self, lambda_N: float, lambda_D: float) -> None:
+    def validate_rates(self, lambda_N: float) -> None:
+        """Raise ValueError unless lambda1 < min(1, lambda_N/q).  Then
+        lambda2 <= lambda1 lies below lambda_D/q too: the discrete
+        Dirichlet constant is at least twice the Neumann one."""
         hi1 = min(1.0, lambda_N / self.q)
         if not self.lambda1 < hi1:
             raise ValueError(
                 f"lambda1 must lie below min(1, lambda_N/q) = {hi1:.6g}")
-        if not self.lambda2 < lambda_D / self.q:
-            raise ValueError(
-                f"lambda2 must lie below lambda_D/q = {lambda_D / self.q:.6g}")
 
 
 class DiagnosticsSeries:

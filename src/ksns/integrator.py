@@ -11,8 +11,8 @@ density.
 
 The loop integrates the shifted variables: the density deviation from its
 initial mean and the signal minus a scheme-consistent multiple of that
-mean.  The multiple follows the same theta recursion as the constant mode
-of the signal equation, so the discrete mass recursion of the signal
+mean.  The multiple follows the same recursion as the constant mode of
+the signal equation, so the discrete mass recursion of the signal
 itself holds to rounding, and the boundary flux of the density solve is
 byte-for-byte the chemotactic face flux, which conserves total cell mass
 to rounding (the implicit solves are exact).
@@ -102,11 +102,11 @@ class SimState:
     """The state the loop carries, in the paper's shifted variables.
 
     ``nt`` is the density minus its initial mean ``n_bar0``; ``chi`` is the
-    signal minus ``gamma * n_bar0``.  ``gamma`` follows the theta recursion
-    of the signal's constant mode from 0 at t = 0 (``_gamma_update``), so
-    it tracks 1 - e^{-t} to the scheme's accuracy and the discrete mass
-    recursion of the signal holds to rounding.  The density and the signal
-    themselves are the read-only properties ``n`` and ``c``.
+    signal minus ``gamma * n_bar0``.  ``gamma`` follows the recursion of
+    the signal's constant mode, gamma' = (gamma + dt) / (1 + dt) from 0 at
+    t = 0, so it tracks 1 - e^{-t} to the scheme's accuracy and the
+    discrete mass recursion of the signal holds to rounding.  The density
+    and the signal themselves are the read-only properties ``n`` and ``c``.
 
     On a stepped state, ``bc_residual`` is the largest gap, in face flux
     units, between the boundary source the last density solve actually
@@ -262,20 +262,17 @@ def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
 
 @dataclass(frozen=True)
 class RunOptions:
-    """The options of a step and a run.  Raises ValueError unless ``theta``
-    is 1 (implicit Euler) or 0.5 (Crank-Nicolson), ``picard_k_max`` and
-    ``snapshot_stride`` are at least 1 and ``blowup_ceiling`` is positive.
-    ``picard_tol`` is not checked: 0 takes all ``picard_k_max`` iterates."""
+    """The options of a step and a run.  Raises ValueError unless
+    ``picard_k_max`` and ``snapshot_stride`` are at least 1 and
+    ``blowup_ceiling`` is positive.  ``picard_tol`` is not checked: 0 takes
+    all ``picard_k_max`` iterates."""
 
-    theta: float = 1.0
     picard_k_max: int = 1
     picard_tol: float = 1e-10
     snapshot_stride: int = 1
     blowup_ceiling: float = 1e6
 
     def __post_init__(self):
-        if self.theta not in (1.0, 0.5):
-            raise ValueError(f"theta must be 1 or 0.5, got {self.theta!r}")
         for name in ("picard_k_max", "snapshot_stride"):
             v = getattr(self, name)
             if not v >= 1:
@@ -283,10 +280,6 @@ class RunOptions:
         if not self.blowup_ceiling > 0.0:
             raise ValueError(f"blowup_ceiling must be positive, "
                              f"got {self.blowup_ceiling!r}")
-
-
-def _gamma_update(gamma: float, dt: float, theta: float) -> float:
-    return (gamma * (1.0 - (1.0 - theta) * dt) + dt) / (1.0 + theta * dt)
 
 
 def _stays_at_rest(data: GivenData, u: VectorField) -> bool:
@@ -310,7 +303,6 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
     rest too.
     """
     t0 = st.t
-    theta = opts.theta
     n_bar0 = st.n_bar0
 
     fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S, t0)
@@ -326,8 +318,8 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
         forcing_n = forcing_n - adv_n
         rhs_c = rhs_c - adv_c
 
-    nt_new, bc_res = neumann_heat_core(grid, st.nt, bc, forcing_n, dt, theta)
-    chi_new = shifted_heat_core(grid, st.chi, rhs_c, dt, theta)
+    nt_new, bc_res = neumann_heat_core(grid, st.nt, bc, forcing_n, dt)
+    chi_new = shifted_heat_core(grid, st.chi, rhs_c, dt)
 
     if at_rest:
         u_new = st.u            # a fluid at rest with no force stays at rest
@@ -339,7 +331,7 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
         u_new = stokes_core(grid, st.u.ux, st.u.uy, force_x, force_y, dt)
 
     new = SimState(t=t0 + dt, nt=nt_new, chi=chi_new, u=u_new,
-                   gamma=_gamma_update(st.gamma, dt, theta), n_bar0=n_bar0,
+                   gamma=(st.gamma + dt) / (1.0 + dt), n_bar0=n_bar0,
                    bc_residual=bc_res)
     new.extrema = _check_blowup(new, opts.blowup_ceiling, st, at_rest)
     return new

@@ -12,8 +12,7 @@ condition: built by its first solve and reused by every later one.  An axis
 of at least ``FOLD_MIN_CELLS`` cells or nodes holds its basis as two
 half-size parity blocks, which halve the arithmetic of its products.
 Each operator is one function on raw arrays, the one the integrator calls.
-The heat steps support the theta time scheme (theta = 1 implicit Euler,
-theta = 1/2 Crank-Nicolson); the Stokes step is implicit Euler only.
+Every step is implicit Euler.
 """
 
 from functools import lru_cache
@@ -191,30 +190,21 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
 # ---------------------------------------------------------------------------
 # heat steps
 
-def _heat_explicit_part(grid: Grid, u: np.ndarray, forcing: np.ndarray,
-                        dt: float, theta: float) -> np.ndarray:
-    """Right-hand side of the theta heat step without the boundary source."""
-    rhs = u + dt * forcing
-    if theta < 1.0:
-        rhs = rhs + (1.0 - theta) * dt * _lap_zero_flux(grid, u)
-    return rhs
-
-
 def _imposed_source_gap(grid: Grid, x: np.ndarray, explicit: np.ndarray,
-                        src: np.ndarray, dt: float, theta: float) -> float:
+                        src: np.ndarray, dt: float) -> float:
     """h * max |source recovered from the solution x - src|, h = max(hx, hy)."""
-    recovered = (x - theta * dt * _lap_zero_flux(grid, x) - explicit) / dt
+    recovered = (x - dt * _lap_zero_flux(grid, x) - explicit) / dt
     gap = np.abs(recovered - src).max()
     return max(grid.hx, grid.hy) * float(gap)
 
 
 def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
-                      forcing: np.ndarray, dt: float, theta: float = 1.0
+                      forcing: np.ndarray, dt: float
                       ) -> tuple[np.ndarray, float]:
-    """One theta step of du/dt = lap(u) + forcing, grad(u).nu = b on the walls.
+    """One implicit Euler step of du/dt = lap(u) + forcing, grad(u).nu = b
+    on the walls.
 
-    Solves (I - theta*dt*L0) u' = u + (1-theta)*dt*L0 u
-                                  + dt*(forcing + boundary source).
+    Solves (I - dt*L0) u' = u + dt*(forcing + boundary source).
     The prescribed flux enters once (weight 1) as boundary source data, so
     the integral of u changes by dt*(integral of forcing + b.boundary_sum)
     to rounding.  The density step passes a face flux F in divergence form:
@@ -222,36 +212,32 @@ def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
     Returns (u', boundary_source_residual of u'), the residual built from
     this solve's own explicit part and source.
     """
-    explicit = _heat_explicit_part(grid, u, forcing, dt, theta)
+    explicit = u + dt * forcing
     src = _boundary_source(grid, b)
-    x = solve_spectral(grid, explicit + dt * src, 1.0, theta * dt, "neumann0")
-    return x, _imposed_source_gap(grid, x, explicit, src, dt, theta)
+    x = solve_spectral(grid, explicit + dt * src, 1.0, dt, "neumann0")
+    return x, _imposed_source_gap(grid, x, explicit, src, dt)
 
 
 def boundary_source_residual(grid: Grid, u: np.ndarray, x: np.ndarray,
-                             b: BoundaryData, forcing: np.ndarray, dt: float,
-                             theta: float = 1.0) -> float:
+                             b: BoundaryData, forcing: np.ndarray, dt: float
+                             ) -> float:
     """How far the heat step ``x`` of ``u`` is from imposing boundary flux b.
 
     Recovers the cell source the solve actually imposed,
-    (x - theta*dt*L0 x - u - (1-theta)*dt*L0 u - dt*forcing) / dt, and
-    returns max over cells of h * |recovered - boundary source of b|, with
-    h = max(hx, hy), in the units of a face flux.  For ``x`` from
-    ``neumann_heat_core`` with the same arguments this is rounding error.
+    (x - dt*L0 x - u - dt*forcing) / dt, and returns max over cells of
+    h * |recovered - boundary source of b|, with h = max(hx, hy), in the
+    units of a face flux.  For ``x`` from ``neumann_heat_core`` with the
+    same arguments this is rounding error.
     """
-    return _imposed_source_gap(
-        grid, x, _heat_explicit_part(grid, u, forcing, dt, theta),
-        _boundary_source(grid, b), dt, theta)
+    return _imposed_source_gap(grid, x, u + dt * forcing,
+                               _boundary_source(grid, b), dt)
 
 
 def shifted_heat_core(grid: Grid, c: np.ndarray, rhs_src: np.ndarray,
-                      dt: float, theta: float = 1.0) -> np.ndarray:
-    """One theta step of dc/dt = lap(c) - c + rhs_src with zero flux."""
-    td = theta * dt
-    rhs = c + dt * rhs_src
-    if theta < 1.0:
-        rhs = rhs + (1.0 - theta) * dt * (_lap_zero_flux(grid, c) - c)
-    return solve_spectral(grid, rhs, 1.0 + td, td, "neumann0")
+                      dt: float) -> np.ndarray:
+    """One implicit Euler step of dc/dt = lap(c) - c + rhs_src with zero
+    flux."""
+    return solve_spectral(grid, c + dt * rhs_src, 1.0 + dt, dt, "neumann0")
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,6 @@ def rotation_run_half_dt():
 
 
 @pytest.fixture(scope="module")
-def rotation_run_crank_nicolson():
-    data = wave_data(GRID32, n_base=2.0, c_base=1.0, amp=0.01,
-                     S=SensitivitySpec.rotation(1.0, 0.5))
-    _, series = run(data, T=2.0, dt=1e-3,
-                    options=RunOptions(theta=0.5, snapshot_stride=400))
-    return data, series
-
-
-@pytest.fixture(scope="module")
 def stabilization_run():
     """Criterion 7 data: n0 = 2 + 0.01 cos(pi x), c0 = 2 + 0.01 cos(pi y),
     u0 = 0, f = 0, S = I, phi = 0, T = 3."""
@@ -195,21 +186,20 @@ def test_criterion_05_density_mass_conservation(rotation_run):
            f"{worst:.2e} (snapshot summation), tol 1e-10")
 
 
-def predicted_signal_mass_residual(series, M_n0, M_c0, dt, theta):
+def predicted_signal_mass_residual(series, M_n0, M_c0, dt):
     """The scheme's residual to the continuous signal-mass identity.
 
     With the density mass conserved, the scheme's signal mass after k steps
-    is M_n + (M_c0 - M_n) r^k with r = (1 - (1-theta) dt) / (1 + theta dt),
-    and the continuous one is M_n + (M_c0 - M_n) e^{-t_k}, so the residual
-    is |M_c0 - M_n| max_k |r^k - e^{-t_k}|."""
+    is M_n + (M_c0 - M_n) r^k with r = 1 / (1 + dt), and the continuous one
+    is M_n + (M_c0 - M_n) e^{-t_k}, so the residual is
+    |M_c0 - M_n| max_k |r^k - e^{-t_k}|."""
     t = series.column("t")
-    r = (1.0 - (1.0 - theta) * dt) / (1.0 + theta * dt)
+    r = 1.0 / (1.0 + dt)
     k = np.arange(1, len(t) + 1)
     return abs(M_c0 - M_n0) * float(np.abs(r ** k - np.exp(-t)).max())
 
 
-def test_criterion_06_signal_mass_identity(rotation_run, rotation_run_half_dt,
-                                           rotation_run_crank_nicolson):
+def test_criterion_06_signal_mass_identity(rotation_run, rotation_run_half_dt):
     data, _, series = rotation_run
     M_n0, M_c0 = integrate(data.n0), integrate(data.c0)
     _, rc = mass_identity_residuals(series, M_n0, M_c0)
@@ -218,17 +208,13 @@ def test_criterion_06_signal_mass_identity(rotation_run, rotation_run_half_dt,
     _, rc_half = mass_identity_residuals(series_half, M_n0, M_c0)
     ratio = rc_half / rc
     assert 0.4 <= ratio <= 0.6          # first order: halving dt halves it
-    _, series_cn = rotation_run_crank_nicolson
-    _, rc_cn = mass_identity_residuals(series_cn, M_n0, M_c0)
-    assert rc_cn <= 5e-5
-    report("criterion-06", f"residual {rc:.3e} <= 5e-3 (theta=1, dt=1e-3), "
-           f"halving ratio {ratio:.3f}, theta=1/2 residual {rc_cn:.3e} <= 5e-5")
+    report("criterion-06", f"residual {rc:.3e} <= 5e-3 (dt=1e-3), "
+           f"halving ratio {ratio:.3f}")
     # the discrete scheme's residual is known in closed form
-    for label, ser, measured, dt, theta in (
-            ("theta=1, dt=1e-3", series, rc, 1e-3, 1.0),
-            ("theta=1, dt=5e-4", series_half, rc_half, 5e-4, 1.0),
-            ("theta=1/2, dt=1e-3", series_cn, rc_cn, 1e-3, 0.5)):
-        predicted = predicted_signal_mass_residual(ser, M_n0, M_c0, dt, theta)
+    for label, ser, measured, dt in (
+            ("dt=1e-3", series, rc, 1e-3),
+            ("dt=5e-4", series_half, rc_half, 5e-4)):
+        predicted = predicted_signal_mass_residual(ser, M_n0, M_c0, dt)
         gap = abs(measured - predicted)
         assert gap <= 1e-12, (label, measured, predicted)
         report("criterion-06-predicted",

@@ -131,6 +131,7 @@ def test_config_errors_name_key_and_line(filler, bad):
 @pytest.mark.parametrize("text, key", [
     ("[time]\ndt = -1", "[time] dt"), ("[time]\nT = 0", "[time] T"),
     ("[time]\nT = inf", "[time] T"), ("[time]\ntheta = 0.7", "[time] theta"),
+    ("[time]\ntheta = 0.5", "[time] theta"),
     ("[domain]\nnx = 3", "[domain] nx"), ("[domain]\nny = 2", "[domain] ny"),
     ("[domain]\nLy = 0", "[domain] Ly"), ("[domain]\nLx = nan", "[domain] Lx"),
     ("[picard]\nk_max = 0", "[picard] k_max"),
@@ -174,8 +175,6 @@ Lx = 2.0
 Ly = 0.5
 nx = 8
 ny = 6
-[time]
-theta = 0.5
 [solver]
 blowup_ceiling = 50.0
 [picard]
@@ -192,7 +191,7 @@ snapshot_stride = 7
     grid = grid_from_config(cfg)
     assert (grid.Lx, grid.Ly, grid.nx, grid.ny) == (2.0, 0.5, 8, 6)
     assert options_from_config(cfg) == RunOptions(
-        theta=0.5, picard_k_max=3, picard_tol=1e-6, snapshot_stride=7,
+        picard_k_max=3, picard_tol=1e-6, snapshot_stride=7,
         blowup_ceiling=50.0)
     assert diagnostics_from_config(cfg) == DiagnosticsConfig(
         r=3.0, q=5.0, lambda1=0.4, lambda2=0.3)
@@ -221,28 +220,40 @@ _INT_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 4, 5]),
                         st.integers(-10 ** 6, 64))
 
 
+# the loader's own rules: (accepts(value), message) of the keys whose
+# range no library type checks
+_LOADER_RULES = {
+    ("picard", "tol"): (lambda v: v > 0, "must be positive"),
+    ("time", "theta"): (lambda v: v == 1.0, "must be 1 (implicit Euler)"),
+}
+_KEY_FIELDS = dict.fromkeys(_LOADER_RULES) | {k: n for n, k in _FIELDS.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_loader_and_library_agree_on_every_range(data):
     # the loader rejects a value exactly when the library type does, with
     # the library's message under the key of the field it names; only
-    # [picard] tol adds a rule of its own (RunOptions allows 0)
-    name = data.draw(st.sampled_from(sorted(_FIELDS)))
-    section, key = _FIELDS[name]
+    # [picard] tol (RunOptions allows 0) and [time] theta (no library
+    # field) add rules of their own
+    section, key = data.draw(st.sampled_from(sorted(_KEY_FIELDS)))
+    name = _KEY_FIELDS[(section, key)]
     typ = _SCHEMA[section][key][0]
     value = data.draw(_INT_VALUES if typ is int else _FLOAT_VALUES)
-    want = _library_error(name, value)
+    want = None if name is None else _library_error(name, value)
+    accepts, rule = _LOADER_RULES.get((section, key), (lambda v: True, ""))
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "range.cfg")
         with open(path, "w") as fh:
             fh.write(f"[{section}]\n{key} = {value!r}\n")
-        if want is None and (name != "picard_tol" or value > 0):
+        if want is None and accepts(value):
             load_config(path)
             return
         with pytest.raises(ConfigError) as err:
             load_config(path)
     if want is None:
-        want = "picard_tol must be positive"
+        assert str(err.value) == f"{path}:2: [{section}] {key}: {rule}"
+        return
     field, _, rest = want.partition(" ")
     s, k = _FIELDS[field]
     where = f"{path}:2: " if (s, k) == (section, key) else ""
@@ -311,9 +322,11 @@ def test_T_not_a_whole_number_of_steps_names_key_and_line(tmp_path):
 
 
 def test_theta_choices(tmp_path):
-    assert load_config(write_cfg(tmp_path, "[time]\ntheta = 0.5\n")) is not None
-    with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, "[time]\ntheta = 0.7\n"))
+    # every step is implicit Euler; the key stays while the benchmark
+    # workloads set it, and accepts 1 alone
+    assert load_config(write_cfg(tmp_path, "[time]\ntheta = 1.0\n"))
+    with pytest.raises(ConfigError, match=r"\[time\] theta"):
+        load_config(write_cfg(tmp_path, "[time]\ntheta = 0.5\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +665,9 @@ T = 0.1
 lambda1 = 0.5
 """)
     assert main(["decay", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (
+    out, err = capsys.readouterr()
+    assert out == ""            # fails closed before the config echo
+    assert err == (
         f"config error: {path}:9: [diagnostics] lambda1: must lie below "
         f"min(1, lambda_N/q) = 0.152241\n")
 

@@ -41,12 +41,12 @@ def test_config_rejects_bad_exponents(kw):
 
 
 def test_config_rate_windows():
+    # the lambda2 window below lambda_D/q follows from this one
+    # (test_eigen.py::test_dirichlet_at_least_twice_neumann)
     cfg = DiagnosticsConfig(lambda1=0.5, lambda2=0.25)
-    cfg.validate_rates(lambda_N=9.87, lambda_D=19.7)
+    cfg.validate_rates(lambda_N=9.87)
     with pytest.raises(ValueError):
-        cfg.validate_rates(lambda_N=1.9, lambda_D=19.7)   # min(1, 1.9/4) < 0.5
-    with pytest.raises(ValueError):
-        cfg.validate_rates(lambda_N=9.87, lambda_D=0.9)
+        cfg.validate_rates(lambda_N=1.9)    # min(1, 1.9/4) < 0.5
 
 
 # ---------------------------------------------------------------------------

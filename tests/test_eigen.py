@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksns import Grid
 from ksns.eigen import lambda_dirichlet, lambda_neumann
@@ -36,6 +38,17 @@ def test_rectangle_2x1(rect2x1):
 def test_dirichlet_exceeds_neumann(unit32, rect2x1):
     for g in (unit32, rect2x1):
         assert lambda_dirichlet(g).lam > lambda_neumann(g).lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2), st.integers(4, 300),
+       st.integers(4, 300))
+def test_dirichlet_at_least_twice_neumann(Lx, Ly, nx, ny):
+    # lambda_D = sx + sy >= 2 min(sx, sy) = 2 lambda_N, so a rate below
+    # lambda_N/q is also below lambda_D/q, and validate_rates checks the
+    # first window alone
+    g = Grid(Lx, Ly, nx, ny)
+    assert lambda_dirichlet(g).lam >= 2 * lambda_neumann(g).lam * (1 - 1e-12)
 
 
 def test_dirichlet_domain_monotonicity(unit32, rect2x1):

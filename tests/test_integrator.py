@@ -376,13 +376,12 @@ def test_boundary_residual_detects_perturbed_flux(unit32):
     scaled = BoundaryData(*(getattr(bc, s) * (1.0 + 1e-6)
                             for s in ("left", "right", "bottom", "top")))
     forcing = -face_divergence(unit32, fx, fy)
-    for theta in (1.0, 0.5):
-        exact, _ = neumann_heat_core(unit32, nt, bc, forcing, 1e-3, theta)
-        assert boundary_source_residual(unit32, nt, exact, bc, forcing, 1e-3,
-                                        theta) <= 1e-12
-        off, _ = neumann_heat_core(unit32, nt, scaled, forcing, 1e-3, theta)
-        assert boundary_source_residual(unit32, nt, off, bc, forcing, 1e-3,
-                                        theta) > 1e-12
+    exact, _ = neumann_heat_core(unit32, nt, bc, forcing, 1e-3)
+    assert boundary_source_residual(unit32, nt, exact, bc, forcing,
+                                    1e-3) <= 1e-12
+    off, _ = neumann_heat_core(unit32, nt, scaled, forcing, 1e-3)
+    assert boundary_source_residual(unit32, nt, off, bc, forcing,
+                                    1e-3) > 1e-12
 
 
 def test_step_from_rest_moves_and_stays_divergence_free(unit32):
@@ -625,7 +624,8 @@ def test_picard_requires_kmax(unit16):
 
 
 @pytest.mark.parametrize("kw, name", [
-    (dict(theta=0.7), "theta"), (dict(theta=math.nan), "theta"),
+    (dict(picard_k_max=math.nan), "picard_k_max"),
+    (dict(snapshot_stride=math.nan), "snapshot_stride"),
     (dict(picard_k_max=0), "picard_k_max"),
     (dict(snapshot_stride=0), "snapshot_stride"),
     (dict(blowup_ceiling=-1.0), "blowup_ceiling"),
@@ -633,17 +633,17 @@ def test_picard_requires_kmax(unit16):
     (dict(blowup_ceiling=math.nan), "blowup_ceiling"),
 ])
 def test_run_options_reject_bad_values_when_built(kw, name):
-    # a stride of 0 used to divide by zero in run, a negative ceiling to
-    # report a false blow-up, and step to take theta = 0.7 silently
+    # a stride of 0 used to divide by zero in run, and a negative ceiling
+    # to report a false blow-up
     with pytest.raises(ValueError, match=f"^{name} must "):
         RunOptions(**kw)
 
 
 def test_run_options_are_frozen():
     # a checked value cannot be changed after the check
-    opts = RunOptions(theta=0.5, picard_tol=0.0)      # a zero tol is allowed
+    opts = RunOptions(picard_tol=0.0)       # a zero tol is allowed
     with pytest.raises(FrozenInstanceError):
-        opts.theta = 0.7
+        opts.picard_k_max = 0
 
 
 @pytest.mark.parametrize("T, dt, name", [
@@ -878,12 +878,6 @@ def test_given_data_validation_rejects_bad_signal(unit16):
                      S=SensitivitySpec.identity())
     with pytest.raises(ValueError):
         data.validate()
-
-
-def test_theta_scheme_validated(unit16):
-    data = wave_data(unit16)
-    with pytest.raises(ValueError):
-        run(data, T=0.01, dt=1e-3, options=RunOptions(theta=0.7))
 
 
 def test_cross_field_grid_mismatch_raises(unit16, unit32):

@@ -2,8 +2,8 @@
 their cached plans (full and parity-folded bases), and of the
 stream-function projection against the CG oracle.
 
-Grid sizes (odd ones included), aspect ratios, time steps and theta are
-drawn by hypothesis; the right-hand sides come from a drawn seed.
+Grid sizes (odd ones included), aspect ratios and time steps are drawn by
+hypothesis; the right-hand sides come from a drawn seed.
 """
 
 from unittest import mock
@@ -24,7 +24,7 @@ from ksns.linstep import (_eigenbasis, _Folded, _lap_dirichlet,
 cases = st.fixed_dictionaries({
     "nx": st.integers(4, 40), "ny": st.integers(4, 40),
     "Lx": st.floats(0.5, 2.0), "Ly": st.floats(0.5, 2.0),
-    "dt": st.floats(1e-4, 1e-1), "theta": st.sampled_from((1.0, 0.5)),
+    "dt": st.floats(1e-4, 1e-1),
     "seed": st.integers(0, 2 ** 32 - 1)})
 
 
@@ -61,12 +61,11 @@ def _lap_nodal(grid, psi):
             + (p[2:, 1:-1] - 2.0 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / grid.hy ** 2)
 
 
-def _operators(dt, theta):
+def _operators(dt):
     """(name, shift, scale, bc) of the implicit operators of a step and the
     stream-function operator."""
-    td = theta * dt
-    return (("density", 1.0, td, "neumann0"),
-            ("signal", 1.0 + td, td, "neumann0"),
+    return (("density", 1.0, dt, "neumann0"),
+            ("signal", 1.0 + dt, dt, "neumann0"),
             ("viscous", 1.0, dt, "dirichlet0"),
             ("stream", 0.0, 1.0, "nodal0"))
 
@@ -77,7 +76,7 @@ def test_spectral_solves_match_operator_and_cg_oracle(case):
     grid = Grid(case["Lx"], case["Ly"], case["nx"], case["ny"])
     rng = np.random.default_rng(case["seed"])
     ny, nx = grid.shape
-    for name, shift, scale, bc in _operators(case["dt"], case["theta"]):
+    for name, shift, scale, bc in _operators(case["dt"]):
         lap = {"neumann0": _lap_zero_flux, "dirichlet0": _lap_dirichlet,
                "nodal0": _lap_nodal}[bc]
         b = rng.standard_normal((ny - 1, nx - 1) if bc == "nodal0"
@@ -218,7 +217,7 @@ def test_forced_fold_and_full_paths_agree(case):
     grid = Grid(case["Lx"], case["Ly"], case["nx"], case["ny"])
     rng = np.random.default_rng(case["seed"])
     ny, nx = grid.shape
-    for name, shift, scale, bc in _operators(case["dt"], case["theta"]):
+    for name, shift, scale, bc in _operators(case["dt"]):
         b = rng.standard_normal((ny - 1, nx - 1) if bc == "nodal0"
                                 else grid.shape)
         full, folded = _both_paths(
