@@ -64,8 +64,9 @@ _SCHEMA = {
 }
 
 # library field -> the config key that sets it.  Grid, step_count,
-# RunOptions and DiagnosticsConfig check the ranges of these fields, and
-# each of their ValueError messages starts with the field's name.
+# RunOptions, DiagnosticsConfig and SensitivitySpec check the ranges of
+# these fields, and each of their ValueError messages starts with the
+# field's name.
 _FIELDS = {
     "Lx": ("domain", "Lx"), "Ly": ("domain", "Ly"),
     "nx": ("domain", "nx"), "ny": ("domain", "ny"),
@@ -76,6 +77,7 @@ _FIELDS = {
     "r": ("diagnostics", "r"), "q": ("diagnostics", "q"),
     "lambda1": ("diagnostics", "lambda1"),
     "lambda2": ("diagnostics", "lambda2"),
+    "a": ("sensitivity", "a"), "b": ("sensitivity", "b"),
 }
 
 _CHOICES = {
@@ -141,12 +143,19 @@ def _validate(cfg: RunConfig) -> None:
         step_count(v[("time", "T")], v[("time", "dt")])
     options_from_config(cfg)
     diagnostics_from_config(cfg)
+    sensitivity_from_config(cfg)
     # RunOptions takes picard_tol = 0, which runs all k_max iterates of a
     # step; a config file must give a stopping tolerance
     if not v[("picard", "tol")] > 0:
         fail("picard", "tol", "must be positive")
-    if not math.isfinite(v[("data", "amplitude")]):
-        fail("data", "amplitude", "must be finite")
+    # the preset floats, checked whatever the presets so that a bad value
+    # never reaches a run
+    for s, k in (("data", "n_base"), ("data", "c_base"),
+                 ("data", "amplitude"), ("data", "u_amplitude"),
+                 ("potential", "g"), ("forcing", "amplitude"),
+                 ("forcing", "rate")):
+        if not math.isfinite(v[(s, k)]):
+            fail(s, k, "must be finite")
     if not 0 < v[("diagnostics", "fit_window_frac")] < 1:
         fail("diagnostics", "fit_window_frac", "must lie in (0, 1)")
     if not v[("diagnostics", "lipschitz_ceiling")] > 0:
@@ -223,13 +232,15 @@ def grid_from_config(cfg: RunConfig) -> Grid:
 
 
 def sensitivity_from_config(cfg: RunConfig) -> SensitivitySpec:
+    """S from ``[sensitivity] a, b``; ``identity`` ignores both and
+    ``scaled`` ignores b, but both are checked whatever the kind."""
+    S = _build(SensitivitySpec, cfg)
     kind = cfg.get("sensitivity", "kind")
-    a, b = cfg.get("sensitivity", "a"), cfg.get("sensitivity", "b")
     if kind == "identity":
-        return SensitivitySpec.identity()
+        return SensitivitySpec()
     if kind == "scaled":
-        return SensitivitySpec.scaled(a)
-    return SensitivitySpec.rotation(a, b)
+        return SensitivitySpec(S.a)
+    return S
 
 
 def _vortex(grid: Grid, amplitude: float) -> VectorField:

@@ -281,13 +281,13 @@ def negative_part_energy(f: ScalarField) -> float:
 
 def compatibility_check(n0: ScalarField, c0: ScalarField,
                         S: SensitivitySpec) -> float:
-    """Residual of the initial flux balance grad(n0).nu = n0 S(0) grad(c0).nu.
+    """Residual of the initial flux balance grad(n0).nu = n0 S grad(c0).nu.
 
     Needed by the well-posedness theory only in the subcritical exponent
     range; the scheme runs either way, so this is a detector, not a gate.
     """
     g = n0.grid
-    fx, fy = chemotactic_flux_raw(g, n0.values, c0.values, S, 0.0)
+    fx, fy = chemotactic_flux_raw(g, n0.values, c0.values, S)
     gap = BoundaryData.from_faces(face_gradient(n0.values, g.hx, 1) - fx,
                                   face_gradient(n0.values, g.hy, 0) - fy)
     return gap.max_abs()

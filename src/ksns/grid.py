@@ -33,8 +33,6 @@ class Grid:
         Cell sizes Lx/nx and Ly/ny.
     xc, yc : ndarray
         Cell center coordinates along x (nx,) and y (ny,).
-    xf, yf : ndarray
-        Cell face coordinates along x (nx+1,) and y (ny+1,).
     """
 
     Lx: float
@@ -45,8 +43,6 @@ class Grid:
     hy: float = field(init=False)
     xc: np.ndarray = field(init=False)
     yc: np.ndarray = field(init=False)
-    xf: np.ndarray = field(init=False)
-    yf: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("Lx", "Ly"):
@@ -63,8 +59,6 @@ class Grid:
         put(self, "hy", hy)
         put(self, "xc", (np.arange(self.nx) + 0.5) * hx)
         put(self, "yc", (np.arange(self.ny) + 0.5) * hy)
-        put(self, "xf", np.arange(self.nx + 1) * hx)
-        put(self, "yf", np.arange(self.ny + 1) * hy)
 
     @property
     def shape(self) -> tuple[int, int]:

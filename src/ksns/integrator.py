@@ -47,51 +47,21 @@ class BlowUpError(RuntimeError):
 # ---------------------------------------------------------------------------
 # sensitivity tensor
 
-@dataclass
+@dataclass(frozen=True)
 class SensitivitySpec:
-    """2x2 sensitivity tensor S(t, x).
+    """The constant sensitivity tensor S = a*I + b*J, J the 90-degree
+    rotation [[0, -1], [1, 0]]: ``SensitivitySpec()`` is the identity,
+    ``SensitivitySpec(a)`` a scaled identity.  Raises ValueError unless a
+    and b are finite."""
 
-    ``entries(t, X, Y)`` returns the four entries (s11, s12, s21, s22),
-    each a scalar or an array broadcastable against X and Y; X and Y may be
-    open coordinate vectors (a row and a column) rather than full meshes.
-    """
+    a: float = 1.0
+    b: float = 0.0
 
-    tag: str
-    entries: Callable
-
-    def evaluate(self, t: float, X: np.ndarray, Y: np.ndarray):
-        """The four entries: scalar entries as Python floats, the others as
-        float arrays broadcast to the common shape of X and Y."""
-        what = f"sensitivity tensor ({self.tag})"
-        out = []
-        for s in self.entries(t, X, Y):
-            if isinstance(s, (int, float)):
-                s = float(s)
-                if not math.isfinite(s):
-                    raise ValueError(f"{what} contains non-finite values")
-            else:
-                s = np.asarray(s, dtype=float)
-                if s.ndim:
-                    s = np.broadcast_to(s, np.broadcast(X, Y).shape)
-                require_finite(s, what)
-            out.append(s)
-        return tuple(out)
-
-    @classmethod
-    def identity(cls) -> "SensitivitySpec":
-        return cls("identity", lambda t, X, Y: (1.0, 0.0, 0.0, 1.0))
-
-    @classmethod
-    def scaled(cls, a: float) -> "SensitivitySpec":
-        a = float(a)
-        return cls(f"scaled({a:g})", lambda t, X, Y: (a, 0.0, 0.0, a))
-
-    @classmethod
-    def rotation(cls, a: float, b: float) -> "SensitivitySpec":
-        """S = a*I + b*J with J the 90-degree rotation [[0, -1], [1, 0]]."""
-        a, b = float(a), float(b)
-        return cls(f"rotation({a:g},{b:g})",
-                   lambda t, X, Y: (a, -b, b, a))
+    def __post_init__(self):
+        for name in ("a", "b"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +81,7 @@ class SimState:
     On a stepped state, ``bc_residual`` is the largest gap, in face flux
     units, between the boundary source the last density solve actually
     imposed (recovered from its solution) and the chemotactic boundary flux
-    (see ``linstep.boundary_source_residual``), ``extrema`` holds
+    (the residual ``linstep.neumann_heat_core`` returns), ``extrema`` holds
     (min nt, max nt, min chi, max chi) from the blow-up check,
     ``picard_iters`` is the number of Picard iterates the step took, and
     ``contraction`` the ratio of its last two increments (0 when fewer
@@ -204,13 +174,8 @@ class GivenData:
 # ---------------------------------------------------------------------------
 # chemotactic flux
 
-def _nonzero(s) -> bool:
-    """Whether a sensitivity entry (a float or an array) is anywhere nonzero."""
-    return bool(s) if isinstance(s, float) else bool(s.any())
-
-
 def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
-                         S: SensitivitySpec, t: float
+                         S: SensitivitySpec
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Face-normal values (fx, fy) of the chemotactic flux n * (S grad c);
     faces only, no cell-centered values.
@@ -218,24 +183,22 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
     The normal derivative of c on a face is the compact difference across
     it, the tangential one the central cell gradient carried to the face;
     one quadratic ghost layer closes both with the one-sided second-order
-    wall stencils.  The tangential term is skipped where the off-diagonal
-    entry of S is zero, as in the scalar presets.
+    wall stencils.  The tangential term, weighted -b on the x faces and b
+    on the y faces, is skipped when b = 0.
     """
     hx, hy = grid.hx, grid.hy
-    s11, s12, _, _ = S.evaluate(t, grid.xf[None, :], grid.yc[:, None])
-    _, _, s21, s22 = S.evaluate(t, grid.xc[None, :], grid.yf[:, None])
-    # the central difference along x feeds the y faces (s21), and the
-    # one along y the x faces (s12)
-    fgx, dcx = (face_gradient_and_central(c_vals, hx, 1) if _nonzero(s21)
-                else (face_gradient(c_vals, hx, 1), None))
-    fgy, dcy = (face_gradient_and_central(c_vals, hy, 0) if _nonzero(s12)
-                else (face_gradient(c_vals, hy, 0), None))
-    gx = s11 * fgx
-    if dcy is not None:
-        gx += s12 * face_values(dcy, 1)
-    gy = s22 * fgy
-    if dcx is not None:
-        gy += s21 * face_values(dcx, 0)
+    a, b = S.a, S.b
+    if not b:
+        return (face_values(n_vals, 1) * (a * face_gradient(c_vals, hx, 1)),
+                face_values(n_vals, 0) * (a * face_gradient(c_vals, hy, 0)))
+    # the central difference along y feeds the x faces, and the one along
+    # x the y faces
+    fgx, dcx = face_gradient_and_central(c_vals, hx, 1)
+    fgy, dcy = face_gradient_and_central(c_vals, hy, 0)
+    gx = a * fgx
+    gx += -b * face_values(dcy, 1)
+    gy = a * fgy
+    gy += b * face_values(dcx, 0)
     return face_values(n_vals, 1) * gx, face_values(n_vals, 0) * gy
 
 
@@ -305,7 +268,7 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
     t0 = st.t
     n_bar0 = st.n_bar0
 
-    fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S, t0)
+    fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S)
     bc = BoundaryData.from_faces(fx, fy)
     forcing_n = -face_divergence(grid, fx, fy)
     rhs_c = w.nt

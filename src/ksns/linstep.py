@@ -209,28 +209,15 @@ def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
     the integral of u changes by dt*(integral of forcing + b.boundary_sum)
     to rounding.  The density step passes a face flux F in divergence form:
     forcing -face_divergence(F) + f and b = BoundaryData.from_faces(F).
-    Returns (u', boundary_source_residual of u'), the residual built from
-    this solve's own explicit part and source.
+    Returns (u', residual): the residual recovers the cell source the solve
+    actually imposed, (u' - dt*L0 u' - u - dt*forcing) / dt, and is max
+    over cells of h * |recovered - boundary source of b|, h = max(hx, hy),
+    in the units of a face flux; rounding error for an exact solve.
     """
     explicit = u + dt * forcing
     src = _boundary_source(grid, b)
     x = solve_spectral(grid, explicit + dt * src, 1.0, dt, "neumann0")
     return x, _imposed_source_gap(grid, x, explicit, src, dt)
-
-
-def boundary_source_residual(grid: Grid, u: np.ndarray, x: np.ndarray,
-                             b: BoundaryData, forcing: np.ndarray, dt: float
-                             ) -> float:
-    """How far the heat step ``x`` of ``u`` is from imposing boundary flux b.
-
-    Recovers the cell source the solve actually imposed,
-    (x - dt*L0 x - u - dt*forcing) / dt, and returns max over cells of
-    h * |recovered - boundary source of b|, with h = max(hx, hy), in the
-    units of a face flux.  For ``x`` from ``neumann_heat_core`` with the
-    same arguments this is rounding error.
-    """
-    return _imposed_source_gap(grid, x, u + dt * forcing,
-                               _boundary_source(grid, b), dt)
 
 
 def shifted_heat_core(grid: Grid, c: np.ndarray, rhs_src: np.ndarray,

@@ -49,10 +49,10 @@ def eigen32():
 
 @pytest.fixture(scope="module")
 def rotation_run():
-    """Criteria 5, 6, 8, 9: S = rotation(1, 0.5), amplitude 1e-2, T = 2,
+    """Criteria 5, 6, 8, 9: S = I + 0.5 J, amplitude 1e-2, T = 2,
     dt = 1e-3, distinct initial masses so the signal identity is nontrivial."""
     data = wave_data(GRID32, n_base=2.0, c_base=1.0, amp=0.01,
-                     S=SensitivitySpec.rotation(1.0, 0.5))
+                     S=SensitivitySpec(1.0, 0.5))
     traj, series = run(data, T=2.0, dt=1e-3,
                        options=RunOptions(snapshot_stride=100))
     return data, traj, series
@@ -61,7 +61,7 @@ def rotation_run():
 @pytest.fixture(scope="module")
 def rotation_run_half_dt():
     data = wave_data(GRID32, n_base=2.0, c_base=1.0, amp=0.01,
-                     S=SensitivitySpec.rotation(1.0, 0.5))
+                     S=SensitivitySpec(1.0, 0.5))
     _, series = run(data, T=2.0, dt=5e-4,
                     options=RunOptions(snapshot_stride=400))
     return data, series
@@ -72,7 +72,7 @@ def stabilization_run():
     """Criterion 7 data: n0 = 2 + 0.01 cos(pi x), c0 = 2 + 0.01 cos(pi y),
     u0 = 0, f = 0, S = I, phi = 0, T = 3."""
     data = wave_data(GRID32, n_base=2.0, c_base=2.0, amp=0.01,
-                     S=SensitivitySpec.identity())
+                     S=SensitivitySpec())
     traj, series = run(data, T=3.0, dt=1e-3,
                        options=RunOptions(snapshot_stride=200))
     return data, traj, series
@@ -268,7 +268,7 @@ def test_criterion_09_boundary_condition_identity(stabilization_run,
         0.0, ScalarField.constant(GRID64, 1.0),
         ScalarField.from_function(GRID64, lambda x, y: np.cos(np.pi * x)),
         VectorField.zero(GRID64), 1.0)
-    res = compatibility_check(st.n, st.c, SensitivitySpec.rotation(0.0, 1.0))
+    res = compatibility_check(st.n, st.c, SensitivitySpec(0.0, 1.0))
     assert abs(res - np.pi) <= 0.05
     report("criterion-09", f"scheme residual {worst:.2e} <= 1e-12; "
            f"violation detector reports {res:.4f} (pi within 0.05)")
@@ -277,17 +277,17 @@ def test_criterion_09_boundary_condition_identity(stabilization_run,
 def test_criterion_10_compatibility_detector():
     c0 = ScalarField.from_function(GRID64, lambda x, y: np.cos(np.pi * x))
     n_const = ScalarField.constant(GRID64, 1.0)
-    res_rot = compatibility_check(n_const, c0, SensitivitySpec.rotation(0.0, 1.0))
+    res_rot = compatibility_check(n_const, c0, SensitivitySpec(0.0, 1.0))
     assert abs(res_rot - np.pi) <= 0.05
     # S = I with the stabilization data: residual is O(h^2)
     res64 = compatibility_check(
         ScalarField.from_function(GRID64, lambda x, y: 2 + 0.01 * np.cos(np.pi * x)),
         ScalarField.from_function(GRID64, lambda x, y: 2 + 0.01 * np.cos(np.pi * y)),
-        SensitivitySpec.identity())
+        SensitivitySpec())
     res32 = compatibility_check(
         ScalarField.from_function(GRID32, lambda x, y: 2 + 0.01 * np.cos(np.pi * x)),
         ScalarField.from_function(GRID32, lambda x, y: 2 + 0.01 * np.cos(np.pi * y)),
-        SensitivitySpec.identity())
+        SensitivitySpec())
     assert res64 <= 1e-3
     assert res32 / res64 >= 3.0       # second-order refinement
     report("criterion-10", f"rotation case {res_rot:.4f} = pi +- 0.05; "
@@ -298,13 +298,13 @@ def test_criterion_10_compatibility_detector():
 def test_criterion_11_lipschitz_continuity():
     cfg = DiagnosticsConfig()
     base = wave_data(GRID32, n_base=2.0, c_base=2.0, amp=0.01,
-                     S=SensitivitySpec.identity())
+                     S=SensitivitySpec())
     opts = RunOptions(snapshot_stride=5)
     base_traj, _ = run(base, T=1.0, dt=2e-3, options=opts)
     ratios = []
     for delta in (1e-3, 1e-4):
         pert = wave_data(GRID32, n_base=2.0, c_base=2.0, amp=0.01 + delta,
-                         S=SensitivitySpec.identity())
+                         S=SensitivitySpec())
         res = lipschitz_experiment(base, pert, cfg, T=1.0, dt=2e-3,
                                    options=opts, base_trajectory=base_traj)
         assert not res.degenerate
@@ -319,14 +319,14 @@ def test_criterion_11_lipschitz_continuity():
 
 def test_criterion_12_picard_contraction():
     data = wave_data(GRID32, n_base=2.0, c_base=2.0, amp=0.01,
-                     S=SensitivitySpec.identity())
+                     S=SensitivitySpec())
     opts = RunOptions(picard_k_max=3, picard_tol=1e-14, snapshot_stride=50)
     _, series = run(data, T=0.05, dt=1e-3, options=opts)
     contr = series.column("contraction")
     assert contr.max() < 1.0
     # 100x amplitude: must converge cleanly or abort with the blow-up path
     big = wave_data(GRID32, n_base=2.0, c_base=2.0, amp=1.0,
-                    S=SensitivitySpec.identity())
+                    S=SensitivitySpec())
     try:
         _, series_big = run(big, T=0.05, dt=1e-3, options=opts)
         outcome = (f"converged, max contraction estimate "
@@ -353,8 +353,8 @@ def test_criterion_12_picard_contraction():
 
 def test_criterion_13_constant_state_fixed_point():
     worst = 0.0
-    for S in (SensitivitySpec.identity(), SensitivitySpec.scaled(2.0),
-              SensitivitySpec.rotation(1.0, 0.5)):
+    for S in (SensitivitySpec(), SensitivitySpec(2.0),
+              SensitivitySpec(1.0, 0.5)):
         data = wave_data(GRID32, n_base=2.0, c_base=2.0, amp=0.0, S=S)
         traj, series = run(data, T=1.0, dt=1e-3,
                            options=RunOptions(snapshot_stride=100))
@@ -362,7 +362,7 @@ def test_criterion_13_constant_state_fixed_point():
         dev = max(max(np.abs(s.n.values - first.n.values).max(),
                       np.abs(s.c.values - first.c.values).max(),
                       s.u.magnitude_sup()) for s in traj[1:])
-        assert dev <= 1e-9, f"S = {S.tag}: deviation {dev}"
+        assert dev <= 1e-9, f"S = {S}: deviation {dev}"
         assert series.column("sup_n_dev").max() <= 1e-9
         worst = max(worst, dev)
     report("criterion-13", f"1000 steps, three tensor presets, worst "

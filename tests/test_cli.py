@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ksns import Grid, ScalarField, VectorField, linstep
 from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _nonneg_verdict,
                       diagnostics_from_config, grid_from_config, load_config,
-                      main, options_from_config)
+                      main, options_from_config, sensitivity_from_config)
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               LipschitzResult, SERIES_COLUMNS)
 from ksns.integrator import GivenData, RunOptions, SensitivitySpec, step_count
@@ -145,7 +145,11 @@ def test_config_errors_name_key_and_line(filler, bad):
     ("[eigen]\ntol = 0.5", "[eigen] tol"),
     ("[output]\nsnapshot_stride = 0", "[output] snapshot_stride"),
     ("[data]\npreset = spiral", "[data] preset"),
-    ("[forcing]\nkind = decaying\nrate = 0.1", "[forcing] rate")])
+    ("[forcing]\nkind = decaying\nrate = 0.1", "[forcing] rate"),
+    ("[forcing]\nkind = decaying\nrate = inf", "[forcing] rate"),
+    ("[sensitivity]\nkind = rotation\nb = nan", "[sensitivity] b"),
+    ("[data]\nn_base = inf", "[data] n_base"),
+    ("[potential]\nkind = linear-gravity\ng = nan", "[potential] g")])
 def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
     path = write_cfg(tmp_path, "# a comment\n" + text + "\n")
     lineno = text.count("\n") + 2
@@ -155,10 +159,22 @@ def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
     assert err.startswith(f"config error: {path}:{lineno}: {key}: "), err
 
 
+@pytest.mark.parametrize("section, key", [
+    (s, k) for s, sec in _SCHEMA.items() for k, (typ, _) in sec.items()
+    if typ is float])
+def test_nan_fails_closed_on_every_float_key(tmp_path, capsys, section, key):
+    path = write_cfg(tmp_path, f"# a comment\n[{section}]\n{key} = nan\n")
+    assert main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {path}:3: [{section}] {key}: "), err
+
+
 # ---------------------------------------------------------------------------
 # one home per range: the library types check, the loader names the key
 
-_OWNERS = {f.name: cls for cls in (Grid, RunOptions, DiagnosticsConfig)
+_OWNERS = {f.name: cls for cls in (Grid, RunOptions, DiagnosticsConfig,
+                                    SensitivitySpec)
            for f in fields(cls) if f.init}
 _DEFAULTS = {name: _SCHEMA[s][k][1] for name, (s, k) in _FIELDS.items()}
 
@@ -197,6 +213,15 @@ snapshot_stride = 7
         r=3.0, q=5.0, lambda1=0.4, lambda2=0.3)
 
 
+@pytest.mark.parametrize("kind, S", [
+    ("identity", SensitivitySpec()), ("scaled", SensitivitySpec(1.5)),
+    ("rotation", SensitivitySpec(1.5, -0.25))])
+def test_sensitivity_kind_reads_its_own_fields(tmp_path, kind, S):
+    cfg = load_config(write_cfg(
+        tmp_path, f"[sensitivity]\nkind = {kind}\na = 1.5\nb = -0.25\n"))
+    assert sensitivity_from_config(cfg) == S
+
+
 def _library_error(name, value):
     """The message of the ValueError the library raises with ``value`` in
     field ``name`` and every other field at its config default, or None."""
@@ -225,6 +250,10 @@ _INT_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 4, 5]),
 _LOADER_RULES = {
     ("picard", "tol"): (lambda v: v > 0, "must be positive"),
     ("time", "theta"): (lambda v: v == 1.0, "must be 1 (implicit Euler)"),
+    **{key: (math.isfinite, "must be finite") for key in (
+        ("data", "n_base"), ("data", "c_base"), ("data", "amplitude"),
+        ("data", "u_amplitude"), ("potential", "g"),
+        ("forcing", "amplitude"), ("forcing", "rate"))},
 }
 _KEY_FIELDS = dict.fromkeys(_LOADER_RULES) | {k: n for n, k in _FIELDS.items()}
 
@@ -234,8 +263,8 @@ _KEY_FIELDS = dict.fromkeys(_LOADER_RULES) | {k: n for n, k in _FIELDS.items()}
 def test_loader_and_library_agree_on_every_range(data):
     # the loader rejects a value exactly when the library type does, with
     # the library's message under the key of the field it names; only
-    # [picard] tol (RunOptions allows 0) and [time] theta (no library
-    # field) add rules of their own
+    # [picard] tol (RunOptions allows 0), [time] theta and the preset
+    # floats (no library field) add rules of their own
     section, key = data.draw(st.sampled_from(sorted(_KEY_FIELDS)))
     name = _KEY_FIELDS[(section, key)]
     typ = _SCHEMA[section][key][0]
@@ -580,7 +609,7 @@ def test_nonneg_verdict_reads_every_step_and_the_initial_fields(unit16):
     one = ScalarField.constant(unit16, 1.0)
     data = GivenData(n0=one, c0=one, u0=VectorField.zero(unit16),
                      phi_grad=VectorField.zero(unit16),
-                     S=SensitivitySpec.identity())
+                     S=SensitivitySpec())
     assert _nonneg_verdict(data, _series([0.9, 0.8, 0.7, 0.6]))[0]
     # with a snapshot stride of 2 the snapshots see only rows 2 and 4; the
     # dip at row 3 alone must fail the verdict

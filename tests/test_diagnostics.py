@@ -227,7 +227,7 @@ def test_smallness_homogeneity(unit16):
             return VectorField.from_functions(g, lambda x, y: w + 0.0 * x,
                                               lambda x, y: 0.0 * x)
         return GivenData(n0=n0, c0=c0, u0=u0, phi_grad=VectorField.zero(g),
-                         S=SensitivitySpec.identity(), f=f)
+                         S=SensitivitySpec(), f=f)
 
     v1 = smallness_functional(scaled_data(1.0), cfg, T_quad=2.0)
     v3 = smallness_functional(scaled_data(3.0), cfg, T_quad=2.0)
@@ -240,7 +240,7 @@ def test_smallness_cosine_against_direct_oracle(unit16):
     data = GivenData(n0=n0, c0=ScalarField.constant(unit16, 0.0),
                      u0=VectorField.zero(unit16),
                      phi_grad=VectorField.zero(unit16),
-                     S=SensitivitySpec.identity())
+                     S=SensitivitySpec())
     got = smallness_functional(data, cfg, T_quad=1.0)
     oracle = direct_w2_proxy_oracle(n0, 2.000001)
     assert got == pytest.approx(oracle, rel=1e-10)
@@ -397,20 +397,20 @@ def test_boundary_residual_consistent_hand_built(unit32):
         0.0, ScalarField.constant(unit32, 1.0),
         ScalarField.from_function(unit32, lambda x, y: np.cos(np.pi * x)),
         VectorField.zero(unit32), 1.0)
-    assert compatibility_check(st.n, st.c, SensitivitySpec.identity()) <= 5e-3
+    assert compatibility_check(st.n, st.c, SensitivitySpec()) <= 5e-3
 
 
 def test_compatibility_check_cases(unit64):
     c0 = ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x))
     n_const = ScalarField.constant(unit64, 1.0)
     # S = I: both sides vanish to O(h^2)
-    assert compatibility_check(n_const, c0, SensitivitySpec.identity()) <= 2e-3
+    assert compatibility_check(n_const, c0, SensitivitySpec()) <= 2e-3
     # rotated: violated with residual about pi
-    res = compatibility_check(n_const, c0, SensitivitySpec.rotation(0.0, 1.0))
+    res = compatibility_check(n_const, c0, SensitivitySpec(0.0, 1.0))
     assert abs(res - np.pi) <= 0.05
     # constants: exactly compatible
     assert compatibility_check(n_const, ScalarField.constant(unit64, 2.0),
-                               SensitivitySpec.identity()) == 0.0
+                               SensitivitySpec()) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +447,8 @@ def test_lipschitz_local_linearity(unit32):
 
 def test_lipschitz_ratio_matches_materialised_difference(unit16):
     # reference: the difference trajectory built as a list up front
-    base = wave_data(unit16, amp=0.01, S=SensitivitySpec.rotation(1.0, 0.5))
-    pert = wave_data(unit16, amp=0.011, S=SensitivitySpec.rotation(1.0, 0.5))
+    base = wave_data(unit16, amp=0.01, S=SensitivitySpec(1.0, 0.5))
+    pert = wave_data(unit16, amp=0.011, S=SensitivitySpec(1.0, 0.5))
     cfg = DiagnosticsConfig()
     opts = RunOptions(snapshot_stride=3)
     traj_a, _ = run(base, T=0.06, dt=5e-3, options=opts)
