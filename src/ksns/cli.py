@@ -10,7 +10,9 @@ then judge the run.
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
 every value is checked at load time, by the library type it sets where it
-sets one (``_FIELDS``).
+sets one (``_FIELDS``).  The loader builds each of those types once and
+keeps them on the ``RunConfig`` it returns, where every subcommand reads
+them.
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
 error, 3 blow-up.
 """
@@ -20,7 +22,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,10 +93,15 @@ _CHOICES = {
 
 @dataclass
 class RunConfig:
-    """Resolved, validated configuration for one scenario."""
+    """Resolved, validated configuration for one scenario, with the library
+    types its keys set, each built once by the loader's checks."""
 
     values: dict = field(default_factory=dict)
     where: dict = field(default_factory=dict)   # file's keys -> "path:line: "
+    grid: Grid | None = None
+    options: RunOptions | None = None
+    diag: DiagnosticsConfig | None = None
+    S: SensitivitySpec | None = None
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
@@ -129,8 +136,9 @@ def _build(cls, cfg: RunConfig):
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Check every value: the library types check their fields' keys, and
-    the rules below, which no library type holds, check the rest."""
+    """Check every value and keep the library types on ``cfg``: the types
+    check their fields' keys, and the rules below, which no library type
+    holds, check the rest."""
     def fail(section, key, msg):
         raise cfg.error(section, key, msg)
 
@@ -138,12 +146,17 @@ def _validate(cfg: RunConfig) -> None:
     for (s, k), choices in _CHOICES.items():
         if v[(s, k)] not in choices:
             fail(s, k, f"must be one of {choices}, got {v[(s, k)]!r}")
-    grid_from_config(cfg)
+    cfg.grid = _build(Grid, cfg)
     with _keyed(cfg):
         step_count(v[("time", "T")], v[("time", "dt")])
-    options_from_config(cfg)
-    diagnostics_from_config(cfg)
-    sensitivity_from_config(cfg)
+    cfg.options = _build(RunOptions, cfg)
+    cfg.diag = _build(DiagnosticsConfig, cfg)
+    # identity ignores a and b and scaled ignores b, but both are checked
+    # whatever the kind
+    S = _build(SensitivitySpec, cfg)
+    kind = v[("sensitivity", "kind")]
+    cfg.S = (SensitivitySpec() if kind == "identity"
+             else SensitivitySpec(S.a) if kind == "scaled" else S)
     # RunOptions takes picard_tol = 0, which runs all k_max iterates of a
     # step; a config file must give a stopping tolerance
     if not v[("picard", "tol")] > 0:
@@ -227,22 +240,6 @@ def load_config(path: str | None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # scenario builders
 
-def grid_from_config(cfg: RunConfig) -> Grid:
-    return _build(Grid, cfg)
-
-
-def sensitivity_from_config(cfg: RunConfig) -> SensitivitySpec:
-    """S from ``[sensitivity] a, b``; ``identity`` ignores both and
-    ``scaled`` ignores b, but both are checked whatever the kind."""
-    S = _build(SensitivitySpec, cfg)
-    kind = cfg.get("sensitivity", "kind")
-    if kind == "identity":
-        return SensitivitySpec()
-    if kind == "scaled":
-        return SensitivitySpec(S.a)
-    return S
-
-
 def _vortex(grid: Grid, amplitude: float) -> VectorField:
     Lx, Ly = grid.Lx, grid.Ly
     u = VectorField.from_functions(
@@ -254,8 +251,9 @@ def _vortex(grid: Grid, amplitude: float) -> VectorField:
     return helmholtz_project_core(u)
 
 
-def given_data_from_config(cfg: RunConfig, grid: Grid,
+def given_data_from_config(cfg: RunConfig,
                            amplitude: float | None = None) -> GivenData:
+    grid = cfg.grid
     preset = cfg.get("data", "preset")
     n_base = cfg.get("data", "n_base")
     c_base = cfg.get("data", "c_base")
@@ -291,23 +289,7 @@ def given_data_from_config(cfg: RunConfig, grid: Grid,
             w = _amp * math.exp(-_rate * t)
             return VectorField(grid, w * _base.ux, w * _base.uy)
     return GivenData(n0=n0, c0=c0, u0=u0, phi_grad=phi_grad,
-                     S=sensitivity_from_config(cfg), f=f)
-
-
-def diagnostics_from_config(cfg: RunConfig) -> DiagnosticsConfig:
-    return _build(DiagnosticsConfig, cfg)
-
-
-def options_from_config(cfg: RunConfig, stride: int | None = None) -> RunOptions:
-    """The run options; ``stride``, the ``--snapshot-stride`` flag, takes
-    the place of ``[output] snapshot_stride`` when given."""
-    opts = _build(RunOptions, cfg)
-    if stride is None:
-        return opts
-    try:
-        return replace(opts, snapshot_stride=stride)
-    except ValueError as exc:
-        raise ConfigError(f"--snapshot-stride: {exc}") from None
+                     S=cfg.S, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +388,12 @@ def _write_outputs(out_dir, trajectory, series) -> None:
                 ScalarField(state.u.grid, comp), name, state.t)
 
 
-def _compatibility_warning(grid, data, diag) -> None:
+def _compatibility_warning(cfg, data) -> None:
     """Warn when the exponents require the initial flux balance and the
     data miss it."""
-    if 1.0 / diag.r + 2.0 / diag.q < 1.0:
+    if 1.0 / cfg.diag.r + 2.0 / cfg.diag.q < 1.0:
         resid = compatibility_check(data.n0, data.c0, data.S)
-        h2 = max(grid.hx, grid.hy) ** 2
+        h2 = max(cfg.grid.hx, cfg.grid.hy) ** 2
         scale = 1.0 + float(np.abs(data.n0.values).max())
         if resid > 50.0 * h2 * scale:
             print(f"warning: initial flux-balance residual {resid:.6g} "
@@ -422,7 +404,7 @@ def _compatibility_warning(grid, data, diag) -> None:
 # subcommands
 
 def _cmd_eigen(cfg) -> int:
-    grid = grid_from_config(cfg)
+    grid = cfg.grid
     rN = lambda_neumann(grid)
     rD = lambda_dirichlet(grid)
     print(f"{rN.lam:.12g},{rD.lam:.12g},{grid.hx:.12g},"
@@ -437,10 +419,9 @@ class _Scenario:
     cfg: RunConfig
     args: argparse.Namespace
     data: GivenData
-    diag: DiagnosticsConfig
     lamN: EigenResult | None
     lamD: EigenResult | None
-    opts: RunOptions
+    window: tuple[float, float] | None      # the decay fits' time window
 
 
 def _judge_run(sc, trajectory, series) -> bool:
@@ -454,7 +435,8 @@ def _decay_window(cfg) -> tuple[float, float]:
     of the run."""
     T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
     window = (cfg.get("diagnostics", "fit_window_frac") * T, T)
-    t = np.arange(1, step_count(T, dt) + 1) * dt       # as the run's k * dt
+    # the run's times k * dt; the loader has checked that T/dt is whole
+    t = np.arange(1, round(T / dt) + 1) * dt
     steps = int(((window[0] <= t) & (t <= window[1])).sum())
     if steps < FIT_MIN_SAMPLES:
         raise cfg.error("diagnostics", "fit_window_frac",
@@ -465,10 +447,10 @@ def _decay_window(cfg) -> tuple[float, float]:
 
 
 def _judge_decay(sc, trajectory, series) -> bool:
-    window = _decay_window(sc.cfg)
+    window = sc.window
     span = f"(window [{window[0]:.3g}, {window[1]:.3g}])"
     t = series.column("t")
-    lam1 = sc.diag.lambda1
+    lam1 = sc.cfg.diag.lambda1
     verdicts, rates = [], {}
     for name, column in (("n-deviation", "sup_n_dev"),
                          ("c-deviation", "sup_c_dev")):
@@ -496,9 +478,9 @@ def _judge_lipschitz(sc, trajectory, series) -> bool:
     amp = cfg.get("data", "amplitude")
     ratios = []
     for delta in (1e-3, 1e-4):
-        pert = given_data_from_config(cfg, sc.data.grid, amplitude=amp + delta)
-        res = lipschitz_experiment(sc.data, pert, sc.diag, T, dt, sc.opts,
-                                   base_trajectory=trajectory)
+        pert = given_data_from_config(cfg, amplitude=amp + delta)
+        res = lipschitz_experiment(sc.data, pert, cfg.diag, T, dt,
+                                   cfg.options, base_trajectory=trajectory)
         ratios.append(res.ratio)
         print(f"INFO delta {delta:g}: ratio {res.ratio:.6g} "
               f"data gap {res.data_gap:.6g}")
@@ -521,28 +503,26 @@ _JUDGES = {"run": _judge_run, "decay": _judge_decay,
            "lipschitz": _judge_lipschitz, "nonneg": _judge_nonneg}
 
 
-def _simulate(cfg, args, opts, need_eigen: bool) -> int:
+def _simulate(cfg, args) -> int:
     """Echo the config, build and run the scenario, and judge the run with
     the verdict of ``args.command``.  Exit code 0 when every verdict
     passes, 1 otherwise, 3 on a blow-up (``run`` then writes the
-    diagnostics recorded up to it).  With ``need_eigen`` the fit window
-    and the rate window against lambda_N fail closed before the echo."""
-    grid = grid_from_config(cfg)
-    diag = diagnostics_from_config(cfg)
-    lamN = lamD = None
-    if need_eigen:
-        _decay_window(cfg)
-        lamN, lamD = lambda_neumann(grid), lambda_dirichlet(grid)
+    diagnostics recorded up to it).  For ``decay`` the fit window and the
+    rate window against lambda_N fail closed before the echo."""
+    lamN = lamD = window = None
+    if args.command == "decay":
+        window = _decay_window(cfg)
+        lamN, lamD = lambda_neumann(cfg.grid), lambda_dirichlet(cfg.grid)
         with _keyed(cfg):
-            diag.validate_rates(lamN.lam)
+            cfg.diag.validate_rates(lamN.lam)
     for line in cfg.echo_lines():
         print(line)
-    data = given_data_from_config(cfg, grid)
-    _compatibility_warning(grid, data, diag)
-    sc = _Scenario(cfg, args, data, diag, lamN, lamD, opts)
+    data = given_data_from_config(cfg)
+    _compatibility_warning(cfg, data)
+    sc = _Scenario(cfg, args, data, lamN, lamD, window)
     try:
         trajectory, series = run(data, cfg.get("time", "T"),
-                                 cfg.get("time", "dt"), sc.opts)
+                                 cfg.get("time", "dt"), cfg.options)
         ok = _JUDGES[args.command](sc, trajectory, series)
     except BlowUpError as exc:
         print(f"blow-up: {exc}")
@@ -564,7 +544,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--out", default=None, help="output directory "
                         "(falls back to config, then $KSNS_OUT)")
-    parser.add_argument("--snapshot-stride", type=int, default=None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -574,14 +553,9 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        opts = options_from_config(cfg, stride=args.snapshot_stride)
         if args.command == "eigen":
             return _cmd_eigen(cfg)
-        return _simulate(cfg, args, opts, need_eigen=args.command == "decay")
+        return _simulate(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

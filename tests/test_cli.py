@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from ksns import Grid, ScalarField, VectorField, linstep
 from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _nonneg_verdict,
-                      diagnostics_from_config, grid_from_config, load_config,
-                      main, options_from_config, sensitivity_from_config)
+                      load_config, main)
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               LipschitzResult, SERIES_COLUMNS)
 from ksns.integrator import GivenData, RunOptions, SensitivitySpec, step_count
@@ -74,6 +73,30 @@ def test_benchmark_workload_configs_load():
     for path in paths:
         cfg = load_config(str(path))
         assert cfg.where, f"{path.name} sets no key"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    # the documented file sets every key to its default, so a key or a
+    # default changed in one place only fails here
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    cfg = load_config(write_cfg(tmp_path, blocks[0]))
+    assert cfg.values == load_config(None).values
+    assert set(cfg.where) == set(cfg.values)
+
+
+def test_readme_flags_are_the_parser_options(capsys):
+    assert main(["--help"]) == 0
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    text = README.read_text(encoding="utf-8")
+    para = re.search(r"^Flags:(.*?)\n\n", text, re.S | re.M)
+    assert para, "README has no Flags paragraph"
+    documented = set(re.findall(r"--[a-z][a-z-]*", para.group(1)))
+    assert documented == options - {"--help"} == {"--config", "--out"}
 
 
 def test_missing_file_rejected():
@@ -204,12 +227,12 @@ lambda2 = 0.3
 [output]
 snapshot_stride = 7
 """))
-    grid = grid_from_config(cfg)
+    grid = cfg.grid
     assert (grid.Lx, grid.Ly, grid.nx, grid.ny) == (2.0, 0.5, 8, 6)
-    assert options_from_config(cfg) == RunOptions(
+    assert cfg.options == RunOptions(
         picard_k_max=3, picard_tol=1e-6, snapshot_stride=7,
         blowup_ceiling=50.0)
-    assert diagnostics_from_config(cfg) == DiagnosticsConfig(
+    assert cfg.diag == DiagnosticsConfig(
         r=3.0, q=5.0, lambda1=0.4, lambda2=0.3)
 
 
@@ -219,7 +242,7 @@ snapshot_stride = 7
 def test_sensitivity_kind_reads_its_own_fields(tmp_path, kind, S):
     cfg = load_config(write_cfg(
         tmp_path, f"[sensitivity]\nkind = {kind}\na = 1.5\nb = -0.25\n"))
-    assert sensitivity_from_config(cfg) == S
+    assert cfg.S == S
 
 
 def _library_error(name, value):
@@ -662,22 +685,60 @@ def test_lipschitz_stability_gate_is_one_percent(tmp_path, capsys,
             f"{ratio - 1.0:.3e} tol 1.0e-02") in stdout
 
 
-def test_flag_validation(capsys, monkeypatch):
-    # the flag is checked by RunOptions, before the config echo and the run
+def test_snapshot_stride_is_a_config_key_not_a_flag(capsys, monkeypatch):
+    # [output] snapshot_stride is the one way to set the stride
     monkeypatch.setattr("ksns.cli.run", None)
-    assert main(["run", "--snapshot-stride", "0"]) == 2
+    assert main(["run", "--snapshot-stride", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("config error: --snapshot-stride: snapshot_stride must be "
-                   "at least 1, got 0\n"), err
+    assert "unrecognized arguments: --snapshot-stride 3" in err, err
 
 
-def test_stride_flag_replaces_the_config_stride():
-    cfg = load_config(None)
-    assert options_from_config(cfg).snapshot_stride == 10
-    assert options_from_config(cfg, stride=3).snapshot_stride == 3
-    with pytest.raises(ConfigError, match="snapshot_stride"):
-        options_from_config(cfg, stride=0)      # not the config's 10
+@pytest.mark.parametrize("command", ["run", "decay", "lipschitz", "nonneg",
+                                     "eigen"])
+def test_main_builds_the_library_types_only_in_the_loader(
+        tmp_path, capsys, monkeypatch, command):
+    # load_config checks each input by building its library type and keeps
+    # it; after it returns, no subcommand builds one again or recounts the
+    # steps (the run's own step_count call is library code)
+    loaded = []
+    counts = dict.fromkeys(["Grid", "RunOptions", "DiagnosticsConfig",
+                            "SensitivitySpec", "step_count"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if loaded:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (Grid, RunOptions, DiagnosticsConfig, SensitivitySpec):
+        monkeypatch.setattr(cls, "__post_init__",
+                            counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr("ksns.cli.step_count",
+                        counted("step_count", step_count))
+
+    def load_then_count(path):
+        cfg = load_config(path)
+        loaded.append(cfg)
+        return cfg
+
+    monkeypatch.setattr("ksns.cli.load_config", load_then_count)
+    # a small-wave decay whose fit window [0.003, 0.008] holds 5 steps or
+    # more
+    path = write_cfg(tmp_path, """[domain]
+nx = 8
+ny = 8
+[time]
+dt = 0.001
+T = 0.008
+[diagnostics]
+fit_window_frac = 0.375
+""")
+    code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert code in (0, 1), capsys.readouterr()
+    assert loaded
+    assert counts == dict.fromkeys(counts, 0), counts
 
 
 def test_rate_window_error_names_key_and_line(tmp_path, capsys):
