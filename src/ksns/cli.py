@@ -403,6 +403,23 @@ def _compatibility_warning(cfg, data) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_initial_sup(cfg, data) -> None:
+    """Raise ``BlowUpError`` at t = 0 when the initial fields are not finite
+    or their sup is already above the ceiling, before any arithmetic on
+    them (the flux check and the first step would overflow)."""
+    ceiling = cfg.options.blowup_ceiling
+    # max and -min, not abs: no field-sized temporaries
+    ext = [m for v in (data.n0.values, data.c0.values, data.u0.ux, data.u0.uy)
+           for m in (float(v.max()), -float(v.min()))]
+    if not all(map(math.isfinite, ext)):
+        reason = "non-finite values"
+    elif max(ext) > ceiling:
+        reason = f"sup {max(ext):.3e} exceeds ceiling {ceiling:.3e}"
+    else:
+        return
+    raise BlowUpError(f"blow-up detected at t = 0: {reason}")
+
+
 def _cmd_eigen(cfg) -> int:
     grid = cfg.grid
     rN = lambda_neumann(grid)
@@ -506,9 +523,10 @@ _JUDGES = {"run": _judge_run, "decay": _judge_decay,
 def _simulate(cfg, args) -> int:
     """Echo the config, build and run the scenario, and judge the run with
     the verdict of ``args.command``.  Exit code 0 when every verdict
-    passes, 1 otherwise, 3 on a blow-up (``run`` then writes the
-    diagnostics recorded up to it).  For ``decay`` the fit window and the
-    rate window against lambda_N fail closed before the echo."""
+    passes, 1 otherwise, 3 on a blow-up, also of initial data already above
+    the ceiling (``run`` then writes the diagnostics recorded up to it).
+    For ``decay`` the fit window and the rate window against lambda_N fail
+    closed before the echo."""
     lamN = lamD = window = None
     if args.command == "decay":
         window = _decay_window(cfg)
@@ -518,9 +536,10 @@ def _simulate(cfg, args) -> int:
     for line in cfg.echo_lines():
         print(line)
     data = given_data_from_config(cfg)
-    _compatibility_warning(cfg, data)
     sc = _Scenario(cfg, args, data, lamN, lamD, window)
     try:
+        _check_initial_sup(cfg, data)
+        _compatibility_warning(cfg, data)
         trajectory, series = run(data, cfg.get("time", "T"),
                                  cfg.get("time", "dt"), cfg.options)
         ok = _JUDGES[args.command](sc, trajectory, series)

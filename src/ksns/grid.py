@@ -8,7 +8,9 @@ normal derivative.
 
 Field arrays are indexed ``[j, i]`` with ``j`` running along y and ``i``
 along x, matching the snapshot file layout (one row per y line, increasing
-y downward in the file).
+y downward in the file).  Snapshot values are written as C's ``%.17g``,
+rounded half-even from the exact binary value, so they read back exactly
+and identical runs write identical bytes.
 """
 
 from dataclasses import dataclass, field
@@ -463,16 +465,185 @@ def discrete_norm(f: ScalarField, kind: str = "Lr", r: float = 2.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# snapshot files: header "nx,ny,Lx,Ly,name,t", then ny rows of nx values
+# snapshot files: header "nx,ny,Lx,Ly,name,t", then ny rows of nx values,
+# each written as C's "%.17g"
 
 def write_field_snapshot(path, f: ScalarField, name: str, t: float) -> None:
     if "," in name:
         raise ValueError("snapshot name must not contain a comma")
     g = f.grid
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.nx},{g.ny},{g.Lx:.17g},{g.Ly:.17g},{name},{t:.17g}\n")
-        row = ",".join(["%.17g"] * g.nx) + "\n"
-        fh.writelines(row % tuple(r) for r in f.values.tolist())
+    vals = f.values
+    with open(path, "wb") as fh:
+        fh.write(f"{g.nx},{g.ny},{g.Lx:.17g},{g.Ly:.17g},{name},{t:.17g}\n"
+                 .encode("utf-8"))
+        if not vals.any() and not np.signbit(vals).any():
+            fh.write(("0," * (g.nx - 1) + "0\n").encode() * g.ny)
+            return
+        rows = max(1, _G17_BLOCK // g.nx)
+        for j in range(0, g.ny, rows):
+            fh.write(_g17_rows(vals[j:j + rows]))
+
+
+# The body is formatted with numpy, byte for byte as "%.17g" formats each
+# value: 17 significant digits rounded half-even from the exact binary
+# value, trailing zeros and a bare point dropped, fixed notation for decimal
+# exponents -4..16.  A finite |x| in [1e-5, 1e16) and zero take the array
+# path; nan, +-inf, subnormals and the rest go through Python's "%.17g".
+#
+# With E = floor(log10|x|) the digits are the integer nearest |x|*10^(16-E).
+# That product is formed exactly, as hi + lo: Dekker's product with 5^(16-E),
+# exact in a double while 16 - E <= 22 (fl(1e-5) < 10^-5, so E >= -6), then
+# the exact scaling by 2^(16-E).  Each value is laid out in a 32-byte slot:
+# col 1 the sign, cols 2-6 the "0.000" of a fixed value below 1, the digits
+# at cols 7-23 ("slot") or one col to the right ("shifted", for the digits
+# after the point), the point, cols 25-28 a scientific exponent, col 29 the
+# separator.  Which bytes a value keeps depends only on E and its count of
+# significant digits, so one class index per value picks a template and the
+# masks of both digit copies; the zero bytes left over are dropped by one
+# boolean gather.
+
+_G17_BLOCK = 4096                   # values per block, to bound temporaries
+_G17_EMIN, _G17_EMAX = -6, 15       # decimal exponents of [1e-5, 1e16)
+_G17_W = 32                         # bytes per value slot
+_G17_ZERO = (_G17_EMAX - _G17_EMIN + 1) * 17
+_G17_SLOW = _G17_ZERO + 1
+
+
+@lru_cache(maxsize=1)
+def _digit_tables():
+    """ASCII of each 4-digit group as one uint32, of each leading digit
+    after three zero bytes, and each group's count of trailing zeros
+    (read-only, built by the first snapshot)."""
+    group = np.arange(10000)
+    ascii4 = np.zeros((10000, 4), np.uint8)
+    trailing = np.zeros(10000, np.uint8)
+    q = group
+    for j in (3, 2, 1, 0):
+        q, r = np.divmod(q, 10)
+        ascii4[:, j] = r + ord("0")
+        trailing += np.divmod(group, 10 ** (4 - j))[1] == 0
+    ascii4.flags.writeable = trailing.flags.writeable = False
+    lead = np.frombuffer(b"".join(b"\0\0\0%d" % d for d in range(10)), np.uint32)
+    return ascii4.view(np.uint32).ravel(), trailing, lead
+
+
+@lru_cache(maxsize=1)
+def _slot_tables():
+    """Template, slot mask and shifted mask of each class
+    (E - _G17_EMIN) * 17 + (digits - 1), then of zero and of the slow path
+    (read-only, built by the first snapshot)."""
+    tpl, keep_slot, keep_shifted = (bytearray(_G17_W * (_G17_SLOW + 1))
+                                    for _ in range(3))
+    for e in range(_G17_EMIN, _G17_EMAX + 1):
+        for nd in range(1, 18):
+            o = ((e - _G17_EMIN) * 17 + nd - 1) * _G17_W
+            if e < -4:                      # d.ddd...e-0X
+                split, kept = 1, nd
+                tpl[o + 25:o + 29] = b"e%+03d" % e
+            elif e < 0:                     # 0.000ddd...
+                split, kept = 17, nd
+                tpl[o + 2:o + 3 - e] = b"0." + b"0" * (-e - 1)
+            else:                           # ddd.ddd...
+                split, kept = e + 1, max(nd, e + 1)
+            head = min(kept, split)
+            keep_slot[o + 7:o + 7 + head] = b"\xff" * head
+            if kept > split:
+                tpl[o + 7 + split] = ord(".")
+                keep_shifted[o + 8 + split:o + 8 + kept] = b"\xff" * (kept - split)
+    tpl[_G17_ZERO * _G17_W + 7] = ord("0")
+    return tuple(np.frombuffer(bytes(b), np.uint32).reshape(-1, _G17_W // 4)
+                 for b in (tpl, keep_slot, keep_shifted))
+
+
+_POW5 = 5.0 ** np.arange(23)         # exact: 5^22 < 2^53
+_POW2 = 2.0 ** np.arange(23)
+
+
+def _veltkamp(a):
+    """Split doubles into halves of at most 26 bits each, a = hi + lo."""
+    c = 134217729.0 * a             # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW5_HI, _POW5_LO = _veltkamp(_POW5)
+
+
+def _times_pow10(a, k):
+    """a * 10^k as hi + lo exactly, for 0 <= k <= 22 and a < 1e16 (Dekker,
+    Numer. Math. 18, 1971: the product needs no FMA)."""
+    ah, al = _veltkamp(a)
+    hi = a * np.take(_POW5, k)
+    bh = np.take(_POW5_HI, k)
+    bl = np.take(_POW5_LO, k)
+    lo = ah * bh - hi
+    lo += ah * bl
+    lo += al * bh
+    lo += al * bl
+    scale = np.take(_POW2, k)
+    hi *= scale
+    lo *= scale
+    return hi, lo
+
+
+def _g17_rows(vals: np.ndarray) -> bytes:
+    """The snapshot body of the rows ``vals``, equal to "%.17g" per value."""
+    ny, nx = vals.shape
+    x = vals.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-5) & (a < 1e16)
+    a[~fast] = 1.0                  # keeps log10 quiet; zero or slow class below
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, 16 - e)
+    # next to a power of ten log10 may miss by one: move hi + lo into
+    # [10^16, 10^17).  The rounding below cannot reach 10^17, since no double
+    # in the range lies within 5e-18 relative below a power of ten.
+    step = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+    step -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    fix = np.flatnonzero(step)
+    if fix.size:
+        e[fix] += step[fix]
+        hi[fix], lo[fix] = _times_pow10(a[fix], 16 - e[fix])
+    # hi > 2^53 is an even integer, so rint(lo) rounds hi + lo half-even
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    digits4, trailing_zeros4, lead4 = _digit_tables()
+    slot = np.zeros((x.size, _G17_W // 4), np.uint32)
+    first, rest = np.divmod(digits, 10 ** 16)
+    slot[:, 1] = np.take(lead4, first)
+    g1, rest = np.divmod(rest, 10 ** 12)
+    g2, rest = np.divmod(rest, 10 ** 8)
+    g3, g4 = np.divmod(rest, 10 ** 4)
+    for col, g in enumerate((g1, g2, g3, g4), start=2):
+        slot[:, col] = np.take(digits4, g)
+    zeros = np.take(trailing_zeros4, g4)
+    below = g4 == 0
+    for g in (g3, g2, g1):
+        zeros += below * np.take(trailing_zeros4, g)
+        below &= g == 0
+    shifted = np.empty_like(slot)
+    flat = shifted.view(np.uint8).reshape(-1)
+    flat[0] = 0
+    flat[1:] = slot.view(np.uint8).reshape(-1)[:-1]
+
+    cls = (e - _G17_EMIN) * 17 + (16 - zeros)
+    cls[~fast] = _G17_SLOW
+    cls[x == 0.0] = _G17_ZERO
+    template, keep_slot, keep_shifted = _slot_tables()
+    slot &= np.take(keep_slot, cls, axis=0)
+    shifted &= np.take(keep_shifted, cls, axis=0)
+    slot |= shifted
+    slot |= np.take(template, cls, axis=0)
+    out = slot.view(np.uint8)
+    out[:, 1] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    sep = out.reshape(ny, nx, _G17_W)[:, :, 29]
+    sep[:] = ord(",")
+    sep[:, -1] = ord("\n")
+    slow = np.flatnonzero(~fast & (x != 0.0))
+    if slow.size:
+        text = np.array([b"%.17g" % v for v in x[slow].tolist()], "S24")
+        out[slow, :24] = text.view(np.uint8).reshape(-1, 24)
+    return out[out != 0].tobytes()
 
 
 def read_field_snapshot(path) -> tuple[ScalarField, str, float]:

@@ -293,11 +293,20 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
         force_y = -adv_uy + nt_new * data.phi_grad.uy + f_y
         u_new = stokes_core(grid, st.u.ux, st.u.uy, force_x, force_y, dt)
 
-    new = SimState(t=t0 + dt, nt=nt_new, chi=chi_new, u=u_new,
+    new = SimState(t=_next_time(t0, dt), nt=nt_new, chi=chi_new, u=u_new,
                    gamma=(st.gamma + dt) / (1.0 + dt), n_bar0=n_bar0,
                    bc_residual=bc_res)
     new.extrema = _check_blowup(new, opts.blowup_ceiling, st, at_rest)
     return new
+
+
+def _next_time(t0: float, dt: float) -> float:
+    """t0 + dt, but k * dt when t0 / dt is the whole number k - 1 to 1e-9
+    relative, so chained steps keep a run's times k * dt and do not drift
+    by accumulated addition."""
+    ratio = t0 / dt
+    k = round(ratio)
+    return (k + 1) * dt if abs(ratio - k) <= 1e-9 * ratio else t0 + dt
 
 
 def _check_blowup(st: SimState, ceiling: float, last_valid: SimState,
@@ -430,7 +439,6 @@ def run(data: GivenData, T: float, dt: float,
         except BlowUpError as exc:
             exc.series = series
             raise
-        st.t = k * dt       # avoid accumulated addition drift
         # exact minima and sups from the blow-up check: x + a rounds monotonically
         n_lo, n_hi, c_lo, c_hi = st.extrema
         c_shift = st.gamma * n_bar0

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksns import Grid, ScalarField, VectorField, linstep
+from ksns import Grid, ScalarField, VectorField, cli, linstep
 from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _nonneg_verdict,
-                      load_config, main)
+                      given_data_from_config, load_config, main)
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               LipschitzResult, SERIES_COLUMNS)
-from ksns.integrator import GivenData, RunOptions, SensitivitySpec, step_count
+from ksns.integrator import (BlowUpError, GivenData, RunOptions,
+                             SensitivitySpec, step_count)
+from snapshot_oracle import write_field_snapshot as row_writer
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -493,6 +495,47 @@ def test_run_deterministic_outputs(tmp_path, capsys):
             assert fa.read() == fb.read(), name
 
 
+# a weak vortex under gravity and a force: near the walls the velocities
+# fall below 1e-5, where the snapshot writer formats value by value
+WEAK_FLOW = """
+[domain]
+nx = 16
+ny = 16
+[time]
+dt = 0.001
+T = 0.02
+[data]
+u_preset = vortex
+u_amplitude = 0.0001
+[potential]
+kind = linear-gravity
+g = 1.0
+[forcing]
+kind = decaying
+amplitude = 0.1
+rate = 1.0
+[output]
+snapshot_stride = 10
+"""
+
+
+def test_run_outputs_match_the_row_writer(tmp_path, capsys, monkeypatch):
+    path = write_cfg(tmp_path, WEAK_FLOW)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(cli, "write_field_snapshot", row_writer)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "b")]) == 0
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b")) and len(names) == 13
+    tiny = 0
+    for name in names:
+        got = (tmp_path / "a" / name).read_bytes()
+        assert got == (tmp_path / "b" / name).read_bytes(), name
+        if name.startswith("snap_"):
+            vals = np.loadtxt(tmp_path / "a" / name, delimiter=",", skiprows=1)
+            tiny += int(((vals != 0.0) & (np.abs(vals) < 1e-5)).sum())
+    assert tiny > 0
+
+
 def test_run_blowup_exits_3(tmp_path, capsys):
     text = TINY_RUN + "[solver]\nblowup_ceiling = 1.5\n"
     path = write_cfg(tmp_path, text)
@@ -502,7 +545,8 @@ def test_run_blowup_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["decay", "lipschitz", "nonneg"])
 @pytest.mark.parametrize("text, t_abort", [
-    (TINY_RUN + "[solver]\nblowup_ceiling = 1.5\n", "0.005"),
+    # the constant data's sup, 2, is already above this ceiling
+    (TINY_RUN + "[solver]\nblowup_ceiling = 1.5\n", "0"),
     (FORCED_RUN + FORCED_CEILING, "0.015")])
 def test_judging_subcommands_exit_3_on_blowup(tmp_path, capsys, command,
                                               text, t_abort):
@@ -517,6 +561,31 @@ def test_judging_subcommands_exit_3_on_blowup(tmp_path, capsys, command,
     assert f"blow-up: blow-up detected at t = {t_abort}:" in stdout
     assert "PASS" not in stdout and "FAIL" not in stdout
     assert not out.exists()     # only run writes the partial diagnostics
+
+
+@pytest.mark.parametrize("given, t_abort", [
+    ("[data]\nn_base = 1e308\n", "0"),
+    ("[forcing]\nkind = decaying\namplitude = 1e308\nrate = 1.0\n", "0.005")])
+def test_huge_data_blows_up_without_warnings(tmp_path, capsys, given, t_abort):
+    # initial data above the ceiling stop before any arithmetic on them,
+    # which would overflow; a huge force blows the fluid up on the first step
+    text = "[domain]\nnx = 8\nny = 8\n[time]\ndt = 0.005\nT = 0.01\n" + given
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert f"blow-up: blow-up detected at t = {t_abort}: sup " in stdout
+    assert stderr == ""
+    assert not out.exists()
+
+
+def test_non_finite_initial_fields_blow_up_at_t0(tmp_path):
+    # a huge vortex amplitude overflows into non-finite velocities
+    cfg = load_config(write_cfg(tmp_path, TINY_RUN))
+    data = given_data_from_config(cfg)
+    data.u0.ux[2, 3] = np.nan
+    with pytest.raises(BlowUpError, match="at t = 0: non-finite values"):
+        cli._check_initial_sup(cfg, data)
 
 
 def test_run_blowup_writes_partial_diagnostics(tmp_path, capsys):

@@ -330,3 +330,55 @@ def test_snapshot_bytes_match_per_value_format(tmp_path):
     expected = "7,5,1.5,0.75,n,0.29999999999999999\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in vals)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# values around the edges of the array path [1e-5, 1e16) and of each
+# decade, where log10 may miss the exponent, and exact half-way cases
+def _neighbours(v, reach=3):
+    out = [v]
+    for d in (0.0, np.inf):
+        w = v
+        for _ in range(reach):
+            w = float(np.nextafter(w, d))
+            out.append(w)
+    return out
+
+
+_SNAPSHOT_EDGES = [w for v in (1e-5, 1e16) for w in _neighbours(v)]
+_TIES = st.integers(-4, 12).flatmap(
+    lambda m: st.integers(int(np.ceil(10.0 ** m * 2.0 ** (17 - m))),
+                          int(np.floor(10.0 ** (m + 1) * 2.0 ** (17 - m))) - 1)
+    .map(lambda k: (2 * (k // 2) + 1) * 2.0 ** (m - 17)))
+_SNAPSHOT_VALUES = st.tuples(st.one_of(
+    st.floats(width=64),                        # nan, inf, subnormals, +-0
+    st.floats(1e-5, 1e16, exclude_max=True),
+    st.sampled_from(_SNAPSHOT_EDGES + [1.0 + 2.0 ** -17, 123.5, 0.0, 5e-324]),
+    st.integers(-8, 18).flatmap(lambda k: st.sampled_from(_neighbours(10.0 ** k))),
+    _TIES,                                      # 18 significant digits, last 5
+), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+@settings(max_examples=200, deadline=None)
+@example(nx=8, ny=4, fill="drawn", seed=0, block=200,
+         pool=[1.0 + 2.0 ** -17, float(np.nextafter(1e15, 0.0)), -0.0,
+               float(np.nextafter(1e16, 0.0)), 1e-5, 5e-324, np.nan])
+@given(nx=st.integers(4, 40), ny=st.integers(4, 8),
+       fill=st.sampled_from(["drawn", "zeros", "negative zeros"]),
+       pool=st.lists(_SNAPSHOT_VALUES, min_size=1, max_size=24),
+       seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 200))
+def test_snapshot_body_is_percent_17g_per_value(tmp_path_factory, nx, ny, fill,
+                                                pool, seed, block):
+    # byte for byte the per-value "%.17g", on fields mixing every path and
+    # exponent in each row, split into blocks of any size
+    if fill == "drawn":
+        pick = np.random.default_rng(seed).integers(0, len(pool), (ny, nx))
+        vals = np.array(pool)[pick]
+    else:
+        vals = np.full((ny, nx), 0.0 if fill == "zeros" else -0.0)
+    path = tmp_path_factory.mktemp("snap") / "snap.csv"
+    with mock.patch.object(grid_mod, "_G17_BLOCK", block):
+        write_field_snapshot(path, ScalarField(Grid(1.0, 1.0, nx, ny), vals),
+                             "n", 0.5)
+    body = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                   for row in vals.tolist())
+    assert path.read_bytes() == f"{nx},{ny},1,1,n,0.5\n{body}".encode()
