@@ -34,8 +34,8 @@ from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 class BlowUpError(RuntimeError):
     """The run produced non-finite values or exceeded the sup ceiling.
 
-    Carries the last valid state (``state``) and, when raised from ``run``,
-    the diagnostics recorded up to the abort (``series``).
+    Carries the last state within the ceiling (``state``, None at t = 0)
+    and, from ``run``, the diagnostics recorded up to the abort (``series``).
     """
 
     def __init__(self, message, state=None, series=None):
@@ -309,28 +309,42 @@ def _next_time(t0: float, dt: float) -> float:
     return (k + 1) * dt if abs(ratio - k) <= 1e-9 * ratio else t0 + dt
 
 
+def _check_sups(t: float, sups: list[float], ceiling: float,
+                last_valid: SimState | None = None) -> None:
+    """Raise ``BlowUpError`` at time ``t``, carrying ``last_valid``, on a
+    non-finite sup or one above the ceiling."""
+    finite = all(map(math.isfinite, sups))
+    if finite and max(sups) <= ceiling:
+        return
+    reason = (f"sup {max(sups):.3e} exceeds ceiling {ceiling:.3e}" if finite
+              else "non-finite values")
+    raise BlowUpError(f"blow-up detected at t = {t:.6g}: {reason}",
+                      state=last_valid)
+
+
+def _check_initial(data: GivenData, ceiling: float) -> None:
+    """The blow-up check of the given fields at t = 0, before any arithmetic
+    on them: max and -min, not abs, so no field-sized temporaries."""
+    fields = (data.n0.values, data.c0.values, data.u0.ux, data.u0.uy)
+    _check_sups(0.0, [m for a in fields for m in (a.max(), -a.min())], ceiling)
+
+
 def _check_blowup(st: SimState, ceiling: float, last_valid: SimState,
                   at_rest: bool = False) -> tuple[float, float, float, float]:
     """Raise ``BlowUpError`` carrying ``last_valid`` on non-finite values or
-    a sup above the ceiling; return (min nt, max nt, min chi, max chi)
-    otherwise.  The velocity sups of a fluid at rest are 0 and are not
-    computed."""
-    n_bar0 = st.n_bar0
+    a sup of |n|, |c|, |ux| or |uy| above the ceiling; return (min nt, max
+    nt, min chi, max chi), which give the sups of n and c exactly, as x + a
+    rounds monotonically.  A fluid at rest skips its velocity sups."""
+    n_bar0, c_shift = st.n_bar0, st.gamma * st.n_bar0
     # NaN and inf propagate through min and max
     ext = (float(st.nt.min()), float(st.nt.max()),
            float(st.chi.min()), float(st.chi.max()))
-    sups = (0.0, 0.0) if at_rest else tuple(
-        float(np.abs(a).max()) for a in (st.u.ux, st.u.uy))
-    if all(map(math.isfinite, ext + sups)):
-        sup = max(max(ext[1], -ext[0]) + abs(n_bar0),
-                  max(ext[3], -ext[2]) + abs(n_bar0), *sups)
-        if sup <= ceiling:
-            return ext
-        reason = f"sup {sup:.3e} exceeds ceiling {ceiling:.3e}"
-    else:
-        reason = "non-finite values"
-    raise BlowUpError(f"blow-up detected at t = {st.t:.6g}: {reason}",
-                      state=last_valid)
+    sups = [max(ext[1] + n_bar0, -(ext[0] + n_bar0)),
+            max(ext[3] + c_shift, -(ext[2] + c_shift))]
+    if not at_rest:
+        sups += [m for a in (st.u.ux, st.u.uy) for m in (a.max(), -a.min())]
+    _check_sups(st.t, sups, ceiling, last_valid)
+    return ext
 
 
 def _rel_increment(a: SimState, b: SimState) -> float:
@@ -415,13 +429,14 @@ def run(data: GivenData, T: float, dt: float,
 
     Returns (trajectory, series): the stepped states at the configured
     stride (always including the initial and final states) and the
-    per-step diagnostics.  A blow-up aborts with the last valid state and
-    the partial series attached to the raised ``BlowUpError``.
+    per-step diagnostics.  A blow-up raises ``BlowUpError``: at t = 0 with no
+    state on bad given fields, else with the last valid state and series.
     """
     from .diagnostics import DiagnosticsSeries
 
     opts = options or RunOptions()
     n_steps = step_count(T, dt)
+    _check_initial(data, opts.blowup_ceiling)
     data.validate()
     grid = data.grid
 

@@ -20,7 +20,7 @@ from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _nonneg_verdict,
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               LipschitzResult, SERIES_COLUMNS)
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
-                             SensitivitySpec, step_count)
+                             SensitivitySpec, run, step_count)
 from snapshot_oracle import write_field_snapshot as row_writer
 
 
@@ -565,27 +565,48 @@ def test_judging_subcommands_exit_3_on_blowup(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("given, t_abort", [
     ("[data]\nn_base = 1e308\n", "0"),
-    ("[forcing]\nkind = decaying\namplitude = 1e308\nrate = 1.0\n", "0.005")])
+    ("[forcing]\nkind = decaying\namplitude = 1e308\nrate = 1.0\n", "0.005"),
+    ("[data]\nu_preset = vortex\nu_amplitude = 1e308\n", "0")])
 def test_huge_data_blows_up_without_warnings(tmp_path, capsys, given, t_abort):
     # initial data above the ceiling stop before any arithmetic on them,
-    # which would overflow; a huge force blows the fluid up on the first step
+    # which would overflow; a huge force blows the fluid up on the first
+    # step; a huge vortex amplitude overflows into non-finite velocities
+    reason = "non-finite values" if "vortex" in given else "sup "
     text = "[domain]\nnx = 8\nny = 8\n[time]\ndt = 0.005\nT = 0.01\n" + given
     out = tmp_path / "o"
     assert main(["run", "--config", write_cfg(tmp_path, text),
                  "--out", str(out)]) == 3
     stdout, stderr = capsys.readouterr()
-    assert f"blow-up: blow-up detected at t = {t_abort}: sup " in stdout
+    assert f"blow-up: blow-up detected at t = {t_abort}: {reason}" in stdout
     assert stderr == ""
     assert not out.exists()
 
 
 def test_non_finite_initial_fields_blow_up_at_t0(tmp_path):
-    # a huge vortex amplitude overflows into non-finite velocities
+    # a NaN velocity passes validate's comparisons; the library run stops
+    # at t = 0 as the CLI does, with no state
     cfg = load_config(write_cfg(tmp_path, TINY_RUN))
     data = given_data_from_config(cfg)
     data.u0.ux[2, 3] = np.nan
-    with pytest.raises(BlowUpError, match="at t = 0: non-finite values"):
-        cli._check_initial_sup(cfg, data)
+    with pytest.raises(BlowUpError,
+                       match="at t = 0: non-finite values") as exc_info:
+        run(data, cfg.get("time", "T"), cfg.get("time", "dt"), cfg.options)
+    assert exc_info.value.state is None and not exc_info.value.series
+
+
+def test_fields_below_the_ceiling_do_not_blow_up(tmp_path, capsys):
+    # sup n = sup c = 1 under a ceiling of 1.5; early on gamma is about 0,
+    # so a bound max|chi| + n_bar0 of the signal's sup would read about 2
+    text = TINY_RUN.replace("preset = constant", "preset = constant\n"
+                            "n_base = 1.0\nc_base = 1.0")
+    path = write_cfg(tmp_path, text + "[solver]\nblowup_ceiling = 1.5\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    stdout = capsys.readouterr().out
+    for name in ("n-mass-conservation", "c-mass-recursion",
+                 "boundary-condition-identity", "non-negativity",
+                 "constant-state-fixed-point"):
+        assert f"PASS {name}:" in stdout
+    assert "FAIL" not in stdout and "blow-up" not in stdout
 
 
 def test_run_blowup_writes_partial_diagnostics(tmp_path, capsys):

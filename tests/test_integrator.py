@@ -743,13 +743,52 @@ def test_run_velocity_stays_divergence_free(unit32, rng):
 
 
 def test_run_blowup_attaches_state_and_series(unit16):
-    data = wave_data(unit16, n_base=2.0)
-    with pytest.raises(BlowUpError) as exc_info:
-        run(data, T=1.0, dt=1e-3, options=RunOptions(blowup_ceiling=1.5))
+    # the given fields pass the ceiling and a force drives the fluid past
+    # it: the run stops after some steps with the last state within it
+    base = VectorField.from_functions(unit16, lambda x, y: np.cos(np.pi * y),
+                                      lambda x, y: np.cos(np.pi * x))
+    data = wave_data(unit16, n_base=1.0, c_base=1.0,
+                     f=lambda t: VectorField(unit16, 2e3 * base.ux,
+                                             2e3 * base.uy))
+    with pytest.raises(BlowUpError, match="exceeds ceiling") as exc_info:
+        run(data, T=0.05, dt=1e-3, options=RunOptions(blowup_ceiling=1.5))
     err = exc_info.value
-    assert err.state is not None
-    assert np.isfinite(err.state.n.values).all()
-    assert err.series is not None
+    assert err.state is not None and err.state.t > 0.0
+    assert len(err.series) == round(err.state.t / 1e-3)
+    st = err.state
+    assert max(np.abs(a).max() for a in (st.n.values, st.c.values,
+                                         st.u.ux, st.u.uy)) <= 1.5
+
+
+def test_run_checks_given_fields_at_t0_before_validate(unit16):
+    # validate's arithmetic overflows on c0 = 1e308; no state is valid yet
+    data = replace(wave_data(unit16), c0=ScalarField.constant(unit16, 1e308))
+    with pytest.raises(BlowUpError,
+                       match="at t = 0: sup 1.000e[+]308 exceeds") as exc_info:
+        run(data, T=2e-3, dt=1e-3)
+    assert exc_info.value.state is None and not exc_info.value.series
+
+
+@pytest.mark.parametrize("n_bar0, gamma, sign, u_scale", [
+    (2.0, 0.0, 1.0, 0.1), (2.0, 0.3, -1.0, 0.1), (-1.5, 0.7, 1.0, 0.1),
+    (0.7, 0.95, -1.0, 0.1), (0.5, 0.2, 1.0, 10.0)])
+def test_check_blowup_sup_is_the_fields_sup(unit16, rng, n_bar0, gamma, sign,
+                                            u_scale):
+    # a ceiling at max(|n|, |c|, |ux|, |uy|) of the reconstructed fields
+    # passes and the next float below it fails: the check's sup is that
+    # value, bit for bit
+    shape = unit16.shape
+    u = VectorField(unit16, u_scale * rng.standard_normal(shape),
+                    u_scale * rng.standard_normal(shape))
+    st = SimState(t=0.5, nt=sign * (rng.random(shape) - 0.2),
+                  chi=sign * (rng.random(shape) - 0.2), u=u, gamma=gamma,
+                  n_bar0=n_bar0)
+    sup = max(np.abs(a).max() for a in (st.n.values, st.c.values,
+                                        st.u.ux, st.u.uy))
+    assert _check_blowup(st, sup, st) == (st.nt.min(), st.nt.max(),
+                                          st.chi.min(), st.chi.max())
+    with pytest.raises(BlowUpError, match="exceeds ceiling"):
+        _check_blowup(st, np.nextafter(sup, 0.0), st)
 
 
 @pytest.mark.parametrize("bad, reason", [
