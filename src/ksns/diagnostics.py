@@ -1,6 +1,7 @@
 """Quantitative verdicts on runs: mass identities, decay-rate fits,
 smallness and weighted solution norms (discrete Sobolev proxies),
-non-negativity monitors, and the initial flux-balance residual.
+non-negativity monitors, the initial flux-balance residual and the wall
+condition of a stepped state in the trace sense.
 
 The smoothness-graded norms here are integer-order difference-quotient
 proxies for the interpolation-space norms the analysis works with; they
@@ -20,7 +21,7 @@ from .integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
 
 SERIES_COLUMNS = (
     "t", "mass_n", "mass_c", "sup_n_dev", "sup_c_dev", "sup_u",
-    "min_n", "min_c", "bc_residual", "neg_energy_n", "neg_energy_c",
+    "min_n", "min_c", "neg_energy_n", "neg_energy_c",
     "picard_iters", "contraction",
 )
 
@@ -291,6 +292,52 @@ def compatibility_check(n0: ScalarField, c0: ScalarField,
     gap = BoundaryData.from_faces(face_gradient(n0.values, g.hx, 1) - fx,
                                   face_gradient(n0.values, g.hy, 0) - fy)
     return gap.max_abs()
+
+
+# ---------------------------------------------------------------------------
+# the wall condition in the trace sense
+
+# The cubic through the first four cells from a wall (centres h/2, 3h/2,
+# 5h/2 and 7h/2 in): its value at the wall, and h times its inward
+# derivative there.  The scheme uses neither stencil.
+_WALL_VALUE = np.array([35.0, -35.0, 21.0, -5.0]) / 16.0
+_WALL_SLOPE = np.array([-71.0, 141.0, -93.0, 23.0]) / 24.0
+
+
+def wall_condition_residual(state: SimState, S: SensitivitySpec
+                            ) -> tuple[float, float]:
+    """(residual, scale) of the wall condition grad(n).nu = n S grad(c).nu
+    on the cell values of ``state``.
+
+    Each wall's traces come from the cubic through its first four cells:
+    the outward normal derivative of n, the wall values of n and c, and the
+    tangential derivative of c as the central difference of its wall
+    values.  Since grad(c).nu = 0 on the walls, S grad(c).nu is b times
+    the tangential derivative of c, with the sign of J nu (``a`` multiplies
+    the vanishing normal part).  ``residual`` is the max over the four
+    walls of |grad(n).nu - n S grad(c).nu|, and ``scale`` the max of
+    |grad(n).nu|, both two cells away from each corner (one on a wall of
+    four cells).
+    """
+    g = state.u.grid
+    n, c = state.n.values, state.c.values
+    # the first four cells in from each wall, one row per depth; the normal
+    # and tangential spacings; the sign of S grad(c).nu / (b dc/dtangent)
+    walls = ((n[:, :4].T, c[:, :4].T, g.hx, g.hy, 1.0),              # x = 0
+             (n[:, :-5:-1].T, c[:, :-5:-1].T, g.hx, g.hy, -1.0),     # x = Lx
+             (n[:4], c[:4], g.hy, g.hx, -1.0),                       # y = 0
+             (n[:-5:-1], c[:-5:-1], g.hy, g.hx, 1.0))                # y = Ly
+    residual = scale = 0.0
+    for n_in, c_in, h_nu, h_tau, sign in walls:
+        m = n_in.shape[1]
+        k = min(2, (m - 1) // 2)                # cells kept off each corner
+        dn = -(_WALL_SLOPE @ n_in[:, k:m - k]) / h_nu
+        c_wall = _WALL_VALUE @ c_in[:, k - 1:m - k + 1]
+        flux = ((sign * S.b / (2.0 * h_tau)) * (c_wall[2:] - c_wall[:-2])
+                * (_WALL_VALUE @ n_in[:, k:m - k]))
+        residual = max(residual, float(np.abs(dn - flux).max()))
+        scale = max(scale, float(np.abs(dn).max()))
+    return residual, scale
 
 
 # ---------------------------------------------------------------------------

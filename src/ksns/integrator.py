@@ -34,8 +34,9 @@ from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 class BlowUpError(RuntimeError):
     """The run produced non-finite values or exceeded the sup ceiling.
 
-    Carries the last state within the ceiling (``state``, None at t = 0)
-    and, from ``run``, the diagnostics recorded up to the abort (``series``).
+    Carries the last state within the ceiling (``state``, None when the
+    given fields or state already fail) and, from ``run``, the diagnostics
+    recorded up to the abort (``series``).
     """
 
     def __init__(self, message, state=None, series=None):
@@ -78,14 +79,11 @@ class SimState:
     discrete mass recursion of the signal holds to rounding.  The density
     and the signal themselves are the read-only properties ``n`` and ``c``.
 
-    On a stepped state, ``bc_residual`` is the largest gap, in face flux
-    units, between the boundary source the last density solve actually
-    imposed (recovered from its solution) and the chemotactic boundary flux
-    (the residual ``linstep.neumann_heat_core`` returns), ``extrema`` holds
-    (min nt, max nt, min chi, max chi) from the blow-up check,
-    ``picard_iters`` is the number of Picard iterates the step took, and
-    ``contraction`` the ratio of its last two increments (0 when fewer
-    than two were taken; values >= 1 are recorded, not raised).
+    On a stepped state, ``extrema`` holds (min nt, max nt, min chi,
+    max chi) from the blow-up check, ``picard_iters`` is the number of
+    Picard iterates the step took, and ``contraction`` the ratio of its last
+    two increments (0 when fewer than two were taken; values >= 1 are
+    recorded, not raised).
     """
 
     t: float
@@ -94,7 +92,6 @@ class SimState:
     u: VectorField
     gamma: float
     n_bar0: float
-    bc_residual: float | None = None
     extrema: tuple[float, float, float, float] | None = None
     picard_iters: int | None = None
     contraction: float | None = None
@@ -145,6 +142,10 @@ class GivenData:
         check_same_grid(self.n0, self.c0, self.u0, self.phi_grad)
         require_finite(self.n0.values, "n0")
         require_finite(self.c0.values, "c0")
+        for name in ("ux", "uy", "fx", "fy"):
+            vals = getattr(self.u0, name)
+            if vals is not None:                # face values only when given
+                require_finite(vals, f"u0.{name}")
         scale_c = 1.0 + float(np.abs(self.c0.values).max())
         tol_c = 50.0 * max(g.hx, g.hy) ** 2 * scale_c
         bnd = BoundaryData.from_faces(face_gradient(self.c0.values, g.hx, 1),
@@ -255,8 +256,7 @@ def _stays_at_rest(data: GivenData, u: VectorField) -> bool:
 
 def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
              dt: float, opts: RunOptions, at_rest: bool) -> SimState:
-    """One IMEX step of the shifted system; the new state carries the
-    measured boundary-condition residual of its density solve.
+    """One IMEX step of the shifted system.
 
     Nonlinear coefficients are evaluated at the frozen iterate ``w`` (``st``
     itself gives the plain step); the implicit solves always advance
@@ -281,7 +281,7 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
         forcing_n = forcing_n - adv_n
         rhs_c = rhs_c - adv_c
 
-    nt_new, bc_res = neumann_heat_core(grid, st.nt, bc, forcing_n, dt)
+    nt_new = neumann_heat_core(grid, st.nt, bc, forcing_n, dt)
     chi_new = shifted_heat_core(grid, st.chi, rhs_c, dt)
 
     if at_rest:
@@ -294,8 +294,7 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
         u_new = stokes_core(grid, st.u.ux, st.u.uy, force_x, force_y, dt)
 
     new = SimState(t=_next_time(t0, dt), nt=nt_new, chi=chi_new, u=u_new,
-                   gamma=(st.gamma + dt) / (1.0 + dt), n_bar0=n_bar0,
-                   bc_residual=bc_res)
+                   gamma=(st.gamma + dt) / (1.0 + dt), n_bar0=n_bar0)
     new.extrema = _check_blowup(new, opts.blowup_ceiling, st, at_rest)
     return new
 
@@ -329,7 +328,7 @@ def _check_initial(data: GivenData, ceiling: float) -> None:
     _check_sups(0.0, [m for a in fields for m in (a.max(), -a.min())], ceiling)
 
 
-def _check_blowup(st: SimState, ceiling: float, last_valid: SimState,
+def _check_blowup(st: SimState, ceiling: float, last_valid: SimState | None,
                   at_rest: bool = False) -> tuple[float, float, float, float]:
     """Raise ``BlowUpError`` carrying ``last_valid`` on non-finite values or
     a sup of |n|, |c|, |ux| or |uy| above the ceiling; return (min nt, max
@@ -394,11 +393,15 @@ def step(state: SimState, data: GivenData, dt: float,
          options: RunOptions | None = None) -> SimState:
     """Advance one step of size ``dt``: the Picard loop set by ``options``
     (by default one IMEX step with coefficients frozen at ``state``).  The
-    new state records ``picard_iters`` and ``contraction``."""
+    new state records ``picard_iters`` and ``contraction``.  A given state
+    that is not finite or above the ceiling raises ``BlowUpError`` at its
+    own time, carrying no state, before any step."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _picard(data.grid, state, data, dt, options or RunOptions(),
-                   _stays_at_rest(data, state.u))
+    opts = options or RunOptions()
+    at_rest = _stays_at_rest(data, state.u)
+    _check_blowup(state, opts.blowup_ceiling, None, at_rest)
+    return _picard(data.grid, state, data, dt, opts, at_rest)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +472,6 @@ def run(data: GivenData, T: float, dt: float,
             math.sqrt(float((st.u.ux * st.u.ux + st.u.uy * st.u.uy).max())),
             min_n=min_n,
             min_c=min_c,
-            bc_residual=st.bc_residual,
             # exactly 0 for a non-negative field: skip the sum
             neg_energy_n=0.0 if min_n >= 0.0 else
             float((np.minimum(st.nt + n_bar0, 0.0) ** 2).sum()) * vol,

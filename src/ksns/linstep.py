@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (BoundaryData, Grid, VectorField, _boundary_source,
-                   _lap_zero_flux, face_divergence, face_normal_values)
+                   face_divergence, face_normal_values)
 
 
 def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
@@ -190,34 +190,20 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
 # ---------------------------------------------------------------------------
 # heat steps
 
-def _imposed_source_gap(grid: Grid, x: np.ndarray, explicit: np.ndarray,
-                        src: np.ndarray, dt: float) -> float:
-    """h * max |source recovered from the solution x - src|, h = max(hx, hy)."""
-    recovered = (x - dt * _lap_zero_flux(grid, x) - explicit) / dt
-    gap = np.abs(recovered - src).max()
-    return max(grid.hx, grid.hy) * float(gap)
-
-
 def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
-                      forcing: np.ndarray, dt: float
-                      ) -> tuple[np.ndarray, float]:
+                      forcing: np.ndarray, dt: float) -> np.ndarray:
     """One implicit Euler step of du/dt = lap(u) + forcing, grad(u).nu = b
     on the walls.
 
-    Solves (I - dt*L0) u' = u + dt*(forcing + boundary source).
-    The prescribed flux enters once (weight 1) as boundary source data, so
-    the integral of u changes by dt*(integral of forcing + b.boundary_sum)
-    to rounding.  The density step passes a face flux F in divergence form:
-    forcing -face_divergence(F) + f and b = BoundaryData.from_faces(F).
-    Returns (u', residual): the residual recovers the cell source the solve
-    actually imposed, (u' - dt*L0 u' - u - dt*forcing) / dt, and is max
-    over cells of h * |recovered - boundary source of b|, h = max(hx, hy),
-    in the units of a face flux; rounding error for an exact solve.
+    Solves (I - dt*L0) u' = u + dt*(forcing + boundary source) exactly and
+    returns u'.  The prescribed flux enters once (weight 1) as boundary
+    source data, so the integral of u changes by dt*(integral of forcing +
+    b.boundary_sum) to rounding.  The density step passes a face flux F in
+    divergence form: forcing -face_divergence(F) + f and
+    b = BoundaryData.from_faces(F).
     """
-    explicit = u + dt * forcing
-    src = _boundary_source(grid, b)
-    x = solve_spectral(grid, explicit + dt * src, 1.0, dt, "neumann0")
-    return x, _imposed_source_gap(grid, x, explicit, src, dt)
+    rhs = u + dt * forcing + dt * _boundary_source(grid, b)
+    return solve_spectral(grid, rhs, 1.0, dt, "neumann0")
 
 
 def shifted_heat_core(grid: Grid, c: np.ndarray, rhs_src: np.ndarray,

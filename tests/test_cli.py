@@ -603,9 +603,9 @@ def test_fields_below_the_ceiling_do_not_blow_up(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
     stdout = capsys.readouterr().out
     for name in ("n-mass-conservation", "c-mass-recursion",
-                 "boundary-condition-identity", "non-negativity",
-                 "constant-state-fixed-point"):
+                 "non-negativity", "constant-state-fixed-point"):
         assert f"PASS {name}:" in stdout
+    assert "INFO wall-condition-trace: residual" in stdout
     assert "FAIL" not in stdout and "blow-up" not in stdout
 
 

@@ -4,14 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ksns import ScalarField, VectorField, integrate
+from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns.diagnostics import (SERIES_COLUMNS, DiagnosticsConfig,
                               DiagnosticsSeries, _vector_wkr,
                               compatibility_check,
                               fit_decay_rate, lipschitz_experiment,
                               mass_identity_residuals, negative_part_energy,
-                              smallness_functional, weighted_solution_norm)
+                              smallness_functional, wall_condition_residual,
+                              weighted_solution_norm)
 from ksns.integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
                              run)
 from test_integrator import wave_data
@@ -54,9 +55,8 @@ def test_config_rate_windows():
 
 def _dummy_row(t, **over):
     row = dict(t=t, mass_n=2.0, mass_c=1.0, sup_n_dev=0.0, sup_c_dev=0.0,
-               sup_u=0.0, min_n=2.0, min_c=1.0, bc_residual=0.0,
-               neg_energy_n=0.0, neg_energy_c=0.0, picard_iters=1,
-               contraction=0.0)
+               sup_u=0.0, min_n=2.0, min_c=1.0, neg_energy_n=0.0,
+               neg_energy_c=0.0, picard_iters=1, contraction=0.0)
     row.update(over)
     return row
 
@@ -76,8 +76,7 @@ def test_series_csv_round_trip(tmp_path):
     s.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == ("t,mass_n,mass_c,sup_n_dev,sup_c_dev,sup_u,min_n,min_c,"
-                      "bc_residual,neg_energy_n,neg_energy_c,picard_iters,"
-                      "contraction")
+                      "neg_energy_n,neg_energy_c,picard_iters,contraction")
     back = DiagnosticsSeries.from_csv(path)
     assert len(back) == 2
     np.testing.assert_allclose(back.column("mass_n"), s.column("mass_n"),
@@ -411,6 +410,24 @@ def test_compatibility_check_cases(unit64):
     # constants: exactly compatible
     assert compatibility_check(n_const, ScalarField.constant(unit64, 2.0),
                                SensitivitySpec()) == 0.0
+
+
+@pytest.mark.parametrize("cells", [4, 8])
+def test_wall_condition_residual_exact_on_cubics(cells):
+    # the cubic reconstruction is exact for n = 1 + x^3 and the central
+    # difference of c = y^2: grad(n).nu is 0 on three walls and 3 at x = 1,
+    # and n S grad(c).nu = +-b n dc/dy, with b = 0.5, is y at x = 0 (n = 1)
+    # and -2y at x = 1 (n = 2).  So the residual is 3 + 2y at the highest
+    # row kept: two cells off the corner, one on a 4-cell wall.
+    g = Grid(1.0, 1.0, cells, cells)
+    X, Y = g.cell_centers()
+    st = SimState.from_fields(0.0, ScalarField(g, 1.0 + X ** 3),
+                              ScalarField(g, Y ** 2), VectorField.zero(g),
+                              0.0)
+    y_top = (cells - (1.5 if cells == 4 else 2.5)) / cells
+    residual, scale = wall_condition_residual(st, SensitivitySpec(1.0, 0.5))
+    assert residual == pytest.approx(3.0 + 2.0 * y_top, rel=1e-12)
+    assert scale == pytest.approx(3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

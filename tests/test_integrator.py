@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
-from ksns import integrator, linstep
+from ksns import diagnostics, integrator, linstep
 from ksns.diagnostics import fit_decay_rate, negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
@@ -16,9 +16,18 @@ from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              chemotactic_flux_raw, run, step, step_count,
                              upwind_divergence)
 from ksns.grid import BoundaryData
-from ksns.linstep import (_imposed_source_gap, helmholtz_project_core,
-                          neumann_heat_core, stokes_core)
+from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
+                          stokes_core)
 from decay_oracle import linearised_decay_rates
+
+
+def _imposed_source_gap(grid, x, explicit, src, dt):
+    """h * max |source recovered from the solution x - src|,
+    h = max(hx, hy): the recovered source is (x - dt*L0 x - explicit) / dt,
+    the cell source a solve of (I - dt*L0) x = explicit + dt*src imposed, in
+    the units of a face flux.  Rounding error for an exact solve."""
+    recovered = (x - dt * grid_mod._lap_zero_flux(grid, x) - explicit) / dt
+    return max(grid.hx, grid.hy) * float(np.abs(recovered - src).max())
 
 
 def wave_data(grid, n_base=2.0, c_base=2.0, amp=0.01,
@@ -122,7 +131,7 @@ def test_shift_round_trip(unit16, rng):
     fx, fy = face_normal_values(u, boundary="zero")
     np.testing.assert_array_equal(st.u.fx, fx)
     np.testing.assert_array_equal(st.u.fy, fy)
-    assert st.u.ux is u.ux and st.bc_residual is None
+    assert st.u.ux is u.ux
 
 
 def test_state_fields_are_read_only_properties(unit16):
@@ -317,16 +326,25 @@ def test_step_decouples_to_pure_heat_when_S_vanishes(unit32):
     st = data.initial_state()
     out = step(st, data, dt=1e-3)
     nt0 = st.n.values - st.n_bar0
-    expected, _ = neumann_heat_core(unit32, nt0, BoundaryData.zeros(unit32),
-                                    np.zeros(unit32.shape), 1e-3)
+    expected = neumann_heat_core(unit32, nt0, BoundaryData.zeros(unit32),
+                                 np.zeros(unit32.shape), 1e-3)
     assert np.abs((out.n.values - st.n_bar0) - expected).max() <= 1e-10
 
 
 def test_step_boundary_residual_is_measured(unit32):
+    # a step's density is one exact neumann_heat_core solve with the
+    # chemotactic wall flux: the source it imposed, recovered from its
+    # solution, is that flux's boundary source to rounding
     data = wave_data(unit32, amp=0.01, S=SensitivitySpec(1.0, 0.5))
-    out = step(data.initial_state(), data, dt=1e-3)
-    assert out.bc_residual is not None
-    assert out.bc_residual <= 1e-12
+    st = data.initial_state()
+    fx, fy = chemotactic_flux_raw(unit32, st.nt + st.n_bar0, st.chi, data.S)
+    bc = BoundaryData.from_faces(fx, fy)
+    forcing = -face_divergence(unit32, fx, fy)
+    nt = neumann_heat_core(unit32, st.nt, bc, forcing, 1e-3)
+    np.testing.assert_array_equal(step(st, data, dt=1e-3).nt, nt)
+    src = grid_mod._boundary_source(unit32, bc)
+    gap = _imposed_source_gap(unit32, nt, st.nt + 1e-3 * forcing, src, 1e-3)
+    assert gap <= 1e-12
 
 
 def test_boundary_residual_detects_perturbed_flux(unit32):
@@ -342,9 +360,9 @@ def test_boundary_residual_detects_perturbed_flux(unit32):
     forcing = -face_divergence(unit32, fx, fy)
     explicit = nt + 1e-3 * forcing
     src = grid_mod._boundary_source(unit32, bc)
-    exact, _ = neumann_heat_core(unit32, nt, bc, forcing, 1e-3)
+    exact = neumann_heat_core(unit32, nt, bc, forcing, 1e-3)
     assert _imposed_source_gap(unit32, exact, explicit, src, 1e-3) <= 1e-12
-    off, _ = neumann_heat_core(unit32, nt, scaled, forcing, 1e-3)
+    off = neumann_heat_core(unit32, nt, scaled, forcing, 1e-3)
     assert _imposed_source_gap(unit32, off, explicit, src, 1e-3) > 1e-12
 
 
@@ -577,6 +595,21 @@ def test_increment_computed_only_when_needed(unit16, rng, monkeypatch, k_max):
     run(rich_data(unit16, rng), T=5e-3, dt=1e-3,
         options=RunOptions(picard_k_max=k_max, picard_tol=0.0))
     assert len(calls) == (0 if k_max == 1 else 15)
+
+
+def test_run_does_no_wall_trace_work(unit16, rng, monkeypatch):
+    # the wall condition is measured once, on a run's last state, by the
+    # judge of ``ksns run``; the loop itself does no boundary work
+    calls = []
+    plain = diagnostics.wall_condition_residual
+
+    def counted(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(diagnostics, "wall_condition_residual", counted)
+    run(rich_data(unit16, rng), T=5e-3, dt=1e-3)
+    assert not calls
 
 
 def test_picard_requires_kmax(unit16):
@@ -880,6 +913,33 @@ def test_given_data_validation_rejects_bad_signal(unit16):
                      S=SensitivitySpec())
     with pytest.raises(ValueError):
         data.validate()
+
+
+def test_given_data_validation_rejects_nan_velocity():
+    # a NaN makes every trace and divergence comparison false, so the
+    # velocity's cells and given faces are tested for finite values first
+    grid = Grid(1.0, 1.0, 8, 8)
+    data = wave_data(grid)
+    data.u0.ux[2, 3] = np.nan
+    with pytest.raises(ValueError, match="u0.ux contains non-finite"):
+        data.validate()
+    fx, fy = face_normal_values(VectorField.zero(grid))
+    fy[4, 5] = np.nan
+    faces = replace(data, u0=VectorField(grid, np.zeros(grid.shape),
+                                         np.zeros(grid.shape), fx, fy))
+    with pytest.raises(ValueError, match="u0.fy contains non-finite"):
+        faces.validate()
+
+
+def test_step_checks_the_given_state_first():
+    # a given state above the ceiling raises at its own time and carries no
+    # state, so BlowUpError.state is within the ceiling for step too
+    data = wave_data(Grid(1.0, 1.0, 8, 8), n_base=10.0)
+    with pytest.raises(BlowUpError, match="at t = 0: sup 1.001e[+]01 exceeds "
+                       "ceiling 5.000e[+]00") as exc_info:
+        step(data.initial_state(), data, dt=1e-3,
+             options=RunOptions(blowup_ceiling=5.0))
+    assert exc_info.value.state is None
 
 
 def test_cross_field_grid_mismatch_raises(unit16, unit32):
