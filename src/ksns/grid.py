@@ -207,15 +207,16 @@ def require_finite(values: np.ndarray, what: str) -> None:
 # difference stencils (raw arrays)
 #
 # Numpy runs a ufunc over a column-sliced 2-D view row by row, so on a small
-# grid the sliced stencils below cost several times one contiguous pass.  An
-# axis of at most PRODUCT_MAX_CELLS cells applies each of them instead as one
-# BLAS product with a cached 1-D operator of small-integer entries, then
-# divides by h as the stencil does.  The face values, face gradient and
-# central difference keep their interior values exactly (two terms of weight
-# +-1 add without a second rounding); their wall values and the zero-flux
-# second difference (_lap_zero_flux) differ by a few ulp.  A whole IMEX step is
-# faster as products up to 80 cells and slower from about 84 on (timed on
-# one core at 32..128 cells), so the threshold sits at the crossover.
+# grid the sliced face values cost several times one contiguous pass.  An
+# axis of at most PRODUCT_MAX_CELLS cells applies them instead as one BLAS
+# product with a cached 1-D operator of small-integer entries, then halves
+# as the stencil does: the interior values are exact (two terms of weight
+# +-1 add without a second rounding), the wall values differ by a few ulp.
+# A whole IMEX step was faster as products up to 80 cells and slower from
+# about 84 on (timed on one core at 32..128 cells, when the step's
+# chemotactic flux used them), so the threshold sits at that crossover.  The
+# face gradient and central difference keep their stencils: no step calls
+# them, and their operators below serve ``integrator``'s density plan.
 
 PRODUCT_MAX_CELLS = 80
 
@@ -227,7 +228,6 @@ class AxisOperators(NamedTuple):
     interp: np.ndarray          # twice the face values
     face_gradient: np.ndarray   # h times the compact face difference
     central: np.ndarray         # 2h times the central cell difference
-    second: np.ndarray          # h^2 times the zero-flux second difference
 
 
 def _padded_identity(n: int, ghost: tuple[float, ...]) -> np.ndarray:
@@ -245,12 +245,10 @@ def _padded_identity(n: int, ghost: tuple[float, ...]) -> np.ndarray:
 def _build_axis_operators(n: int) -> AxisOperators:
     quad = _padded_identity(n, (3.0, -3.0, 1.0))    # as in _ghost_pad
     lin = _padded_identity(n, (2.0, -1.0))          # linear extrapolation
-    mirror = _padded_identity(n, (1.0,))            # zero wall flux
     ops = AxisOperators(
         interp=lin[:, 1:] + lin[:, :-1],
         face_gradient=quad[:, 1:] - quad[:, :-1],
-        central=quad[:, 2:] - quad[:, :-2],
-        second=mirror[:, 2:] - 2.0 * mirror[:, 1:-1] + mirror[:, :-2])
+        central=quad[:, 2:] - quad[:, :-2])
     for m in ops:
         m.setflags(write=False)
     return ops
@@ -295,28 +293,17 @@ def face_gradient(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Normal derivative of a cell-centered array on the faces normal to
     ``axis`` (1: x, 0: y): the compact difference across each face, the
     one-sided second-order stencil (the quadratic ghost) on the walls."""
-    ops = _axis_operators(vals.shape[axis])
-    if ops is not None:
-        return _apply_along(vals, axis, ops.face_gradient) / h
     return _padded_face_gradient(_ghost_pad(vals, axis), h, axis)
 
 
 def _central_difference(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
-    ops = _axis_operators(vals.shape[axis])
-    if ops is not None:
-        return _apply_along(vals, axis, ops.central) / (2.0 * h)
     return _padded_central(_ghost_pad(vals, axis), h, axis)
 
 
 def face_gradient_and_central(vals: np.ndarray, h: float, axis: int
                               ) -> tuple[np.ndarray, np.ndarray]:
     """``face_gradient`` and the central cell difference (``ddx``/``ddy``)
-    along ``axis``, equal to theirs: from one ghost pad on a long axis, as
-    two products on an axis of at most PRODUCT_MAX_CELLS cells."""
-    ops = _axis_operators(vals.shape[axis])
-    if ops is not None:
-        return (_apply_along(vals, axis, ops.face_gradient) / h,
-                _apply_along(vals, axis, ops.central) / (2.0 * h))
+    along ``axis``, equal to theirs, from one ghost pad."""
     p = _ghost_pad(vals, axis)
     return _padded_face_gradient(p, h, axis), _padded_central(p, h, axis)
 
@@ -378,24 +365,13 @@ def face_divergence(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
 
 
 def _lap_zero_flux(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """FV Laplacian with homogeneous Neumann (zero-flux) boundary faces.
-
-    An axis of at most ``PRODUCT_MAX_CELLS`` cells applies its second
-    difference as one product with the cached 1-D operator."""
+    """FV Laplacian with homogeneous Neumann (zero-flux) boundary faces."""
     ny, nx = grid.shape
-    hx, hy = grid.hx, grid.hy
-    ox, oy = _axis_operators(nx), _axis_operators(ny)
-    if ox is not None:
-        lap_x = (vals @ ox.second) / (hx * hx)
-    else:
-        gx = np.zeros((ny, nx + 1))
-        gx[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / hx
-        lap_x = (gx[:, 1:] - gx[:, :-1]) / hx
-    if oy is not None:
-        return lap_x + (oy.second.T @ vals) / (hy * hy)
+    gx = np.zeros((ny, nx + 1))
+    gx[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / grid.hx
     gy = np.zeros((ny + 1, nx))
-    gy[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / hy
-    return lap_x + (gy[1:, :] - gy[:-1, :]) / hy
+    gy[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / grid.hy
+    return face_divergence(grid, gx, gy)
 
 
 def _boundary_source(grid: Grid, b: BoundaryData) -> np.ndarray:

@@ -13,18 +13,21 @@ The loop integrates the shifted variables: the density deviation from its
 initial mean and the signal minus a scheme-consistent multiple of that
 mean.  The multiple follows the same recursion as the constant mode of
 the signal equation, so the discrete mass recursion of the signal
-itself holds to rounding, and the boundary flux of the density solve is
-byte-for-byte the chemotactic face flux, which conserves total cell mass
-to rounding (the implicit solves are exact).
+itself holds to rounding.  The density solve is a zero-flux one whose
+source is the chemotactic flux on the interior faces only, which
+conserves total cell mass to rounding (the implicit solves are exact):
+see ``density_rhs``.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
+                   _apply_along, _build_axis_operators, _ghost_pad,
                    check_same_grid, face_divergence, face_gradient,
                    face_gradient_and_central, face_values, face_normal_values,
                    integrate, require_finite)
@@ -203,6 +206,140 @@ def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
     return face_values(n_vals, 1) * gx, face_values(n_vals, 0) * gy
 
 
+# ---------------------------------------------------------------------------
+# the density solve's right-hand side
+#
+# The wall condition grad(n).nu = n S grad(c).nu says that the cell flux
+# grad(n) - n S grad(c) has no normal component on the walls.  So the
+# density solve is a zero-flux heat solve, and the chemotactic flux F
+# enters its source on the interior faces only: the wall faces of -div F
+# and the wall data they would need cancel exactly.  An axis of at most
+# DENSITY_PRODUCT_MAX_CELLS cells applies each operator as one product with
+# a cached matrix, with a, b, 1/h and -dt folded in; a longer axis keeps
+# sliced stencils.  The products grow as n^3 against the stencils' n^2:
+# timed alone on n x n grids (one core, one BLAS thread), density_rhs is
+# faster as products up to 48 cells (0.25-0.92 of the stencils' time at
+# b = 0 and b = 0.5) and no faster from 56 on (0.99-1.66 of it), so the
+# threshold sits below that crossover, apart from grid's PRODUCT_MAX_CELLS.
+
+DENSITY_PRODUCT_MAX_CELLS = 48
+
+
+class _Products(NamedTuple):
+    """The operators along an axis of n <= DENSITY_PRODUCT_MAX_CELLS cells,
+    each with one row per input and one column per output point, applied
+    as ``grid._apply_along`` applies its operators."""
+
+    grad: np.ndarray    # a/h times the interior face difference, then t/2h
+                        # times the central cell difference when t != 0
+    interp: np.ndarray  # the interior face average
+    div: np.ndarray     # -dt times the divergence of the interior faces
+
+
+class _Stencils(NamedTuple):
+    """The weights of the same operators as sliced stencils, on an axis of
+    more than DENSITY_PRODUCT_MAX_CELLS cells."""
+
+    grad: float         # a / h
+    central: float      # t / 2h, 0 skips the central difference
+    div: float          # -dt / h
+
+
+def _axis_plan(n: int, h: float, a: float, t: float, dt: float
+               ) -> _Products | _Stencils:
+    """The plan of an axis of ``n`` cells of width ``h``, with tangential
+    weight ``t``."""
+    if n > DENSITY_PRODUCT_MAX_CELLS:
+        return _Stencils(a / h, t / (2.0 * h), -dt / h)
+    ops = _build_axis_operators(n)
+    diff = ops.face_gradient[:, 1:-1]       # +-1 on the interior faces
+    grad = (a / h) * diff
+    if t:
+        grad = np.hstack((grad, (t / (2.0 * h)) * ops.central))
+    plan = _Products(grad, 0.5 * ops.interp[:, 1:-1],
+                     np.ascontiguousarray((dt / h) * diff.T))
+    for m in plan:
+        m.setflags(write=False)
+    return plan
+
+
+@lru_cache(maxsize=32)
+def _density_plan(ny: int, nx: int, hy: float, hx: float, a: float,
+                  b: float, dt: float) -> tuple:
+    """Read-only (y plan, x plan) of ``density_rhs`` for S = a*I + b*J.
+    The tangential weight t is -b along y, whose central difference feeds
+    the x faces, and b along x; b = 0 builds no central difference."""
+    return _axis_plan(ny, hy, a, -b, dt), _axis_plan(nx, hx, a, b, dt)
+
+
+def _grad_and_central(c: np.ndarray, p, axis: int):
+    """a times c's face difference on the interior faces normal to ``axis``
+    (1: x, 0: y), and t times its central cell difference, None at t = 0."""
+    if isinstance(p, _Products):
+        g = _apply_along(c, axis, p.grad)
+        m = c.shape[axis] - 1
+        if g.shape[axis] == m:
+            return g, None
+        return (g[:, :m], g[:, m:]) if axis == 1 else (g[:m], g[m:])
+    if not p.central:
+        d = c[:, 1:] - c[:, :-1] if axis == 1 else c[1:] - c[:-1]
+        return d * p.grad, None
+    q = _ghost_pad(c, axis)
+    if axis == 1:
+        d, dc = q[:, 2:-1] - q[:, 1:-2], q[:, 2:] - q[:, :-2]
+    else:
+        d, dc = q[2:-1] - q[1:-2], q[2:] - q[:-2]
+    return d * p.grad, dc * p.central
+
+
+def _face_average(v: np.ndarray, p, axis: int) -> np.ndarray:
+    """The average of ``v`` on the interior faces normal to ``axis``."""
+    if isinstance(p, _Products):
+        return _apply_along(v, axis, p.interp)
+    return 0.5 * (v[:, 1:] + v[:, :-1] if axis == 1 else v[1:] + v[:-1])
+
+
+def _add_divergence(out: np.ndarray, f: np.ndarray, p, axis: int) -> None:
+    """Add -dt times the divergence along ``axis`` of the interior face
+    values ``f`` (zero on the walls) to ``out``."""
+    if isinstance(p, _Products):
+        out += _apply_along(f, axis, p.div)
+        return
+    s = f * p.div
+    if axis == 1:
+        out[:, :-1] += s
+        out[:, 1:] -= s
+    else:
+        out[:-1] += s
+        out[1:] -= s
+
+
+def density_rhs(grid: Grid, base: np.ndarray, n: np.ndarray, c: np.ndarray,
+                S: SensitivitySpec, dt: float,
+                adv: np.ndarray | None = None) -> np.ndarray:
+    """The right-hand side ``base - dt * div F (- dt * adv)`` of the density
+    solve, F the chemotactic flux n * (S grad c) of ``chemotactic_flux_raw``
+    on the interior faces and zero on the walls, from the cached
+    ``_density_plan``.  ``adv`` is the advective divergence of a moving
+    fluid."""
+    py, px = _density_plan(*grid.shape, grid.hy, grid.hx, S.a, S.b, dt)
+    gx, tx = _grad_and_central(c, px, 1)
+    gy, ty = _grad_and_central(c, py, 0)
+    if tx is not None:
+        gx = gx + _face_average(ty, px, 1)      # -b dc/dy on the x faces
+        gy = gy + _face_average(tx, py, 0)      # b dc/dx on the y faces
+    fx = _face_average(n, px, 1)
+    fx *= gx
+    fy = _face_average(n, py, 0)
+    fy *= gy
+    out = base.copy()
+    _add_divergence(out, fx, px, 1)
+    _add_divergence(out, fy, py, 0)
+    if adv is not None:
+        out -= dt * adv
+    return out
+
+
 def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
                       ufy: np.ndarray, up: tuple[np.ndarray, np.ndarray]
                       ) -> np.ndarray:
@@ -268,20 +405,17 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
     t0 = st.t
     n_bar0 = st.n_bar0
 
-    fx, fy = chemotactic_flux_raw(grid, w.nt + n_bar0, w.chi, data.S)
-    bc = BoundaryData.from_faces(fx, fy)
-    forcing_n = -face_divergence(grid, fx, fy)
-    rhs_c = w.nt
+    adv_n, rhs_c = None, w.nt
     if not at_rest:
         ufx, ufy = face_normal_values(w.u, boundary="zero")
         up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
         adv_n, adv_c, adv_ux, adv_uy = (
             upwind_divergence(grid, phi, ufx, ufy, up)
             for phi in (w.nt, w.chi, w.u.ux, w.u.uy))
-        forcing_n = forcing_n - adv_n
         rhs_c = rhs_c - adv_c
 
-    nt_new = neumann_heat_core(grid, st.nt, bc, forcing_n, dt)
+    rhs_n = density_rhs(grid, st.nt, w.nt + n_bar0, w.chi, data.S, dt, adv_n)
+    nt_new = neumann_heat_core(grid, rhs_n, None, None, dt)
     chi_new = shifted_heat_core(grid, st.chi, rhs_c, dt)
 
     if at_rest:

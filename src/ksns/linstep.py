@@ -190,19 +190,23 @@ def solve_spectral(grid: Grid, b: np.ndarray, shift: float, scale: float,
 # ---------------------------------------------------------------------------
 # heat steps
 
-def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData,
-                      forcing: np.ndarray, dt: float) -> np.ndarray:
+def neumann_heat_core(grid: Grid, u: np.ndarray, b: BoundaryData | None,
+                      forcing: np.ndarray | None, dt: float) -> np.ndarray:
     """One implicit Euler step of du/dt = lap(u) + forcing, grad(u).nu = b
     on the walls.
 
     Solves (I - dt*L0) u' = u + dt*(forcing + boundary source) exactly and
     returns u'.  The prescribed flux enters once (weight 1) as boundary
     source data, so the integral of u changes by dt*(integral of forcing +
-    b.boundary_sum) to rounding.  The density step passes a face flux F in
-    divergence form: forcing -face_divergence(F) + f and
-    b = BoundaryData.from_faces(F).
+    b.boundary_sum) to rounding.  A ``b`` or ``forcing`` of None is zero:
+    the density step passes its whole right-hand side as ``u``
+    (``integrator.density_rhs``), with no wall data.
     """
-    rhs = u + dt * forcing + dt * _boundary_source(grid, b)
+    rhs = u
+    if forcing is not None:
+        rhs = rhs + dt * forcing
+    if b is not None:
+        rhs = rhs + dt * _boundary_source(grid, b)
     return solve_spectral(grid, rhs, 1.0, dt, "neumann0")
 
 

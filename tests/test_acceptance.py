@@ -308,23 +308,35 @@ def test_criterion_09_boundary_condition_identity():
            f"reports {det:.4f} (pi within 0.05)")
 
 
+# Mutants of the density source's plan, integrator._density_plan(ny, nx,
+# hy, hx, a, b, dt) -> (y plan, x plan).  The flux is linear in S, so the
+# plan of 1.05 S is the flux scaled by 1.05; the y plan's central
+# difference feeds the x faces only.
+
 def _flux_times_105(plain):
-    return lambda g, n, c, S: tuple(1.05 * f for f in plain(g, n, c, S))
+    return lambda ny, nx, hy, hx, a, b, dt: plain(ny, nx, hy, hx, 1.05 * a,
+                                                  1.05 * b, dt)
 
 
 def _x_face_tangential_sign(plain):
-    def flux(g, n, c, S):
-        return (plain(g, n, c, SensitivitySpec(S.a, -S.b))[0],
-                plain(g, n, c, S)[1])
-    return flux
+    def plan(ny, nx, hy, hx, a, b, dt):
+        return (plain(ny, nx, hy, hx, a, -b, dt)[0],
+                plain(ny, nx, hy, hx, a, b, dt)[1])
+    return plan
 
 
-@pytest.mark.parametrize("mutant", [_flux_times_105, _x_face_tangential_sign],
-                         ids=["flux-x1.05", "x-face-tangential-sign"])
+def _divergence_sign(plain):
+    return lambda *key: tuple(p._replace(div=-p.div) for p in plain(*key))
+
+
+@pytest.mark.parametrize("mutant", [_flux_times_105, _x_face_tangential_sign,
+                                    _divergence_sign],
+                         ids=["flux-x1.05", "x-face-tangential-sign",
+                              "divergence-sign"])
 def test_criterion_09_fails_under_scheme_mutants(monkeypatch, mutant):
     # the unmutated program is the control, criterion 09 itself
-    monkeypatch.setattr(integrator, "chemotactic_flux_raw",
-                        mutant(integrator.chemotactic_flux_raw))
+    monkeypatch.setattr(integrator, "_density_plan",
+                        mutant(integrator._density_plan))
     res = wall_ladder()
     passed, orders = wall_gate(res)
     assert not passed, (res, orders)

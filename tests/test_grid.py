@@ -9,9 +9,9 @@ from ksns import grid as grid_mod
 from ksns import (BoundaryData, Grid, GridMismatchError, ScalarField,
                   VectorField, discrete_norm, integrate,
                   read_field_snapshot, write_field_snapshot)
-from ksns.grid import (_lap_zero_flux, ddx, ddy, face_divergence,
-                       face_gradient, face_gradient_and_central,
-                       face_normal_values, face_values, laplacian_flux_raw)
+from ksns.grid import (ddx, ddy, face_divergence, face_gradient,
+                       face_gradient_and_central, face_normal_values,
+                       face_values, laplacian_flux_raw)
 
 
 def random_smooth_field(grid, rng, amp=1.0):
@@ -204,9 +204,8 @@ def test_laplacian_gauss_random_pairs(unit16, rng):
 @example(Lx=1.0, Ly=1.0, nx=grid_mod.PRODUCT_MAX_CELLS,
          ny=grid_mod.PRODUCT_MAX_CELLS + 1, seed=0)
 def test_laplacian_gauss_identity_any_grid(Lx, Ly, nx, ny, seed):
-    # the identity on any aspect ratio and size, with the second difference
-    # as a product on axes of at most PRODUCT_MAX_CELLS cells and as a
-    # stencil above; the gap is scaled as in acceptance criterion 02
+    # the identity on any aspect ratio and size, on both sides of
+    # PRODUCT_MAX_CELLS; the gap is scaled as in acceptance criterion 02
     g = Grid(Lx, Ly, nx, ny)
     rng = np.random.default_rng(seed)
     f = ScalarField(g, rng.standard_normal(g.shape))
@@ -251,22 +250,13 @@ def test_stencil_products_match_sliced_stencils(n, m, axis, Lx, Ly,
                                                 scale_exp, seed):
     nx, ny = (n, m) if axis == 1 else (m, n)
     g = Grid(Lx, Ly, nx, ny)
-    h = g.hx if axis == 1 else g.hy
     v = np.random.default_rng(seed).standard_normal(g.shape) * 10.0 ** scale_exp
     interior = tuple(slice(1, -1) if a == axis else slice(None) for a in (0, 1))
-    first_order = {
-        "face_values": lambda: face_values(v, axis),
-        "face_gradient": lambda: face_gradient(v, h, axis),
-        "central": lambda: ddx(v, h) if axis == 1 else ddy(v, h),
-    }
-    for name, fn in first_order.items():
-        stencil, product = _both_forms(fn)
-        assert product.shape == stencil.shape, name
-        # two terms of weight +-1 add with the stencil's one rounding
-        assert np.array_equal(product[interior], stencil[interior]), name
-        assert np.abs(product - stencil).max() <= 1e-14 * np.abs(stencil).max(), name
-    # the stencil divides by h between its two differences: rounding only
-    stencil, product = _both_forms(lambda: _lap_zero_flux(g, v))
+    # face_values is the one primitive with a product form
+    stencil, product = _both_forms(lambda: face_values(v, axis))
+    assert product.shape == stencil.shape
+    # two terms of weight +-1 add with the stencil's one rounding
+    assert np.array_equal(product[interior], stencil[interior])
     assert np.abs(product - stencil).max() <= 1e-14 * np.abs(stencil).max()
 
 
@@ -275,12 +265,10 @@ def test_stencil_products_match_sliced_stencils(n, m, axis, Lx, Ly,
        h=st.floats(0.01, 10.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_face_gradient_and_central_are_the_two_primitives(n, m, axis, h, seed):
     v = np.random.default_rng(seed).standard_normal((m, n))
-    for patched in (0, 10 ** 9):
-        with mock.patch.object(grid_mod, "PRODUCT_MAX_CELLS", patched):
-            pair = face_gradient_and_central(v, h, axis)
-            central = ddx(v, h) if axis == 1 else ddy(v, h)
-            for got, want in zip(pair, (face_gradient(v, h, axis), central)):
-                assert got.tobytes() == want.tobytes()
+    pair = face_gradient_and_central(v, h, axis)
+    central = ddx(v, h) if axis == 1 else ddy(v, h)
+    for got, want in zip(pair, (face_gradient(v, h, axis), central)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_axis_operators_only_for_short_axes():

@@ -13,8 +13,8 @@ from ksns.diagnostics import fit_decay_rate, negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
-                             chemotactic_flux_raw, run, step, step_count,
-                             upwind_divergence)
+                             chemotactic_flux_raw, density_rhs, run, step,
+                             step_count, upwind_divergence)
 from ksns.grid import BoundaryData
 from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
                           stokes_core)
@@ -332,19 +332,113 @@ def test_step_decouples_to_pure_heat_when_S_vanishes(unit32):
 
 
 def test_step_boundary_residual_is_measured(unit32):
-    # a step's density is one exact neumann_heat_core solve with the
-    # chemotactic wall flux: the source it imposed, recovered from its
-    # solution, is that flux's boundary source to rounding
+    # a step's density is bitwise one neumann_heat_core solve of density_rhs
+    # with no wall data; the source that solve imposed, recovered from its
+    # solution, is the whole face flux's -div F plus the boundary source of
+    # its wall faces (the wall condition as inhomogeneous Neumann data) to
+    # rounding: the wall faces cancel, so leaving them out loses nothing
     data = wave_data(unit32, amp=0.01, S=SensitivitySpec(1.0, 0.5))
     st = data.initial_state()
-    fx, fy = chemotactic_flux_raw(unit32, st.nt + st.n_bar0, st.chi, data.S)
-    bc = BoundaryData.from_faces(fx, fy)
-    forcing = -face_divergence(unit32, fx, fy)
-    nt = neumann_heat_core(unit32, st.nt, bc, forcing, 1e-3)
+    n = st.nt + st.n_bar0
+    rhs = density_rhs(unit32, st.nt, n, st.chi, data.S, 1e-3)
+    nt = neumann_heat_core(unit32, rhs, None, None, 1e-3)
     np.testing.assert_array_equal(step(st, data, dt=1e-3).nt, nt)
-    src = grid_mod._boundary_source(unit32, bc)
-    gap = _imposed_source_gap(unit32, nt, st.nt + 1e-3 * forcing, src, 1e-3)
-    assert gap <= 1e-12
+    fx, fy = chemotactic_flux_raw(unit32, n, st.chi, data.S)
+    src = (-face_divergence(unit32, fx, fy)
+           + grid_mod._boundary_source(unit32, BoundaryData.from_faces(fx, fy)))
+    assert _imposed_source_gap(unit32, nt, st.nt, src, 1e-3) <= 1e-12
+
+
+def _interior_flux_rhs(grid, base, n, c, S, dt):
+    """base - dt * div F, F the faces of ``chemotactic_flux_raw`` with the
+    wall faces set to zero: the reference of ``density_rhs``."""
+    fx, fy = chemotactic_flux_raw(grid, n, c, S)
+    fx[:, [0, -1]] = 0.0
+    fy[[0, -1], :] = 0.0
+    return base - dt * face_divergence(grid, fx, fy)
+
+
+def _rhs_tol(grid, base, n, c, S, dt):
+    """16 ulp of the sizes the assembly rounds at: the base and the flux
+    n * |S| * c / h differenced over h."""
+    h = min(grid.hx, grid.hy)
+    flux = (np.abs(n).max() * np.abs(c).max() * (abs(S.a) + abs(S.b))) / h
+    return 16 * np.finfo(float).eps * (np.abs(base).max() + dt * flux / h)
+
+
+@pytest.mark.parametrize("Lx, nx, ny", [(1.0, 16, 16), (1.0, 32, 32),
+                                        (6.0, 96, 16), (1.0, 104, 104)])
+@pytest.mark.parametrize("S", [SensitivitySpec(1.0, 0.0),
+                               SensitivitySpec(0.7, -1.3)])
+def test_density_rhs_matches_the_interior_face_flux(rng, Lx, nx, ny, S):
+    # products on 16^2 and 32^2, products along y and stencils along x on
+    # 96 x 16, stencils on 104^2; the base is independent of the flux's
+    # n and c, as on a Picard iterate
+    g = Grid(Lx, 1.0, nx, ny)
+    base = 0.01 * rng.standard_normal(g.shape)
+    n = 2.0 + 0.1 * rng.standard_normal(g.shape)
+    c = 1.0 + 0.1 * rng.standard_normal(g.shape)
+    adv = rng.standard_normal(g.shape)
+    want = _interior_flux_rhs(g, base, n, c, S, 1e-3)
+    tol = _rhs_tol(g, base, n, c, S, 1e-3)
+    got = density_rhs(g, base, n, c, S, 1e-3)
+    assert np.abs(got - want).max() <= tol
+    got = density_rhs(g, base, n, c, S, 1e-3, adv)
+    assert np.abs(got - (want - 1e-3 * adv)).max() <= tol
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_picard_iterate_density_freezes_the_flux_at_the_iterate(
+        unit32, rng, moving):
+    # an iterate w != st: the flux and the advection at w, the base st.nt
+    data = (rich_data(unit32, rng) if moving
+            else wave_data(unit32, amp=0.1, S=SensitivitySpec(1.0, 0.5)))
+    st = data.initial_state()
+    w = step(st, data, dt=1e-3)
+    at_rest = integrator._stays_at_rest(data, st.u)
+    assert at_rest is not moving
+    got = integrator._advance(unit32, st, w, data, 1e-3, RunOptions(),
+                              at_rest).nt
+    n = w.nt + w.n_bar0
+    rhs = _interior_flux_rhs(unit32, st.nt, n, w.chi, data.S, 1e-3)
+    if moving:
+        ufx, ufy = face_normal_values(w.u, boundary="zero")
+        up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
+        rhs -= 1e-3 * upwind_divergence(unit32, w.nt, ufx, ufy, up)
+    want = neumann_heat_core(unit32, rhs, None, None, 1e-3)
+    tol = _rhs_tol(unit32, st.nt, n, w.chi, data.S, 1e-3)
+    assert np.abs(got - want).max() <= tol
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("moving", [False, True])
+def test_run_builds_the_density_plan_once_and_no_wall_data(
+        unit16, rng, monkeypatch, k_max, moving):
+    # every step and iterate reads the one plan the first step built; no
+    # step makes a boundary source, and only validate's zero-flux test of
+    # c0 reads wall faces
+    data = (rich_data(unit16, rng) if moving
+            else wave_data(unit16, amp=0.1, S=SensitivitySpec(1.0, 0.5)))
+    calls = {"source": 0, "from_faces": 0}
+    plain_source = linstep._boundary_source
+    plain_faces = BoundaryData.from_faces.__func__
+
+    def source(*args):
+        calls["source"] += 1
+        return plain_source(*args)
+
+    def from_faces(cls, *args):
+        calls["from_faces"] += 1
+        return plain_faces(cls, *args)
+
+    monkeypatch.setattr(linstep, "_boundary_source", source)
+    monkeypatch.setattr(BoundaryData, "from_faces", classmethod(from_faces))
+    integrator._density_plan.cache_clear()
+    run(data, T=5e-3, dt=1e-3,
+        options=RunOptions(picard_k_max=k_max, picard_tol=0.0))
+    info = integrator._density_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 5 * k_max - 1)
+    assert calls == {"source": 0, "from_faces": 1}
 
 
 def test_boundary_residual_detects_perturbed_flux(unit32):
@@ -687,9 +781,12 @@ def test_run_decay_rates_match_the_linearised_scheme():
 
 
 def test_small_axes_build_operators_and_large_ones_none():
+    # the run's first step builds the density plan, and with it the axis
+    # operators of a short axis
     rotation = SensitivitySpec(1.0, 0.5)
     for n, built in ((32, 1), (128, 0)):
         grid_mod._build_axis_operators.cache_clear()
+        integrator._density_plan.cache_clear()
         g = Grid(1.0, 1.0, n, n)
         run(wave_data(g, S=rotation), T=2e-3, dt=1e-3)
         assert grid_mod._build_axis_operators.cache_info().currsize == built
@@ -697,7 +794,7 @@ def test_small_axes_build_operators_and_large_ones_none():
 
 def _flux_padding_per_stencil(grid, n, c, S):
     """The flux with a face gradient and a central difference of its own
-    (and a ghost pad each on a long axis) for every term."""
+    (and a ghost pad each) for every term."""
     s11, s12, s21, s22 = S.a, -S.b, S.b, S.a
     gx = s11 * grid_mod.face_gradient(c, grid.hx, 1)
     if s12:
@@ -710,9 +807,10 @@ def _flux_padding_per_stencil(grid, n, c, S):
 
 @pytest.mark.parametrize("cells", [32, 128])
 def test_flux_pads_c_once_per_axis_on_long_axes(monkeypatch, rng, cells):
-    # above PRODUCT_MAX_CELLS the face gradient and the central difference
-    # along an axis share one ghost pad, and the identity builds no central
-    # difference; the faces are bitwise those of one pad per stencil
+    # on short and long axes alike the face gradient and the central
+    # difference along an axis share one ghost pad, and the identity builds
+    # no central difference; the faces are bitwise those of one pad per
+    # stencil
     g = Grid(1.0, 1.0, cells, cells)
     n = 2.0 + 0.1 * rng.standard_normal(g.shape)
     c = 1.0 + 0.1 * rng.standard_normal(g.shape)
@@ -729,13 +827,13 @@ def test_flux_pads_c_once_per_axis_on_long_axes(monkeypatch, rng, cells):
         monkeypatch.setattr(grid_mod, "_ghost_pad", counted)
         got = chemotactic_flux_raw(g, n, c, S)
         monkeypatch.setattr(grid_mod, "_ghost_pad", plain_pad)
-        assert sorted(pads) == ([0, 1] if cells == 128 else []), S
+        assert sorted(pads) == [0, 1], S
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes(), S
     pads.clear()
     monkeypatch.setattr(grid_mod, "_ghost_pad", counted)
     _flux_padding_per_stencil(g, n, c, SensitivitySpec(1.0, 0.5))
-    assert len(pads) == (4 if cells == 128 else 0)
+    assert len(pads) == 4
 
 
 def test_run_rejects_bad_times(unit16):
