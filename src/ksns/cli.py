@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .diagnostics import (FIT_MIN_SAMPLES, DiagnosticsConfig,
-                          compatibility_check, fit_decay_rate,
+from .diagnostics import (FIT_MIN_SAMPLES, DiagnosticsConfig, fit_decay_rate,
                           lipschitz_experiment, mass_identity_residuals,
                           negative_part_energy, wall_condition_residual)
 from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
@@ -348,7 +347,7 @@ def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
     # the presets' data miss the wall condition under rotation at t = 0,
     # and dt is not tied to h^2, so the residual is recorded, not gated
     last = trajectory[-1]
-    res, scale = wall_condition_residual(last, data.S)
+    res, scale = wall_condition_residual(last.n, last.c, data.S)
     out.append((True, f"INFO wall-condition-trace: residual {res:.3e} "
                       f"(scale {scale:.3e}) at t = {last.t:.6g} (recorded, "
                       f"not asserted)"))
@@ -395,10 +394,10 @@ def _write_outputs(out_dir, trajectory, series) -> None:
 
 
 def _compatibility_warning(cfg, data) -> None:
-    """Warn when the exponents require the initial flux balance and the
-    data miss it."""
+    """Warn when the exponents require the initial flux balance (the wall
+    condition at t = 0) and the data miss it in the trace sense."""
     if 1.0 / cfg.diag.r + 2.0 / cfg.diag.q < 1.0:
-        resid = compatibility_check(data.n0, data.c0, data.S)
+        resid, _ = wall_condition_residual(data.n0, data.c0, data.S)
         h2 = max(cfg.grid.hx, cfg.grid.hy) ** 2
         scale = 1.0 + float(np.abs(data.n0.values).max())
         if resid > 50.0 * h2 * scale:

@@ -1,7 +1,7 @@
 """Quantitative verdicts on runs: mass identities, decay-rate fits,
 smallness and weighted solution norms (discrete Sobolev proxies),
-non-negativity monitors, the initial flux-balance residual and the wall
-condition of a stepped state in the trace sense.
+non-negativity monitors, and the wall condition in the trace sense, the
+one measurement of it, read on the initial data and on a run's last state.
 
 The smoothness-graded norms here are integer-order difference-quotient
 proxies for the interpolation-space norms the analysis works with; they
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BoundaryData, ScalarField, VectorField, discrete_norm,
-                   face_gradient)
+from .grid import ScalarField, VectorField, check_same_grid, discrete_norm
 from .integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
-                         chemotactic_flux_raw, run)
+                         run)
 
 SERIES_COLUMNS = (
     "t", "mass_n", "mass_c", "sup_n_dev", "sup_c_dev", "sup_u",
@@ -278,36 +277,20 @@ def negative_part_energy(f: ScalarField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# compatibility residual
-
-def compatibility_check(n0: ScalarField, c0: ScalarField,
-                        S: SensitivitySpec) -> float:
-    """Residual of the initial flux balance grad(n0).nu = n0 S grad(c0).nu.
-
-    Needed by the well-posedness theory only in the subcritical exponent
-    range; the scheme runs either way, so this is a detector, not a gate.
-    """
-    g = n0.grid
-    fx, fy = chemotactic_flux_raw(g, n0.values, c0.values, S)
-    gap = BoundaryData.from_faces(face_gradient(n0.values, g.hx, 1) - fx,
-                                  face_gradient(n0.values, g.hy, 0) - fy)
-    return gap.max_abs()
-
-
-# ---------------------------------------------------------------------------
 # the wall condition in the trace sense
 
 # The cubic through the first four cells from a wall (centres h/2, 3h/2,
-# 5h/2 and 7h/2 in): its value at the wall, and h times its inward
-# derivative there.  The scheme uses neither stencil.
+# 5h/2 and 7h/2 in): its value at the wall.  h times its inward derivative
+# there, (-71, 141, -93, 23) / 24, is written as differences in
+# ``wall_condition_residual``, so that it is exactly 0 on a constant.  The
+# scheme uses neither stencil.
 _WALL_VALUE = np.array([35.0, -35.0, 21.0, -5.0]) / 16.0
-_WALL_SLOPE = np.array([-71.0, 141.0, -93.0, 23.0]) / 24.0
 
 
-def wall_condition_residual(state: SimState, S: SensitivitySpec
-                            ) -> tuple[float, float]:
+def wall_condition_residual(n: ScalarField, c: ScalarField,
+                            S: SensitivitySpec) -> tuple[float, float]:
     """(residual, scale) of the wall condition grad(n).nu = n S grad(c).nu
-    on the cell values of ``state``.
+    on the cell values of ``n`` and ``c``: the initial data or a state.
 
     Each wall's traces come from the cubic through its first four cells:
     the outward normal derivative of n, the wall values of n and c, and the
@@ -319,8 +302,9 @@ def wall_condition_residual(state: SimState, S: SensitivitySpec
     |grad(n).nu|, both two cells away from each corner (one on a wall of
     four cells).
     """
-    g = state.u.grid
-    n, c = state.n.values, state.c.values
+    check_same_grid(n, c)
+    g = n.grid
+    n, c = n.values, c.values
     # the first four cells in from each wall, one row per depth; the normal
     # and tangential spacings; the sign of S grad(c).nu / (b dc/dtangent)
     walls = ((n[:, :4].T, c[:, :4].T, g.hx, g.hy, 1.0),              # x = 0
@@ -331,7 +315,9 @@ def wall_condition_residual(state: SimState, S: SensitivitySpec
     for n_in, c_in, h_nu, h_tau, sign in walls:
         m = n_in.shape[1]
         k = min(2, (m - 1) // 2)                # cells kept off each corner
-        dn = -(_WALL_SLOPE @ n_in[:, k:m - k]) / h_nu
+        n0, n1, n2, n3 = n_in[:, k:m - k]
+        dn = -(71.0 * (n1 - n0) + 70.0 * (n1 - n2)
+               + 23.0 * (n3 - n2)) / (24.0 * h_nu)
         c_wall = _WALL_VALUE @ c_in[:, k - 1:m - k + 1]
         flux = ((sign * S.b / (2.0 * h_tau)) * (c_wall[2:] - c_wall[:-2])
                 * (_WALL_VALUE @ n_in[:, k:m - k]))

@@ -281,31 +281,17 @@ def _ghost_pad(vals: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _padded_face_gradient(p: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (p[:, 1:] - p[:, :-1] if axis == 1 else p[1:] - p[:-1]) / h
-
-
-def _padded_central(p: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (p[:, 2:] - p[:, :-2] if axis == 1 else p[2:] - p[:-2]) / (2.0 * h)
-
-
 def face_gradient(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Normal derivative of a cell-centered array on the faces normal to
     ``axis`` (1: x, 0: y): the compact difference across each face, the
     one-sided second-order stencil (the quadratic ghost) on the walls."""
-    return _padded_face_gradient(_ghost_pad(vals, axis), h, axis)
+    p = _ghost_pad(vals, axis)
+    return (p[:, 1:] - p[:, :-1] if axis == 1 else p[1:] - p[:-1]) / h
 
 
 def _central_difference(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return _padded_central(_ghost_pad(vals, axis), h, axis)
-
-
-def face_gradient_and_central(vals: np.ndarray, h: float, axis: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """``face_gradient`` and the central cell difference (``ddx``/``ddy``)
-    along ``axis``, equal to theirs, from one ghost pad."""
     p = _ghost_pad(vals, axis)
-    return _padded_face_gradient(p, h, axis), _padded_central(p, h, axis)
+    return (p[:, 2:] - p[:, :-2] if axis == 1 else p[2:] - p[:-2]) / (2.0 * h)
 
 
 def ddx(vals: np.ndarray, hx: float) -> np.ndarray:

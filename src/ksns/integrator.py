@@ -29,8 +29,7 @@ import numpy as np
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    _apply_along, _build_axis_operators, _ghost_pad,
                    check_same_grid, face_divergence, face_gradient,
-                   face_gradient_and_central, face_values, face_normal_values,
-                   integrate, require_finite)
+                   face_normal_values, integrate, require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
 
@@ -176,37 +175,6 @@ class GivenData:
 
 
 # ---------------------------------------------------------------------------
-# chemotactic flux
-
-def chemotactic_flux_raw(grid: Grid, n_vals: np.ndarray, c_vals: np.ndarray,
-                         S: SensitivitySpec
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Face-normal values (fx, fy) of the chemotactic flux n * (S grad c);
-    faces only, no cell-centered values.
-
-    The normal derivative of c on a face is the compact difference across
-    it, the tangential one the central cell gradient carried to the face;
-    one quadratic ghost layer closes both with the one-sided second-order
-    wall stencils.  The tangential term, weighted -b on the x faces and b
-    on the y faces, is skipped when b = 0.
-    """
-    hx, hy = grid.hx, grid.hy
-    a, b = S.a, S.b
-    if not b:
-        return (face_values(n_vals, 1) * (a * face_gradient(c_vals, hx, 1)),
-                face_values(n_vals, 0) * (a * face_gradient(c_vals, hy, 0)))
-    # the central difference along y feeds the x faces, and the one along
-    # x the y faces
-    fgx, dcx = face_gradient_and_central(c_vals, hx, 1)
-    fgy, dcy = face_gradient_and_central(c_vals, hy, 0)
-    gx = a * fgx
-    gx += -b * face_values(dcy, 1)
-    gy = a * fgy
-    gy += b * face_values(dcx, 0)
-    return face_values(n_vals, 1) * gx, face_values(n_vals, 0) * gy
-
-
-# ---------------------------------------------------------------------------
 # the density solve's right-hand side
 #
 # The wall condition grad(n).nu = n S grad(c).nu says that the cell flux
@@ -318,10 +286,12 @@ def density_rhs(grid: Grid, base: np.ndarray, n: np.ndarray, c: np.ndarray,
                 S: SensitivitySpec, dt: float,
                 adv: np.ndarray | None = None) -> np.ndarray:
     """The right-hand side ``base - dt * div F (- dt * adv)`` of the density
-    solve, F the chemotactic flux n * (S grad c) of ``chemotactic_flux_raw``
-    on the interior faces and zero on the walls, from the cached
-    ``_density_plan``.  ``adv`` is the advective divergence of a moving
-    fluid."""
+    solve, from the cached ``_density_plan``.  F is the chemotactic flux
+    n * (S grad c) on the interior faces and zero on the walls: the face
+    average of n times a times c's compact difference across the face, plus
+    the tangential term (-b dc/dy on the x faces, b dc/dx on the y faces),
+    the face average of c's central cell difference, one-sided in the wall
+    cells.  ``adv`` is the advective divergence of a moving fluid."""
     py, px = _density_plan(*grid.shape, grid.hy, grid.hx, S.a, S.b, dt)
     gx, tx = _grad_and_central(c, px, 1)
     gy, ty = _grad_and_central(c, py, 0)

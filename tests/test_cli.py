@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksns import Grid, ScalarField, VectorField, cli, linstep
-from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _nonneg_verdict,
-                      given_data_from_config, load_config, main)
+from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _compatibility_warning,
+                      _nonneg_verdict, given_data_from_config, load_config,
+                      main)
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               LipschitzResult, SERIES_COLUMNS)
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
@@ -872,3 +873,19 @@ b = 1.0
     path = write_cfg(tmp_path, text)
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
     assert "warning: initial flux-balance residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workload, line", [
+    ("flow-128", "warning: initial flux-balance residual 0.031567 (balance "
+                 "required at these exponents, 1/r + 2/q < 1)\n"),
+    ("no-flow-32", ""), ("verdicts-48", "")])
+def test_benchmark_workload_warnings(capsys, workload, line):
+    # the start-up warning is the one line of the benchmark's stdout that
+    # the wall-condition measurement writes: rotation's residual on the
+    # small wave, about 0.0316, passes 50 h^2 (1 + sup n0) = 0.0092 at 128^2
+    # and not 0.147 at 32^2; the identity's is 8.0e-6 at 48^2
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+            / f"{workload}.cfg")
+    cfg = load_config(str(path))
+    _compatibility_warning(cfg, given_data_from_config(cfg))
+    assert capsys.readouterr().out == line

@@ -7,9 +7,7 @@ import pytest
 from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns.diagnostics import (SERIES_COLUMNS, DiagnosticsConfig,
-                              DiagnosticsSeries, _vector_wkr,
-                              compatibility_check,
-                              fit_decay_rate, lipschitz_experiment,
+                              DiagnosticsSeries, _vector_wkr, fit_decay_rate, lipschitz_experiment,
                               mass_identity_residuals, negative_part_energy,
                               smallness_functional, wall_condition_residual,
                               weighted_solution_norm)
@@ -388,28 +386,32 @@ def test_negativity_fields(unit16):
 
 
 # ---------------------------------------------------------------------------
-# compatibility residual
+# the wall condition in the trace sense
 
 def test_boundary_residual_consistent_hand_built(unit32):
-    # n constant, grad(c).nu = 0: both fluxes vanish to O(h^2)
+    # n constant, grad(c).nu = 0 and S = I: both sides vanish, and the
+    # slope's differences are exactly 0 on the state's constant density
     st = SimState.from_fields(
         0.0, ScalarField.constant(unit32, 1.0),
         ScalarField.from_function(unit32, lambda x, y: np.cos(np.pi * x)),
         VectorField.zero(unit32), 1.0)
-    assert compatibility_check(st.n, st.c, SensitivitySpec()) <= 5e-3
+    assert wall_condition_residual(st.n, st.c, SensitivitySpec()) == (0.0, 0.0)
 
 
 def test_compatibility_check_cases(unit64):
     c0 = ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x))
     n_const = ScalarField.constant(unit64, 1.0)
-    # S = I: both sides vanish to O(h^2)
-    assert compatibility_check(n_const, c0, SensitivitySpec()) <= 2e-3
+    # S = I: no tangential term, and the slope of a constant is 0
+    assert wall_condition_residual(n_const, c0, SensitivitySpec())[0] == 0.0
     # rotated: violated with residual about pi
-    res = compatibility_check(n_const, c0, SensitivitySpec(0.0, 1.0))
+    res, _ = wall_condition_residual(n_const, c0, SensitivitySpec(0.0, 1.0))
     assert abs(res - np.pi) <= 0.05
-    # constants: exactly compatible
-    assert compatibility_check(n_const, ScalarField.constant(unit64, 2.0),
-                               SensitivitySpec()) == 0.0
+    # constants: exactly compatible, at any size (the slope's weights summed
+    # to about 6e-14 before it was written as differences)
+    for value in (1.0, 1000.0):
+        n = ScalarField.constant(unit64, value)
+        assert wall_condition_residual(n, ScalarField.constant(unit64, 2.0),
+                                       SensitivitySpec(1.0, 0.5))[0] == 0.0
 
 
 @pytest.mark.parametrize("cells", [4, 8])
@@ -425,7 +427,8 @@ def test_wall_condition_residual_exact_on_cubics(cells):
                               ScalarField(g, Y ** 2), VectorField.zero(g),
                               0.0)
     y_top = (cells - (1.5 if cells == 4 else 2.5)) / cells
-    residual, scale = wall_condition_residual(st, SensitivitySpec(1.0, 0.5))
+    residual, scale = wall_condition_residual(st.n, st.c,
+                                              SensitivitySpec(1.0, 0.5))
     assert residual == pytest.approx(3.0 + 2.0 * y_top, rel=1e-12)
     assert scale == pytest.approx(3.0, rel=1e-12)
 

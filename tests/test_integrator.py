@@ -13,8 +13,8 @@ from ksns.diagnostics import fit_decay_rate, negative_part_energy
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
-                             chemotactic_flux_raw, density_rhs, run, step,
-                             step_count, upwind_divergence)
+                             density_rhs, run, step, step_count,
+                             upwind_divergence)
 from ksns.grid import BoundaryData
 from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
                           stokes_core)
@@ -72,17 +72,20 @@ def rich_data(grid, rng, amp=0.01):
 # sensitivity tensor
 
 def test_sensitivity_rotation_matches_canonical_form(unit16):
-    # a*I + b*J with J = [[0, -1], [1, 0]]: on a unit density the flux of a
-    # linear signal is S grad c, which every stencil gives to rounding
+    # a*I + b*J with J = [[0, -1], [1, 0]]: on a unit density the step's
+    # flux of a linear signal is S grad c on every interior face, which
+    # every stencil gives to rounding
     assert [f.name for f in fields(SensitivitySpec)] == ["a", "b"]
     assert SensitivitySpec() == SensitivitySpec(1.0, 0.0)
     S = SensitivitySpec(2.0, 0.5)
     X, Y = unit16.cell_centers()
     n = np.ones(unit16.shape)
     for c, (sx, sy) in ((X, (2.0, 0.5)), (Y, (-0.5, 2.0))):
-        fx, fy = chemotactic_flux_raw(unit16, n, c, S)
-        assert np.abs(fx - sx).max() <= 1e-12
-        assert np.abs(fy - sy).max() <= 1e-12
+        want = _interior_source(unit16,
+                                np.full((unit16.ny, unit16.nx + 1), sx),
+                                np.full((unit16.ny + 1, unit16.nx), sy))
+        got = _flux_source(unit16, n, c, S)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name, value", [("a", math.nan), ("b", math.inf)])
@@ -159,47 +162,58 @@ def test_chained_steps_reproduce_run_bitwise(unit16):
 
 
 # ---------------------------------------------------------------------------
-# chemotactic flux
+# chemotactic flux: the density source -div F of density_rhs, F the flux
+# on the interior faces
+
+def _interior_source(grid, fx, fy):
+    """-div F of the face values (fx, fy) with their wall faces set to 0."""
+    fx, fy = fx.copy(), fy.copy()
+    fx[:, [0, -1]] = 0.0
+    fy[[0, -1], :] = 0.0
+    return -face_divergence(grid, fx, fy)
+
+
+def _flux_source(grid, n, c, S):
+    """-div F of the step's flux: ``density_rhs`` at base 0 and dt = 1."""
+    return density_rhs(grid, np.zeros(grid.shape), n, c, S, 1.0)
+
 
 def test_chem_flux_identity_tensor(unit64):
+    # -div(2 grad c) = 2 pi^2 cos(pi x) for c = cos(pi x), second order in
+    # every cell (4.0e-3 here, a quarter of the 32^2 error): c is even about
+    # each wall, so the zero wall face loses nothing, and c has no
+    # y-difference to feed the y faces
     n = np.full(unit64.shape, 2.0)
     c = ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x))
-    fx, fy = chemotactic_flux_raw(unit64, n, c.values, SensitivitySpec())
-    # interior faces: n d/dx c at the face abscissae, second order
-    X, _ = np.meshgrid(np.arange(unit64.nx + 1) * unit64.hx, unit64.yc)
-    assert np.abs(fx[:, 1:-1] + 2 * np.pi * np.sin(np.pi * X[:, 1:-1])).max() \
-        <= 3e-3
-    assert np.abs(fy).max() <= 1e-12
-    # all boundary normal fluxes vanish to O(h^2)
-    bmax = max(np.abs(fx[:, 0]).max(), np.abs(fx[:, -1]).max(),
-               np.abs(fy[0, :]).max(), np.abs(fy[-1, :]).max())
-    assert bmax <= 2e-3
+    got = _flux_source(unit64, n, c.values, SensitivitySpec())
+    X, _ = unit64.cell_centers()
+    assert np.abs(got - 2 * np.pi ** 2 * np.cos(np.pi * X)).max() <= 5e-3
 
 
-def test_chem_flux_constant_signal(unit16):
-    n = np.full(unit16.shape, 3.0)
-    c = np.full(unit16.shape, 5.0)
-    fx, fy = chemotactic_flux_raw(unit16, n, c, SensitivitySpec(1.0, 2.0))
-    assert np.abs(fx).max() == 0.0 and np.abs(fy).max() == 0.0
+def test_chem_flux_constant_signal(unit16, unit64):
+    # no flux from a constant signal, as products (16^2) and as sliced
+    # stencils (64^2)
+    for g in (unit16, unit64):
+        got = _flux_source(g, np.full(g.shape, 3.0), np.full(g.shape, 5.0),
+                           SensitivitySpec(1.0, 2.0))
+        assert np.abs(got).max() == 0.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-3.0, 3.0, allow_subnormal=False),
        st.floats(-3.0, 3.0, allow_subnormal=False), st.integers(0, 2 ** 32 - 1))
 def test_chem_flux_is_linear_in_the_tensor(a, b, seed):
-    # flux(a*I + b*J) = a*flux(I) + b*flux(J) on both face families, so a
-    # term weighted by the wrong one of a and b shows; the canonical-form
-    # test checks the sign of J
+    # source(a*I + b*J) = a*source(I) + b*source(J), so a term weighted by
+    # the wrong one of a and b shows; the canonical-form test checks the
+    # sign of J
     grid = Grid(1.0, 1.0, 32, 32)
     rng = np.random.default_rng(seed)
     n = 2.0 + 0.1 * rng.standard_normal(grid.shape)
     c = 1.0 + 0.1 * rng.standard_normal(grid.shape)
-    got = chemotactic_flux_raw(grid, n, c, SensitivitySpec(a, b))
-    ident = chemotactic_flux_raw(grid, n, c, SensitivitySpec())
-    rot = chemotactic_flux_raw(grid, n, c, SensitivitySpec(0.0, 1.0))
-    for g, i, r in zip(got, ident, rot):
-        want = a * i + b * r
-        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+    got = _flux_source(grid, n, c, SensitivitySpec(a, b))
+    want = (a * _flux_source(grid, n, c, SensitivitySpec())
+            + b * _flux_source(grid, n, c, SensitivitySpec(0.0, 1.0)))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _reference_faces(grid, n, c, S):
@@ -255,20 +269,10 @@ def test_chem_flux_faces_match_explicit_stencils(nx, ny, Lx, Ly, kind, seed):
     n = 2.0 + 0.5 * rng.standard_normal(grid.shape)
     c = 1.0 + 0.5 * rng.standard_normal(grid.shape)
     S = _FLUX_TENSORS[kind]
-    got = chemotactic_flux_raw(grid, n, c, S)
-    want = _reference_faces(grid, n, c, S)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
-
-
-def test_chem_flux_rotation_boundary(unit64):
-    # S = J turns the tangential gradient into the normal flux
-    n = np.ones(unit64.shape)
-    c = ScalarField.from_function(unit64, lambda x, y: np.cos(np.pi * x))
-    _, fy = chemotactic_flux_raw(unit64, n, c.values, SensitivitySpec(0.0, 1.0))
-    expected_top = -np.pi * np.sin(np.pi * unit64.xc)
-    assert np.abs(fy[-1, :] - expected_top).max() <= 5e-3
+    got = _flux_source(grid, n, c, S)
+    want = _interior_source(grid, *_reference_faces(grid, n, c, S))
+    assert np.abs(got - want).max() <= _rhs_tol(grid, np.zeros(grid.shape),
+                                                 n, c, S, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +347,16 @@ def test_step_boundary_residual_is_measured(unit32):
     rhs = density_rhs(unit32, st.nt, n, st.chi, data.S, 1e-3)
     nt = neumann_heat_core(unit32, rhs, None, None, 1e-3)
     np.testing.assert_array_equal(step(st, data, dt=1e-3).nt, nt)
-    fx, fy = chemotactic_flux_raw(unit32, n, st.chi, data.S)
+    fx, fy = _reference_faces(unit32, n, st.chi, data.S)
     src = (-face_divergence(unit32, fx, fy)
            + grid_mod._boundary_source(unit32, BoundaryData.from_faces(fx, fy)))
     assert _imposed_source_gap(unit32, nt, st.nt, src, 1e-3) <= 1e-12
 
 
 def _interior_flux_rhs(grid, base, n, c, S, dt):
-    """base - dt * div F, F the faces of ``chemotactic_flux_raw`` with the
-    wall faces set to zero: the reference of ``density_rhs``."""
-    fx, fy = chemotactic_flux_raw(grid, n, c, S)
-    fx[:, [0, -1]] = 0.0
-    fy[[0, -1], :] = 0.0
-    return base - dt * face_divergence(grid, fx, fy)
+    """base - dt * div F, F the faces of ``_reference_faces`` with the wall
+    faces set to zero: the reference of ``density_rhs``."""
+    return base + dt * _interior_source(grid, *_reference_faces(grid, n, c, S))
 
 
 def _rhs_tol(grid, base, n, c, S, dt):
@@ -447,7 +448,7 @@ def test_boundary_residual_detects_perturbed_flux(unit32):
     data = wave_data(unit32, amp=0.01, S=SensitivitySpec(1.0, 0.5))
     st = data.initial_state()
     nt = st.nt
-    fx, fy = chemotactic_flux_raw(unit32, st.n.values, st.c.values, data.S)
+    fx, fy = _reference_faces(unit32, st.n.values, st.c.values, data.S)
     bc = BoundaryData.from_faces(fx, fy)
     scaled = BoundaryData(*(getattr(bc, s) * (1.0 + 1e-6)
                             for s in ("left", "right", "bottom", "top")))
@@ -792,48 +793,28 @@ def test_small_axes_build_operators_and_large_ones_none():
         assert grid_mod._build_axis_operators.cache_info().currsize == built
 
 
-def _flux_padding_per_stencil(grid, n, c, S):
-    """The flux with a face gradient and a central difference of its own
-    (and a ghost pad each) for every term."""
-    s11, s12, s21, s22 = S.a, -S.b, S.b, S.a
-    gx = s11 * grid_mod.face_gradient(c, grid.hx, 1)
-    if s12:
-        gx += s12 * grid_mod.face_values(grid_mod.ddy(c, grid.hy), 1)
-    gy = s22 * grid_mod.face_gradient(c, grid.hy, 0)
-    if s21:
-        gy += s21 * grid_mod.face_values(grid_mod.ddx(c, grid.hx), 0)
-    return (grid_mod.face_values(n, 1) * gx, grid_mod.face_values(n, 0) * gy)
-
-
 @pytest.mark.parametrize("cells", [32, 128])
 def test_flux_pads_c_once_per_axis_on_long_axes(monkeypatch, rng, cells):
-    # on short and long axes alike the face gradient and the central
-    # difference along an axis share one ghost pad, and the identity builds
-    # no central difference; the faces are bitwise those of one pad per
-    # stencil
+    # density_rhs pads c once per axis on a long axis's sliced stencils,
+    # shared by the face difference and the central difference there, and
+    # never on a short axis's products or without a tangential term
     g = Grid(1.0, 1.0, cells, cells)
     n = 2.0 + 0.1 * rng.standard_normal(g.shape)
     c = 1.0 + 0.1 * rng.standard_normal(g.shape)
     pads = []
-    plain_pad = grid_mod._ghost_pad
+    plain_pad = integrator._ghost_pad
 
     def counted(vals, axis):
         pads.append(axis)
         return plain_pad(vals, axis)
 
-    for S in (SensitivitySpec(1.0, 0.5), SensitivitySpec()):
-        want = _flux_padding_per_stencil(g, n, c, S)
+    monkeypatch.setattr(integrator, "_ghost_pad", counted)
+    rotation = [0, 1] if cells == 128 else []
+    for S, want in ((SensitivitySpec(1.0, 0.5), rotation),
+                    (SensitivitySpec(), [])):
         pads.clear()
-        monkeypatch.setattr(grid_mod, "_ghost_pad", counted)
-        got = chemotactic_flux_raw(g, n, c, S)
-        monkeypatch.setattr(grid_mod, "_ghost_pad", plain_pad)
-        assert sorted(pads) == [0, 1], S
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes(), S
-    pads.clear()
-    monkeypatch.setattr(grid_mod, "_ghost_pad", counted)
-    _flux_padding_per_stencil(g, n, c, SensitivitySpec(1.0, 0.5))
-    assert len(pads) == 4
+        density_rhs(g, np.zeros(g.shape), n, c, S, 1e-3)
+        assert sorted(pads) == want, S
 
 
 def test_run_rejects_bad_times(unit16):
