@@ -1,11 +1,11 @@
 """Configuration parsing and scenario orchestration.
 
-Subcommands: ``run`` (full scenario with PASS/FAIL invariant verdicts),
-``eigen`` (Poincare constants as one CSV line), ``decay`` (stabilization
-rate fits), ``lipschitz`` (data-perturbation experiment), ``nonneg``
-(positivity at every step), ``version``.  ``run``, ``decay``,
-``lipschitz`` and ``nonneg`` share one pass: build the scenario, run it,
-then judge the run.
+Subcommands: ``run`` (full scenario with PASS/FAIL invariant verdicts,
+among them positivity at every step), ``eigen`` (Poincare constants as one
+CSV line), ``decay`` (stabilization rate fits), ``lipschitz``
+(data-perturbation experiment), ``version``.  ``run``, ``decay`` and
+``lipschitz`` share one pass: build the scenario, run it, then judge the
+run.
 
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
@@ -47,7 +47,6 @@ _SCHEMA = {
                "nx": (int, 32), "ny": (int, 32)},
     "time": {"dt": (float, 1e-3), "T": (float, 1.0), "theta": (float, 1.0)},
     "solver": {"blowup_ceiling": (float, 1e6)},
-    "picard": {"k_max": (int, 1), "tol": (float, 1e-10)},
     "data": {"preset": (str, "small-wave"), "n_base": (float, 2.0),
              "c_base": (float, 2.0), "amplitude": (float, 0.01),
              "u_preset": (str, "zero"), "u_amplitude": (float, 0.0)},
@@ -72,7 +71,6 @@ _FIELDS = {
     "Lx": ("domain", "Lx"), "Ly": ("domain", "Ly"),
     "nx": ("domain", "nx"), "ny": ("domain", "ny"),
     "T": ("time", "T"), "dt": ("time", "dt"),
-    "picard_k_max": ("picard", "k_max"), "picard_tol": ("picard", "tol"),
     "snapshot_stride": ("output", "snapshot_stride"),
     "blowup_ceiling": ("solver", "blowup_ceiling"),
     "r": ("diagnostics", "r"), "q": ("diagnostics", "q"),
@@ -156,10 +154,6 @@ def _validate(cfg: RunConfig) -> None:
     kind = v[("sensitivity", "kind")]
     cfg.S = (SensitivitySpec() if kind == "identity"
              else SensitivitySpec(S.a) if kind == "scaled" else S)
-    # RunOptions takes picard_tol = 0, which runs all k_max iterates of a
-    # step; a config file must give a stopping tolerance
-    if not v[("picard", "tol")] > 0:
-        fail("picard", "tol", "must be positive")
     # the preset floats, checked whatever the presets so that a bad value
     # never reaches a run
     for s, k in (("data", "n_base"), ("data", "c_base"),
@@ -500,12 +494,8 @@ def _judge_lipschitz(sc, trajectory, series) -> bool:
                  f"max ratio {max(ratios):.4g} ceiling {ceiling:g}")])
 
 
-def _judge_nonneg(sc, trajectory, series) -> bool:
-    return _report([_nonneg_verdict(sc.data, series)])
-
-
 _JUDGES = {"run": _judge_run, "decay": _judge_decay,
-           "lipschitz": _judge_lipschitz, "nonneg": _judge_nonneg}
+           "lipschitz": _judge_lipschitz}
 
 
 def _simulate(cfg, args) -> int:
@@ -547,7 +537,7 @@ def main(argv=None) -> int:
         description="chemotaxis-fluid laboratory with flux-coupled walls")
     parser.add_argument("command",
                         choices=["run", "eigen", "decay", "lipschitz",
-                                 "nonneg", "version"])
+                                 "version"])
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--out", default=None, help="output directory "
                         "(falls back to config, then $KSNS_OUT)")

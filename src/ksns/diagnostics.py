@@ -1,7 +1,9 @@
 """Quantitative verdicts on runs: mass identities, decay-rate fits,
 smallness and weighted solution norms (discrete Sobolev proxies),
-non-negativity monitors, and the wall condition in the trace sense, the
-one measurement of it, read on the initial data and on a run's last state.
+non-negativity monitors, the wall condition in the trace sense, the one
+measurement of it, read on the initial data and on a run's last state, and
+the paper's solution map on whole trajectories, which acceptance
+criterion 12 iterates.
 
 The smoothness-graded norms here are integer-order difference-quotient
 proxies for the interpolation-space norms the analysis works with; they
@@ -10,18 +12,17 @@ declared as proxies in the README.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import ScalarField, VectorField, check_same_grid, discrete_norm
 from .integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
-                         run)
+                         _advance, _stays_at_rest, run)
 
 SERIES_COLUMNS = (
     "t", "mass_n", "mass_c", "sup_n_dev", "sup_c_dev", "sup_u",
     "min_n", "min_c", "neg_energy_n", "neg_energy_c",
-    "picard_iters", "contraction",
 )
 
 
@@ -87,8 +88,7 @@ class DiagnosticsSeries:
         return np.asarray(self._data[name], dtype=float)
 
     def to_csv(self, path) -> None:
-        row = ",".join("%d" if name == "picard_iters" else "%.15g"
-                       for name in SERIES_COLUMNS) + "\n"
+        row = ",".join(["%.15g"] * len(SERIES_COLUMNS)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
             fh.writelines(row % r for r in
@@ -103,9 +103,8 @@ class DiagnosticsSeries:
                 raise ValueError(f"unexpected diagnostics header in {path}")
             for line in fh:
                 vals = line.strip().split(",")
-                row = {name: (int(v) if name == "picard_iters" else float(v))
-                       for name, v in zip(SERIES_COLUMNS, vals)}
-                series.append(**row)
+                series.append(**{name: float(v)
+                                 for name, v in zip(SERIES_COLUMNS, vals)})
         return series
 
 
@@ -353,6 +352,23 @@ def _difference_data(a: GivenData, b: GivenData) -> GivenData:
         phi_grad=a.phi_grad, S=a.S, f=f_diff)
 
 
+def _differences(traj_a, traj_b):
+    """The difference states of two trajectories in shifted variables, pair
+    by pair as the weighted norm reads them; a pair of states sampled at
+    different times raises ``ValueError``."""
+    for k, (sa, sb) in enumerate(zip(traj_a, traj_b)):
+        if sa.t != sb.t:
+            raise ValueError(f"sample times differ at state {k}: "
+                             f"t = {sa.t!r} against {sb.t!r}; use "
+                             f"identical T, dt and strides")
+        na, ca, _ = _shifted_parts(sa)
+        nb, cb, _ = _shifted_parts(sb)
+        yield SimState(
+            t=sa.t, nt=na.values - nb.values, chi=ca.values - cb.values,
+            u=VectorField(sa.u.grid, sa.u.ux - sb.u.ux, sa.u.uy - sb.u.uy),
+            gamma=0.0, n_bar0=0.0)
+
+
 def lipschitz_experiment(base: GivenData, perturbed: GivenData,
                          cfg: DiagnosticsConfig, T: float, dt: float,
                          options: RunOptions, base_trajectory: list[SimState]
@@ -371,26 +387,59 @@ def lipschitz_experiment(base: GivenData, perturbed: GivenData,
     traj_b, _ = run(perturbed, T, dt, options)
     if len(base_trajectory) != len(traj_b):
         raise ValueError("trajectory lengths differ; use identical strides")
-    g = base.grid
-
-    def differences():
-        for k, (sa, sb) in enumerate(zip(base_trajectory, traj_b)):
-            if sa.t != sb.t:
-                raise ValueError(f"sample times differ at state {k}: "
-                                 f"t = {sa.t!r} against {sb.t!r}; use "
-                                 f"identical T, dt and strides")
-            na, ca, _ = _shifted_parts(sa)
-            nb, cb, _ = _shifted_parts(sb)
-            yield SimState(
-                t=sa.t, nt=na.values - nb.values, chi=ca.values - cb.values,
-                u=VectorField(g, sa.u.ux - sb.u.ux, sa.u.uy - sb.u.uy),
-                gamma=0.0, n_bar0=0.0)
-
     gap = smallness_functional(_difference_data(base, perturbed), cfg,
                                T_quad=T)
-    sol = weighted_solution_norm(differences(), cfg)
+    sol = weighted_solution_norm(_differences(base_trajectory, traj_b), cfg)
     if gap < 1e-14:
         return LipschitzResult(ratio=0.0, data_gap=gap, solution_gap=sol,
                                degenerate=True)
     return LipschitzResult(ratio=sol / gap, data_gap=gap, solution_gap=sol,
                            degenerate=False)
+
+
+# ---------------------------------------------------------------------------
+# the solution map on whole trajectories
+
+def _solution_map(data: GivenData, prev: list[SimState], dt: float,
+                  options: RunOptions) -> list[SimState]:
+    """Phi(prev): one pass over the time grid of ``prev`` from the initial
+    state, new[k+1] = _advance(new[k], prev[k]).  The implicit solves
+    advance ``new``; the lagged terms are read from ``prev``: the
+    chemotactic flux n S grad(c), including its linear part
+    n_bar0 S grad(c), the signal's source n, and advection.  Buoyancy takes
+    the fresh density of the same pass.  So Phi of the constant trajectory
+    nt = chi = 0, u = 0 is the solution of the linear problem, and the
+    fixed point of Phi is ``run``'s trajectory."""
+    new = [data.initial_state()]
+    at_rest = _stays_at_rest(data, new[0].u)
+    for w in prev[:-1]:
+        new.append(_advance(data.grid, new[-1], w, data, dt, options,
+                            at_rest))
+    return new
+
+
+def _solution_map_iterates(data: GivenData, T: float, dt: float,
+                           options: RunOptions, cfg: DiagnosticsConfig,
+                           iterates: int) -> tuple[list[float], list[float]]:
+    """Iterate Phi ``iterates`` times from the constant trajectory.
+
+    Returns (factors, distances).  factors[m - 1] is
+    |Phi(T_m) - Phi(T_{m-1})|_W / |T_m - T_{m-1}|_W, with |.|_W the
+    weighted norm of difference states and T_0 the constant trajectory (0
+    when Phi has reached its fixed point).  distances[m - 1] is the sup
+    over the time grid of |nt|, |chi|, |ux| and |uy| of T_m minus ``run``'s
+    trajectory.
+    """
+    ref, _ = run(data, T, dt, replace(options, snapshot_stride=1))
+    zero, rest = np.zeros(data.grid.shape), VectorField.zero(data.grid)
+    prev = [SimState(s.t, zero, zero, rest, s.gamma, s.n_bar0) for s in ref]
+    gaps, distances = [], []
+    for _ in range(iterates):
+        new = _solution_map(data, prev, dt, options)
+        gaps.append(weighted_solution_norm(_differences(new, prev), cfg))
+        distances.append(max(float(np.abs(x - y).max()) for a, b in
+                             zip(new, ref) for x, y in
+                             ((a.nt, b.nt), (a.chi, b.chi),
+                              (a.u.ux, b.u.ux), (a.u.uy, b.u.uy))))
+        prev = new
+    return [b / a if a else 0.0 for a, b in zip(gaps, gaps[1:])], distances

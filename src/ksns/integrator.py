@@ -1,13 +1,12 @@
 """Coupled chemotaxis-fluid integrator.
 
 One IMEX step treats diffusion and the (1 - laplacian) shift implicitly and
-freezes the chemotactic flux, the advective transport, and the buoyancy
-forcing at the current iterate.  Each step is a Picard loop that re-solves
-with coefficients frozen at the previous iterate until the combined field
-change stalls or ``k_max`` iterates are taken; ``k_max = 1`` (the default)
-is the plain IMEX step.  The three substeps run in the order density ->
-signal -> velocity, with the velocity forcing consuming the freshly solved
-density.
+freezes the chemotactic flux, the signal's source and the advective
+transport at the state it starts from.  The three substeps run in the
+order density -> signal -> velocity, with the buoyancy forcing consuming
+the freshly solved density.  ``_advance`` can also freeze those terms at
+another state: ``diagnostics`` iterates the paper's solution map on whole
+trajectories that way, and its fixed point is the run's trajectory.
 
 The loop integrates the shifted variables: the density deviation from its
 initial mean and the signal minus a scheme-consistent multiple of that
@@ -82,10 +81,7 @@ class SimState:
     and the signal themselves are the read-only properties ``n`` and ``c``.
 
     On a stepped state, ``extrema`` holds (min nt, max nt, min chi,
-    max chi) from the blow-up check, ``picard_iters`` is the number of
-    Picard iterates the step took, and ``contraction`` the ratio of its last
-    two increments (0 when fewer than two were taken; values >= 1 are
-    recorded, not raised).
+    max chi) from the blow-up check.
     """
 
     t: float
@@ -95,8 +91,6 @@ class SimState:
     gamma: float
     n_bar0: float
     extrema: tuple[float, float, float, float] | None = None
-    picard_iters: int | None = None
-    contraction: float | None = None
 
     @classmethod
     def from_fields(cls, t: float, n: ScalarField, c: ScalarField,
@@ -334,20 +328,15 @@ def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
 @dataclass(frozen=True)
 class RunOptions:
     """The options of a step and a run.  Raises ValueError unless
-    ``picard_k_max`` and ``snapshot_stride`` are at least 1 and
-    ``blowup_ceiling`` is positive.  ``picard_tol`` is not checked: 0 takes
-    all ``picard_k_max`` iterates."""
+    ``snapshot_stride`` is at least 1 and ``blowup_ceiling`` is positive."""
 
-    picard_k_max: int = 1
-    picard_tol: float = 1e-10
     snapshot_stride: int = 1
     blowup_ceiling: float = 1e6
 
     def __post_init__(self):
-        for name in ("picard_k_max", "snapshot_stride"):
-            v = getattr(self, name)
-            if not v >= 1:
-                raise ValueError(f"{name} must be at least 1, got {v!r}")
+        if not self.snapshot_stride >= 1:
+            raise ValueError(f"snapshot_stride must be at least 1, "
+                             f"got {self.snapshot_stride!r}")
         if not self.blowup_ceiling > 0.0:
             raise ValueError(f"blowup_ceiling must be positive, "
                              f"got {self.blowup_ceiling!r}")
@@ -365,9 +354,9 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
              dt: float, opts: RunOptions, at_rest: bool) -> SimState:
     """One IMEX step of the shifted system.
 
-    Nonlinear coefficients are evaluated at the frozen iterate ``w`` (``st``
-    itself gives the plain step); the implicit solves always advance
-    ``st``.  ``at_rest`` is ``_stays_at_rest(data, st.u)``, decided
+    The lagged terms, the chemotactic flux, the signal's source and the
+    advection, are read from ``w`` (``st`` itself gives the plain step);
+    the implicit solves always advance ``st``.  ``at_rest`` is ``_stays_at_rest(data, st.u)``, decided
     by the caller once for its steps: a fluid at rest skips advection and
     the fluid substep, and keeps ``st.u``, so every iterate it freezes is at
     rest too.
@@ -450,62 +439,17 @@ def _check_blowup(st: SimState, ceiling: float, last_valid: SimState | None,
     return ext
 
 
-def _rel_increment(a: SimState, b: SimState) -> float:
-    """Sup over the fields n, c and u of the relative L2 change.
-
-    Works on reconstructed fields so that a state that is an exact fixed
-    point of the dynamics reports a zero increment even though its shifted
-    representation evolves."""
-    def rel(x, y):
-        num = float(np.sqrt(((x - y) ** 2).sum()))
-        if num == 0.0:
-            return 0.0
-        return num / max(float(np.sqrt((y ** 2).sum())), 1e-300)
-
-    du = float(np.sqrt(((a.u.ux - b.u.ux) ** 2 + (a.u.uy - b.u.uy) ** 2).sum()))
-    base_u = max(float(np.sqrt((b.u.ux ** 2 + b.u.uy ** 2).sum())), 1e-300)
-    u_inc = 0.0 if du == 0.0 else du / base_u
-    return max(rel(a.n.values, b.n.values), rel(a.c.values, b.c.values),
-               u_inc)
-
-
-def _picard(grid: Grid, st: SimState, data: GivenData, dt: float,
-            opts: RunOptions, at_rest: bool) -> SimState:
-    """One step: iterate ``_advance`` from ``st`` with coefficients frozen at
-    the previous iterate, at most ``opts.picard_k_max`` times and until the
-    relative increment falls below ``opts.picard_tol``.  The returned
-    iterate records its ``picard_iters`` and ``contraction``.  At
-    ``k_max = 1`` this is the plain IMEX step and computes no increment."""
-    k_max, tol = opts.picard_k_max, opts.picard_tol
-    iterate, prev_inc, contraction = st, 0.0, 0.0
-    for m in range(1, k_max + 1):
-        new = _advance(grid, st, iterate, data, dt, opts, at_rest)
-        # only a further iterate or a contraction ratio needs the increment
-        inc = (_rel_increment(new, iterate) if m < k_max or prev_inc > 0.0
-               else 0.0)                    # iterate starts at st
-        if prev_inc > 0.0:
-            contraction = inc / prev_inc
-        iterate = new
-        if inc < tol:
-            break
-        prev_inc = inc
-    iterate.picard_iters, iterate.contraction = m, contraction
-    return iterate
-
-
 def step(state: SimState, data: GivenData, dt: float,
          options: RunOptions | None = None) -> SimState:
-    """Advance one step of size ``dt``: the Picard loop set by ``options``
-    (by default one IMEX step with coefficients frozen at ``state``).  The
-    new state records ``picard_iters`` and ``contraction``.  A given state
-    that is not finite or above the ceiling raises ``BlowUpError`` at its
-    own time, carrying no state, before any step."""
+    """Advance one IMEX step of size ``dt``, the step ``run`` takes.  A
+    given state that is not finite or above the ceiling raises
+    ``BlowUpError`` at its own time, carrying no state, before any step."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     opts = options or RunOptions()
     at_rest = _stays_at_rest(data, state.u)
     _check_blowup(state, opts.blowup_ceiling, None, at_rest)
-    return _picard(data.grid, state, data, dt, opts, at_rest)
+    return _advance(data.grid, state, state, data, dt, opts, at_rest)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +501,7 @@ def run(data: GivenData, T: float, dt: float,
 
     for k in range(1, n_steps + 1):
         try:
-            st = _picard(grid, st, data, dt, opts, at_rest)
+            st = _advance(grid, st, st, data, dt, opts, at_rest)
         except BlowUpError as exc:
             exc.series = series
             raise
@@ -581,8 +525,6 @@ def run(data: GivenData, T: float, dt: float,
             float((np.minimum(st.nt + n_bar0, 0.0) ** 2).sum()) * vol,
             neg_energy_c=0.0 if min_c >= 0.0 else
             float((np.minimum(st.chi + c_shift, 0.0) ** 2).sum()) * vol,
-            picard_iters=st.picard_iters,
-            contraction=st.contraction,
         )
         if k % opts.snapshot_stride == 0 or k == n_steps:
             trajectory.append(st)

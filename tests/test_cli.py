@@ -123,7 +123,7 @@ def test_range_error_on_default_key_has_no_line(tmp_path):
 # an unknown section or an unknown key: (text, name)
 _BAD_LINES = st.one_of(
     st.from_regex(r"[a-z]{3,8}", fullmatch=True)
-    .filter(lambda w: w not in ("domain", "time", "solver", "picard", "data",
+    .filter(lambda w: w not in ("domain", "time", "solver", "data",
                                 "sensitivity", "potential", "forcing",
                                 "diagnostics", "eigen", "output"))
     .map(lambda w: (f"[{w}]", w)),
@@ -160,8 +160,6 @@ def test_config_errors_name_key_and_line(filler, bad):
     ("[time]\ntheta = 0.5", "[time] theta"),
     ("[domain]\nnx = 3", "[domain] nx"), ("[domain]\nny = 2", "[domain] ny"),
     ("[domain]\nLy = 0", "[domain] Ly"), ("[domain]\nLx = nan", "[domain] Lx"),
-    ("[picard]\nk_max = 0", "[picard] k_max"),
-    ("[picard]\ntol = 0", "[picard] tol"),
     ("[solver]\nblowup_ceiling = -2", "[solver] blowup_ceiling"),
     ("[diagnostics]\nlambda1 = 1.5", "[diagnostics] lambda1"),
     ("[diagnostics]\nlambda2 = 0.9", "[diagnostics] lambda2"),
@@ -219,9 +217,6 @@ nx = 8
 ny = 6
 [solver]
 blowup_ceiling = 50.0
-[picard]
-k_max = 3
-tol = 1e-6
 [diagnostics]
 r = 3.0
 q = 5.0
@@ -232,9 +227,7 @@ snapshot_stride = 7
 """))
     grid = cfg.grid
     assert (grid.Lx, grid.Ly, grid.nx, grid.ny) == (2.0, 0.5, 8, 6)
-    assert cfg.options == RunOptions(
-        picard_k_max=3, picard_tol=1e-6, snapshot_stride=7,
-        blowup_ceiling=50.0)
+    assert cfg.options == RunOptions(snapshot_stride=7, blowup_ceiling=50.0)
     assert cfg.diag == DiagnosticsConfig(
         r=3.0, q=5.0, lambda1=0.4, lambda2=0.3)
 
@@ -274,7 +267,6 @@ _INT_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 4, 5]),
 # the loader's own rules: (accepts(value), message) of the keys whose
 # range no library type checks
 _LOADER_RULES = {
-    ("picard", "tol"): (lambda v: v > 0, "must be positive"),
     ("time", "theta"): (lambda v: v == 1.0, "must be 1 (implicit Euler)"),
     **{key: (math.isfinite, "must be finite") for key in (
         ("data", "n_base"), ("data", "c_base"), ("data", "amplitude"),
@@ -289,8 +281,8 @@ _KEY_FIELDS = dict.fromkeys(_LOADER_RULES) | {k: n for n, k in _FIELDS.items()}
 def test_loader_and_library_agree_on_every_range(data):
     # the loader rejects a value exactly when the library type does, with
     # the library's message under the key of the field it names; only
-    # [picard] tol (RunOptions allows 0), [time] theta and the preset
-    # floats (no library field) add rules of their own
+    # [time] theta and the preset floats (no library field) add rules of
+    # their own
     section, key = data.draw(st.sampled_from(sorted(_KEY_FIELDS)))
     name = _KEY_FIELDS[(section, key)]
     typ = _SCHEMA[section][key][0]
@@ -329,11 +321,13 @@ def test_retired_solver_tolerance_fails_closed(tmp_path, capsys):
 
 
 def test_retired_picard_switch_fails_closed(tmp_path, capsys):
-    # k_max = 1 is the plain step; there is no separate on/off switch
-    path = write_cfg(tmp_path, "[picard]\nenabled = true\n")
-    assert main(["run", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert "[picard] enabled" in err and f"{path}:2:" in err
+    # every step is the plain IMEX step: the per-step loop's section is gone
+    for key in ("enabled = true", "k_max = 3", "tol = 0"):
+        path = write_cfg(tmp_path, f"# a comment\n[picard]\n{key}\n")
+        assert main(["run", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {path}:2: unknown section [picard]\n"
 
 
 def test_unknown_section_fails_closed(tmp_path):
@@ -544,7 +538,7 @@ def test_run_blowup_exits_3(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["decay", "lipschitz", "nonneg"])
+@pytest.mark.parametrize("command", ["decay", "lipschitz"])
 @pytest.mark.parametrize("text, t_abort", [
     # the constant data's sup, 2, is already above this ceiling
     (TINY_RUN + "[solver]\nblowup_ceiling = 1.5\n", "0"),
@@ -701,19 +695,23 @@ c_base = 0.0""").replace("T = 0.02", "T = 0.04")
     assert "INFO empirical n-rate none vs" in stdout
 
 
-def test_nonneg_subcommand(tmp_path, capsys):
+def test_run_prints_the_nonneg_verdict(tmp_path, capsys):
+    # the verdict of every step is one of run's; there is no nonneg command
     text = TINY_RUN.replace("preset = constant", "preset = small-wave") + \
         "[sensitivity]\nkind = rotation\na = 1.0\nb = 0.5\n"
     path = write_cfg(tmp_path, text)
-    assert main(["nonneg", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
     assert "PASS non-negativity" in capsys.readouterr().out
+    assert main(["nonneg", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'nonneg'" in err, err
 
 
 def _series(min_n):
     series = DiagnosticsSeries()
     for k, m in enumerate(min_n, start=1):
         row = dict.fromkeys(SERIES_COLUMNS, 0.0)
-        row.update(t=k * 1e-3, min_n=m, min_c=1.0, picard_iters=1,
+        row.update(t=k * 1e-3, min_n=m, min_c=1.0,
                    neg_energy_n=1e-3 * min(m, 0.0) ** 2)
         series.append(**row)
     return series
@@ -739,12 +737,17 @@ def test_nonneg_verdict_reads_every_step_and_the_initial_fields(unit16):
     assert not ok and "min n -1e-07," in line and "3.906e-17 /" in line
 
 
-def test_nonneg_subcommand_fails_on_negative_initial_data(tmp_path, capsys):
+def test_run_omits_the_nonneg_verdict_on_negative_initial_data(tmp_path,
+                                                               capsys):
+    # non-negative initial fields are the claim's hypothesis: without them
+    # run judges the rest and prints no non-negativity line
     text = TINY_RUN.replace("preset = constant",
                             "preset = small-wave\nn_base = -0.5")
     path = write_cfg(tmp_path, text)
-    assert main(["nonneg", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert "FAIL non-negativity" in capsys.readouterr().out
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "PASS n-mass-conservation" in out
+    assert "non-negativity" not in out
 
 
 def test_lipschitz_subcommand(tmp_path, capsys):
@@ -785,8 +788,7 @@ def test_snapshot_stride_is_a_config_key_not_a_flag(capsys, monkeypatch):
     assert "unrecognized arguments: --snapshot-stride 3" in err, err
 
 
-@pytest.mark.parametrize("command", ["run", "decay", "lipschitz", "nonneg",
-                                     "eigen"])
+@pytest.mark.parametrize("command", ["run", "decay", "lipschitz", "eigen"])
 def test_main_builds_the_library_types_only_in_the_loader(
         tmp_path, capsys, monkeypatch, command):
     # load_config checks each input by building its library type and keeps

@@ -54,7 +54,7 @@ def test_config_rate_windows():
 def _dummy_row(t, **over):
     row = dict(t=t, mass_n=2.0, mass_c=1.0, sup_n_dev=0.0, sup_c_dev=0.0,
                sup_u=0.0, min_n=2.0, min_c=1.0, neg_energy_n=0.0,
-               neg_energy_c=0.0, picard_iters=1, contraction=0.0)
+               neg_energy_c=0.0)
     row.update(over)
     return row
 
@@ -68,29 +68,35 @@ def test_series_requires_increasing_time():
 
 def test_series_csv_round_trip(tmp_path):
     s = DiagnosticsSeries()
-    s.append(**_dummy_row(0.001, mass_n=2.0000000000001, picard_iters=3))
-    s.append(**_dummy_row(0.002, contraction=0.125))
+    s.append(**_dummy_row(0.001, mass_n=2.0000000000001))
+    s.append(**_dummy_row(0.002, sup_u=0.125))
     path = tmp_path / "diag.csv"
     s.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == ("t,mass_n,mass_c,sup_n_dev,sup_c_dev,sup_u,min_n,min_c,"
-                      "neg_energy_n,neg_energy_c,picard_iters,contraction")
+                      "neg_energy_n,neg_energy_c")
     back = DiagnosticsSeries.from_csv(path)
     assert len(back) == 2
     np.testing.assert_allclose(back.column("mass_n"), s.column("mass_n"),
                                rtol=1e-12)
-    assert back.column("picard_iters")[0] == 3
+    assert back.column("sup_u")[1] == 0.125
+    # a file with the per-step loop's two columns is the old format
+    lines = path.read_text().splitlines()
+    old = tmp_path / "old.csv"
+    old.write_text("\n".join([lines[0] + ",picard_iters,contraction"]
+                             + [line + ",1,0" for line in lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match="unexpected diagnostics header"):
+        DiagnosticsSeries.from_csv(old)
 
 
 def test_series_csv_bytes_match_per_cell_format(tmp_path):
-    # the writer of every cell by str(int(v)) or f"{v:.15g}", kept here
+    # the writer of every cell by f"{v:.15g}", kept here
     def per_cell(series, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
             for i in range(len(series)):
                 fh.write(",".join(
-                    str(int(series._data[name][i])) if name == "picard_iters"
-                    else f"{series._data[name][i]:.15g}"
+                    f"{series._data[name][i]:.15g}"
                     for name in SERIES_COLUMNS) + "\n")
 
     rng = np.random.default_rng(11)
@@ -104,7 +110,7 @@ def test_series_csv_bytes_match_per_cell_format(tmp_path):
         row["mass_c"] = specials[i % len(specials)]
         row["sup_u"] = np.float64(row["sup_u"])
         row["min_n"] = i - 20                  # an int in a float column
-        row.update(t=1e-3 * (i + 1), picard_iters=(i, np.int64(i), 0)[i % 3])
+        row["t"] = 1e-3 * (i + 1)
         s.append(**row)
     path, want = tmp_path / "diag.csv", tmp_path / "want.csv"
     s.to_csv(path)

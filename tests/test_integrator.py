@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns import diagnostics, integrator, linstep
-from ksns.diagnostics import fit_decay_rate, negative_part_energy
+from ksns.diagnostics import (DiagnosticsConfig, fit_decay_rate,
+                              negative_part_energy)
 from ksns.grid import face_divergence, face_normal_values
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
@@ -391,33 +392,36 @@ def test_density_rhs_matches_the_interior_face_flux(rng, Lx, nx, ny, S):
 @pytest.mark.parametrize("moving", [False, True])
 def test_picard_iterate_density_freezes_the_flux_at_the_iterate(
         unit32, rng, moving):
-    # an iterate w != st: the flux and the advection at w, the base st.nt
-    data = (rich_data(unit32, rng) if moving
-            else wave_data(unit32, amp=0.1, S=SensitivitySpec(1.0, 0.5)))
-    st = data.initial_state()
-    w = step(st, data, dt=1e-3)
-    at_rest = integrator._stays_at_rest(data, st.u)
-    assert at_rest is not moving
-    got = integrator._advance(unit32, st, w, data, 1e-3, RunOptions(),
-                              at_rest).nt
-    n = w.nt + w.n_bar0
-    rhs = _interior_flux_rhs(unit32, st.nt, n, w.chi, data.S, 1e-3)
+    # one pass of the solution map from a previous trajectory prev that is
+    # not the fixed point (the run of larger data): each step's flux and
+    # advection at prev[k], its base new[k].nt
     if moving:
-        ufx, ufy = face_normal_values(w.u, boundary="zero")
-        up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
-        rhs -= 1e-3 * upwind_divergence(unit32, w.nt, ufx, ufy, up)
-    want = neumann_heat_core(unit32, rhs, None, None, 1e-3)
-    tol = _rhs_tol(unit32, st.nt, n, w.chi, data.S, 1e-3)
-    assert np.abs(got - want).max() <= tol
+        data, big = rich_data(unit32, rng), rich_data(unit32, rng, amp=0.05)
+    else:
+        data, big = (wave_data(unit32, amp=a, S=SensitivitySpec(1.0, 0.5))
+                     for a in (0.1, 0.3))
+    prev, _ = run(big, T=3e-3, dt=1e-3)
+    new = diagnostics._solution_map(data, prev, 1e-3, RunOptions())
+    assert len(new) == 4 and new[0].t == 0.0
+    for st, w, got in zip(new, prev, new[1:]):
+        n = w.nt + st.n_bar0
+        rhs = _interior_flux_rhs(unit32, st.nt, n, w.chi, data.S, 1e-3)
+        if moving:
+            ufx, ufy = face_normal_values(w.u, boundary="zero")
+            up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
+            rhs -= 1e-3 * upwind_divergence(unit32, w.nt, ufx, ufy, up)
+        want = neumann_heat_core(unit32, rhs, None, None, 1e-3)
+        tol = _rhs_tol(unit32, st.nt, n, w.chi, data.S, 1e-3)
+        assert np.abs(got.nt - want).max() <= tol
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("passes", [1, 3])
 @pytest.mark.parametrize("moving", [False, True])
 def test_run_builds_the_density_plan_once_and_no_wall_data(
-        unit16, rng, monkeypatch, k_max, moving):
-    # every step and iterate reads the one plan the first step built; no
-    # step makes a boundary source, and only validate's zero-flux test of
-    # c0 reads wall faces
+        unit16, rng, monkeypatch, passes, moving):
+    # every step of the run and of the solution map's further passes reads
+    # the one plan the run's first step built; no step makes a boundary
+    # source, and only validate's zero-flux test of c0 reads wall faces
     data = (rich_data(unit16, rng) if moving
             else wave_data(unit16, amp=0.1, S=SensitivitySpec(1.0, 0.5)))
     calls = {"source": 0, "from_faces": 0}
@@ -435,10 +439,11 @@ def test_run_builds_the_density_plan_once_and_no_wall_data(
     monkeypatch.setattr(linstep, "_boundary_source", source)
     monkeypatch.setattr(BoundaryData, "from_faces", classmethod(from_faces))
     integrator._density_plan.cache_clear()
-    run(data, T=5e-3, dt=1e-3,
-        options=RunOptions(picard_k_max=k_max, picard_tol=0.0))
+    traj, _ = run(data, T=5e-3, dt=1e-3)
+    for _ in range(passes - 1):
+        traj = diagnostics._solution_map(data, traj, 1e-3, RunOptions())
     info = integrator._density_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 5 * k_max - 1)
+    assert (info.misses, info.hits) == (1, 5 * passes - 1)
     assert calls == {"source": 0, "from_faces": 1}
 
 
@@ -508,20 +513,19 @@ def _count_stokes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("steps", [1, 3])
 def test_run_at_rest_skips_fluid_substep_with_identical_output(
-        unit16, monkeypatch, tmp_path, k_max):
+        unit16, monkeypatch, tmp_path, steps):
     # a zero forcing function turns the skip off without changing the
     # arithmetic, so both runs must write the same bytes
     data = wave_data(unit16, amp=0.1, S=SensitivitySpec(1.0, 0.5))
     zero = VectorField.zero(unit16)
     forced = replace(data, f=lambda t: zero)
-    opts = RunOptions(picard_k_max=k_max, picard_tol=0.0)
     calls = _count_stokes(monkeypatch)
-    traj, series = run(data, T=5e-3, dt=1e-3, options=opts)
+    traj, series = run(data, T=steps * 1e-3, dt=1e-3)
     assert not calls
-    traj_f, series_f = run(forced, T=5e-3, dt=1e-3, options=opts)
-    assert len(calls) == 5 * k_max
+    traj_f, series_f = run(forced, T=steps * 1e-3, dt=1e-3)
+    assert len(calls) == steps
     series.to_csv(tmp_path / "skip.csv")
     series_f.to_csv(tmp_path / "solve.csv")
     assert (tmp_path / "skip.csv").read_bytes() == \
@@ -616,80 +620,63 @@ def test_step_rejects_bad_dt(unit16):
 
 
 # ---------------------------------------------------------------------------
-# picard iteration
+# the step and the solution map
 
 def test_step_kmax_one_is_the_plain_imex_step(unit32, rng):
+    # every step is the plain IMEX step, _advance from st frozen at st
     data = rich_data(unit32, rng)
     st = data.initial_state()
     plain = integrator._advance(unit32, st, st, data, 1e-3, RunOptions(),
                                 integrator._stays_at_rest(data, st.u))
-    for opts in (None, RunOptions(picard_k_max=1, picard_tol=0.0)):
-        out = step(st, data, dt=1e-3, options=opts)
-        assert out.picard_iters == 1 and out.contraction == 0.0
-        np.testing.assert_array_equal(plain.n.values, out.n.values)
-        np.testing.assert_array_equal(plain.c.values, out.c.values)
-        np.testing.assert_array_equal(plain.u.ux, out.u.ux)
+    out = step(st, data, dt=1e-3)
+    for a, b in ((plain.nt, out.nt), (plain.chi, out.chi),
+                 (plain.u.ux, out.u.ux), (plain.u.uy, out.u.uy)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_picard_constant_state_converges_immediately(unit16):
+    # constant data: Phi of the constant trajectory is run's trajectory to
+    # rounding, though the two differ (chi = c0 against 0); the run's
+    # signal solves leave chi constant to a few ulp only, and its flux
+    # moves nt by 2.6e-14 in 10 steps, which the weighted norm's difference
+    # quotients read as a factor of 1.5e-12
     data = wave_data(unit16, amp=0.0)
-    out = step(data.initial_state(), data, dt=1e-3,
-               options=RunOptions(picard_k_max=5, picard_tol=1e-12))
-    assert out.picard_iters == 1
-    assert out.contraction == 0.0
+    factors, dist = diagnostics._solution_map_iterates(
+        data, 1e-2, 1e-3, RunOptions(), DiagnosticsConfig(), 2)
+    assert max(dist) <= 1e-13 and factors[0] <= 1e-11, (dist, factors)
 
 
 def test_picard_contracts_at_small_data(unit32):
-    data = wave_data(unit32, amp=0.01)
-    out = step(data.initial_state(), data, dt=1e-3,
-               options=RunOptions(picard_k_max=4, picard_tol=1e-14))
-    assert 0.0 < out.contraction < 1.0
+    data = wave_data(unit32, amp=0.01, S=SensitivitySpec(1.0, 0.5))
+    factors, dist = diagnostics._solution_map_iterates(
+        data, 1e-2, 1e-3, RunOptions(), DiagnosticsConfig(), 4)
+    assert all(0.0 < q < 1.0 for q in factors), factors
+    assert all(b < a for a, b in zip(dist, dist[1:])), dist
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("kind", ["rich", "constant"])
-def test_run_matches_chained_steps_bitwise(unit32, rng, kind, k_max):
-    # rich data takes every iteration; a constant state stops after one.
-    # The rich data's forcing depends on t, so chained steps match only if
+def test_run_matches_chained_steps_bitwise(unit32, rng, kind, stride):
+    # the rich data's forcing depends on t, so chained steps match only if
     # they reach the run's times k * dt, which the sum t + dt misses at
-    # dt = 1e-3 (first at k = 10)
+    # dt = 1e-3 (first at k = 10); the run keeps every stride-th state and
+    # the last
     data = rich_data(unit32, rng) if kind == "rich" else wave_data(unit32, amp=0.0)
-    opts = RunOptions(picard_k_max=k_max, picard_tol=1e-14)
+    opts = RunOptions(snapshot_stride=stride)
     for steps, dt in ((5, 2.0 ** -10), (100, 1e-3)):
-        traj, series = run(data, T=steps * dt, dt=dt, options=opts)
-        st = data.initial_state()
-        iters, contractions = [], []
+        traj, _ = run(data, T=steps * dt, dt=dt, options=opts)
+        chained = [data.initial_state()]
         for _ in range(steps):
-            st = step(st, data, dt, options=opts)
-            iters.append(st.picard_iters)
-            contractions.append(st.contraction)
-        assert list(series.column("picard_iters")) == iters
-        assert list(series.column("contraction")) == contractions
-        if kind == "rich":
-            assert iters == [k_max] * steps
-            assert all(q > 0.0 for q in contractions) == (k_max > 1)
-        end = traj[-1]
-        assert st.t == end.t and st.gamma == end.gamma
-        for a, b in ((end.n.values, st.n.values), (end.c.values, st.c.values),
-                     (end.u.ux, st.u.ux), (end.u.uy, st.u.uy)):
-            np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("k_max", [1, 3])
-def test_increment_computed_only_when_needed(unit16, rng, monkeypatch, k_max):
-    # at k_max = 1 a step is the plain IMEX step and measures no increment;
-    # with tol = 0, three iterates measure three (the last for the ratio)
-    calls = []
-    plain = integrator._rel_increment
-
-    def counted(*args):
-        calls.append(1)
-        return plain(*args)
-
-    monkeypatch.setattr(integrator, "_rel_increment", counted)
-    run(rich_data(unit16, rng), T=5e-3, dt=1e-3,
-        options=RunOptions(picard_k_max=k_max, picard_tol=0.0))
-    assert len(calls) == (0 if k_max == 1 else 15)
+            chained.append(step(chained[-1], data, dt))
+        kept = chained[::stride]
+        if steps % stride:
+            kept.append(chained[-1])
+        assert len(traj) == len(kept)
+        for a, b in zip(traj, kept):
+            assert a.t == b.t and a.gamma == b.gamma
+            for x, y in ((a.nt, b.nt), (a.chi, b.chi), (a.u.ux, b.u.ux),
+                         (a.u.uy, b.u.uy)):
+                np.testing.assert_array_equal(x, y)
 
 
 def test_run_does_no_wall_trace_work(unit16, rng, monkeypatch):
@@ -707,19 +694,10 @@ def test_run_does_no_wall_trace_work(unit16, rng, monkeypatch):
     assert not calls
 
 
-def test_picard_requires_kmax(unit16):
-    data = wave_data(unit16)
-    with pytest.raises(ValueError):
-        step(data.initial_state(), data, dt=1e-3,
-             options=RunOptions(picard_k_max=0))
-    with pytest.raises(ValueError, match="k_max"):
-        run(data, T=2e-3, dt=1e-3, options=RunOptions(picard_k_max=0))
-
-
 @pytest.mark.parametrize("kw, name", [
-    (dict(picard_k_max=math.nan), "picard_k_max"),
+    (dict(snapshot_stride=-1), "snapshot_stride"),
     (dict(snapshot_stride=math.nan), "snapshot_stride"),
-    (dict(picard_k_max=0), "picard_k_max"),
+    (dict(blowup_ceiling=-math.inf), "blowup_ceiling"),
     (dict(snapshot_stride=0), "snapshot_stride"),
     (dict(blowup_ceiling=-1.0), "blowup_ceiling"),
     (dict(blowup_ceiling=0.0), "blowup_ceiling"),
@@ -734,9 +712,17 @@ def test_run_options_reject_bad_values_when_built(kw, name):
 
 def test_run_options_are_frozen():
     # a checked value cannot be changed after the check
-    opts = RunOptions(picard_tol=0.0)       # a zero tol is allowed
+    opts = RunOptions()
     with pytest.raises(FrozenInstanceError):
-        opts.picard_k_max = 0
+        opts.snapshot_stride = 0
+
+
+def test_run_options_have_no_picard_fields():
+    # every step is the plain IMEX step; the per-step loop's options are gone
+    assert [f.name for f in fields(RunOptions)] == ["snapshot_stride",
+                                                     "blowup_ceiling"]
+    with pytest.raises(TypeError):
+        RunOptions(picard_k_max=3)
 
 
 @pytest.mark.parametrize("T, dt, name", [
