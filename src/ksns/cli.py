@@ -4,8 +4,9 @@ Subcommands: ``run`` (full scenario with PASS/FAIL invariant verdicts,
 among them positivity at every step), ``eigen`` (Poincare constants as one
 CSV line), ``decay`` (stabilization rate fits), ``lipschitz``
 (data-perturbation experiment), ``version``.  ``run``, ``decay`` and
-``lipschitz`` share one pass: build the scenario, run it, then judge the
-run.
+``lipschitz`` share one pass, ``_simulate``: build the scenario, run it,
+then judge the run.  Each judge returns its verdict lines; ``_simulate``
+alone prints them, writes ``run``'s files and sets the exit code.
 
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
@@ -23,14 +24,15 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (FIT_MIN_SAMPLES, DiagnosticsConfig, fit_decay_rate,
                           lipschitz_experiment, mass_identity_residuals,
-                          negative_part_energy, wall_condition_residual)
-from .eigen import EigenResult, lambda_dirichlet, lambda_neumann
+                          wall_condition_residual)
+from .eigen import lambda_dirichlet, lambda_neumann
 from .grid import Grid, ScalarField, VectorField, integrate, write_field_snapshot
 from .integrator import (BlowUpError, GivenData, RunOptions, SensitivitySpec,
                          _check_initial, run, step_count)
@@ -164,8 +166,8 @@ def _validate(cfg: RunConfig) -> None:
             fail(s, k, "must be finite")
     if not 0 < v[("diagnostics", "fit_window_frac")] < 1:
         fail("diagnostics", "fit_window_frac", "must lie in (0, 1)")
-    if not v[("diagnostics", "lipschitz_ceiling")] > 0:
-        fail("diagnostics", "lipschitz_ceiling", "must be positive")
+    if not 0 < v[("diagnostics", "lipschitz_ceiling")] < math.inf:
+        fail("diagnostics", "lipschitz_ceiling", "must be positive and finite")
     # [eigen] tol and [time] theta stay keys only while the benchmark
     # workloads set them (ROADMAP item 3); every step is implicit Euler
     if not 0 < v[("eigen", "tol")] <= 1e-3:
@@ -304,14 +306,12 @@ def _report(verdicts: list[tuple[bool, str]]) -> bool:
 
 def _nonneg_verdict(data, series) -> tuple[bool, str]:
     """Non-negativity of the initial fields and of every step: the minima
-    no lower than -1e-8 and the negative-part energies no higher than
-    1e-16 times the initial sups (squared)."""
+    no lower than -1e-8 and every step's negative-part energies no higher
+    than 1e-16 times the initial sups (squared)."""
     min_n = min(float(data.n0.values.min()), series.column("min_n").min())
     min_c = min(float(data.c0.values.min()), series.column("min_c").min())
-    en = max(negative_part_energy(data.n0),
-             series.column("neg_energy_n").max())
-    ec = max(negative_part_energy(data.c0),
-             series.column("neg_energy_c").max())
+    en = series.column("neg_energy_n").max()
+    ec = series.column("neg_energy_c").max()
     sup_n = float(np.abs(data.n0.values).max())
     sup_c = float(np.abs(data.c0.values).max())
     ok = (min_n >= -1e-8 * sup_n and min_c >= -1e-8 * sup_c
@@ -321,7 +321,7 @@ def _nonneg_verdict(data, series) -> tuple[bool, str]:
                     f"neg energies {en:.3e} / {ec:.3e}")
 
 
-def _run_checks(cfg, data, series, trajectory) -> list[tuple[bool, str]]:
+def _run_checks(cfg, data, trajectory, series) -> list[tuple[bool, str]]:
     M_n0 = integrate(data.n0)
     M_c0 = integrate(data.c0)
     out = []
@@ -411,45 +411,11 @@ def _cmd_eigen(cfg) -> int:
     return 0
 
 
-@dataclass
-class _Scenario:
-    """What a verdict reads besides the run it judges."""
-
-    cfg: RunConfig
-    args: argparse.Namespace
-    data: GivenData
-    lamN: EigenResult | None
-    lamD: EigenResult | None
-    window: tuple[float, float] | None      # the decay fits' time window
-
-
-def _judge_run(sc, trajectory, series) -> bool:
-    _write_outputs(_resolve_out_dir(sc.cfg, sc.args), trajectory, series)
-    return _report(_run_checks(sc.cfg, sc.data, series, trajectory))
-
-
-def _decay_window(cfg) -> tuple[float, float]:
-    """The time window of the decay fits; a config error naming
-    ``[diagnostics] fit_window_frac`` unless it holds FIT_MIN_SAMPLES steps
-    of the run."""
-    T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
-    window = (cfg.get("diagnostics", "fit_window_frac") * T, T)
-    # the run's times k * dt; the loader has checked that T/dt is whole
-    t = np.arange(1, round(T / dt) + 1) * dt
-    steps = int(((window[0] <= t) & (t <= window[1])).sum())
-    if steps < FIT_MIN_SAMPLES:
-        raise cfg.error("diagnostics", "fit_window_frac",
-                        f"the fit window [{window[0]:.3g}, {window[1]:.3g}] "
-                        f"holds {steps} steps; the decay fit needs at least "
-                        f"{FIT_MIN_SAMPLES}")
-    return window
-
-
-def _judge_decay(sc, trajectory, series) -> bool:
-    window = sc.window
+def _judge_decay(cfg, data, trajectory, series, *, window, lamN,
+                 lamD) -> list[tuple[bool, str]]:
     span = f"(window [{window[0]:.3g}, {window[1]:.3g}])"
     t = series.column("t")
-    lam1 = sc.cfg.diag.lambda1
+    lam1 = cfg.diag.lambda1
     verdicts, rates = [], {}
     for name, column in (("n-deviation", "sup_n_dev"),
                          ("c-deviation", "sup_c_dev")):
@@ -463,72 +429,85 @@ def _judge_decay(sc, trajectory, series) -> bool:
         verdicts.append(_verdict(
             f"decay-{name}", fit.rate >= lam1,
             f"fitted rate {fit.rate:.4f} >= lambda1 {lam1:.4f} {span}"))
-    ok = _report(verdicts)
-    strong = 0.8 * sc.lamN.lam
-    print(f"INFO empirical n-rate {rates.get('n-deviation', 'none')} vs "
-          f"0.8*lambda_N {strong:.4f} (recorded, not asserted); lambda_N "
-          f"{sc.lamN.lam:.6g}, lambda_D {sc.lamD.lam:.6g}")
-    return ok
+    verdicts.append((True, f"INFO empirical n-rate "
+                           f"{rates.get('n-deviation', 'none')} vs "
+                           f"0.8*lambda_N {0.8 * lamN:.4f} (recorded, not "
+                           f"asserted); lambda_N {lamN:.6g}, lambda_D "
+                           f"{lamD:.6g}"))
+    return verdicts
 
 
-def _judge_lipschitz(sc, trajectory, series) -> bool:
-    cfg = sc.cfg
+def _judge_lipschitz(cfg, data, trajectory, series) -> list[tuple[bool, str]]:
     T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
     amp = cfg.get("data", "amplitude")
-    ratios = []
+    out, ratios = [], []
     for delta in (1e-3, 1e-4):
         pert = given_data_from_config(cfg, amplitude=amp + delta)
-        res = lipschitz_experiment(sc.data, pert, cfg.diag, T, dt,
+        res = lipschitz_experiment(data, pert, cfg.diag, T, dt,
                                    cfg.options, base_trajectory=trajectory)
         ratios.append(res.ratio)
-        print(f"INFO delta {delta:g}: ratio {res.ratio:.6g} "
-              f"data gap {res.data_gap:.6g}")
+        out.append((True, f"INFO delta {delta:g}: ratio {res.ratio:.6g} "
+                          f"data gap {res.data_gap:.6g}"))
     ceiling = cfg.get("diagnostics", "lipschitz_ceiling")
     # the ratio is differentiable in the amplitude, so the two ratios
     # differ by O(delta): gated at 10 times the larger delta
     gap = abs(ratios[0] - ratios[1]) / max(ratios[1], 1e-300)
-    return _report([
+    return out + [
         _verdict("lipschitz-ratio-stability", gap <= 1e-2,
                  f"relative gap {gap:.3e} tol 1.0e-02"),
         _verdict("lipschitz-ratio-ceiling", max(ratios) <= ceiling,
-                 f"max ratio {max(ratios):.4g} ceiling {ceiling:g}")])
+                 f"max ratio {max(ratios):.4g} ceiling {ceiling:g}")]
 
 
-_JUDGES = {"run": _judge_run, "decay": _judge_decay,
+# each judge maps (cfg, data, trajectory, series) to its verdict lines and
+# prints nothing
+_JUDGES = {"run": _run_checks, "decay": _judge_decay,
            "lipschitz": _judge_lipschitz}
 
 
 def _simulate(cfg, args) -> int:
-    """Echo the config, build and run the scenario, and judge the run with
-    the verdict of ``args.command``.  Exit code 0 when every verdict
-    passes, 1 otherwise, 3 on a blow-up, also of initial data already above
-    the ceiling (``run`` then writes the diagnostics recorded up to it).
-    For ``decay`` the fit window and the rate window against lambda_N fail
-    closed before the echo."""
-    lamN = lamD = window = None
+    """Echo the config, build and run the scenario, judge the run with the
+    judge of ``args.command`` and print its lines: the one place that
+    prints a verdict and writes ``run``'s files.  Exit code 0 when every
+    verdict passes, 1 otherwise, 3 on a blow-up, also of initial data
+    already above the ceiling (``run`` then writes the diagnostics
+    recorded up to it).  For ``decay`` the fit window and the rate window
+    against lambda_N fail closed before the echo."""
+    judge = _JUDGES[args.command]
     if args.command == "decay":
-        window = _decay_window(cfg)
-        lamN, lamD = lambda_neumann(cfg.grid), lambda_dirichlet(cfg.grid)
+        T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
+        window = (cfg.get("diagnostics", "fit_window_frac") * T, T)
+        # the run's times k * dt; the loader has checked that T/dt is whole
+        t = np.arange(1, round(T / dt) + 1) * dt
+        steps = int(((window[0] <= t) & (t <= window[1])).sum())
+        if steps < FIT_MIN_SAMPLES:
+            raise cfg.error("diagnostics", "fit_window_frac",
+                            f"the fit window [{window[0]:.3g}, "
+                            f"{window[1]:.3g}] holds {steps} steps; the decay "
+                            f"fit needs at least {FIT_MIN_SAMPLES}")
+        lamN = lambda_neumann(cfg.grid).lam
         with _keyed(cfg):
-            cfg.diag.validate_rates(lamN.lam)
+            cfg.diag.validate_rates(lamN)
+        judge = partial(judge, window=window, lamN=lamN,
+                        lamD=lambda_dirichlet(cfg.grid).lam)
     for line in cfg.echo_lines():
         print(line)
     data = given_data_from_config(cfg)
-    sc = _Scenario(cfg, args, data, lamN, lamD, window)
+    trajectory, series, verdicts = [], None, None
     try:
         _check_initial(data, cfg.options.blowup_ceiling)
         _compatibility_warning(cfg, data)
         trajectory, series = run(data, cfg.get("time", "T"),
                                  cfg.get("time", "dt"), cfg.options)
-        ok = _JUDGES[args.command](sc, trajectory, series)
+        verdicts = judge(cfg, data, trajectory, series)
     except BlowUpError as exc:
         print(f"blow-up: {exc}")
-        if args.command == "run" and exc.series:
-            out_dir = _resolve_out_dir(cfg, args)
-            os.makedirs(out_dir, exist_ok=True)
-            exc.series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
+        series = exc.series
+    if args.command == "run" and series:
+        _write_outputs(_resolve_out_dir(cfg, args), trajectory, series)
+    if verdicts is None:
         return 3
-    return 0 if ok else 1
+    return 0 if _report(verdicts) else 1
 
 
 def main(argv=None) -> int:

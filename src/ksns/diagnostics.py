@@ -1,9 +1,8 @@
 """Quantitative verdicts on runs: mass identities, decay-rate fits,
-smallness and weighted solution norms (discrete Sobolev proxies),
-non-negativity monitors, the wall condition in the trace sense, the one
-measurement of it, read on the initial data and on a run's last state, and
-the paper's solution map on whole trajectories, which acceptance
-criterion 12 iterates.
+smallness and weighted solution norms (discrete Sobolev proxies), the
+wall condition in the trace sense, the one measurement of it, read on the
+initial data and on a run's last state, and the paper's solution map on
+whole trajectories, which acceptance criterion 12 iterates.
 
 The smoothness-graded norms here are integer-order difference-quotient
 proxies for the interpolation-space norms the analysis works with; they
@@ -30,8 +29,8 @@ SERIES_COLUMNS = (
 class DiagnosticsConfig:
     """Exponents and decay rates used by the weighted norms.
 
-    ``r`` and ``q`` must exceed 2 and stay off the critical line
-    1/r + 2/q = 1, and 0 <= lambda2 <= lambda1 <= 1 with lambda1 > 0; the
+    ``r`` and ``q`` must be finite, exceed 2 and stay off the critical
+    line 1/r + 2/q = 1, and 0 <= lambda2 <= lambda1 <= 1 with lambda1 > 0; the
     rate window against the computed Poincare constant is checked by
     ``validate_rates`` once a grid is known.
     """
@@ -42,10 +41,11 @@ class DiagnosticsConfig:
     lambda2: float = 0.25
 
     def __post_init__(self):
-        if not self.r > 2.0:
-            raise ValueError(f"r must exceed 2 (the space dimension), got {self.r}")
-        if not self.q > 2.0:
-            raise ValueError(f"q must exceed 2, got {self.q}")
+        if not 2.0 < self.r < math.inf:
+            raise ValueError(f"r must be finite and exceed 2 (the space "
+                             f"dimension), got {self.r}")
+        if not 2.0 < self.q < math.inf:
+            raise ValueError(f"q must be finite and exceed 2, got {self.q}")
         if abs(1.0 / self.r + 2.0 / self.q - 1.0) < 1e-12:
             raise ValueError("q must keep 1/r + 2/q off 1, the excluded "
                              "critical line")
@@ -264,15 +264,6 @@ def weighted_solution_norm(traj, cfg: DiagnosticsConfig) -> float:
     if t_prev == first.t:       # later states have later times: none came
         raise ValueError("a trajectory needs at least two states")
     return sum(v ** (1.0 / q) for v in acc) + sum(v ** (1.0 / q) for v in accd)
-
-
-# ---------------------------------------------------------------------------
-# non-negativity
-
-def negative_part_energy(f: ScalarField) -> float:
-    """Integral of the squared negative part; zero iff the field is >= 0."""
-    neg = np.minimum(f.values, 0.0)
-    return float((neg ** 2).sum()) * f.grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

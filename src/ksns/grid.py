@@ -379,6 +379,12 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum()) * f.grid.cell_volume
 
 
+def negative_part_energy(f: ScalarField) -> float:
+    """Integral of the squared negative part; zero iff the field is >= 0."""
+    neg = np.minimum(f.values, 0.0)
+    return float((neg ** 2).sum()) * f.grid.cell_volume
+
+
 def laplacian_flux_raw(grid: Grid, vals: np.ndarray, b: BoundaryData) -> np.ndarray:
     """Finite-volume Laplacian with prescribed boundary normal derivative.
 

@@ -28,7 +28,8 @@ import numpy as np
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    _apply_along, _build_axis_operators, _ghost_pad,
                    check_same_grid, face_divergence, face_gradient,
-                   face_normal_values, integrate, require_finite)
+                   face_normal_values, integrate, negative_part_energy,
+                   require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
 
@@ -328,7 +329,8 @@ def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
 @dataclass(frozen=True)
 class RunOptions:
     """The options of a step and a run.  Raises ValueError unless
-    ``snapshot_stride`` is at least 1 and ``blowup_ceiling`` is positive."""
+    ``snapshot_stride`` is at least 1 and ``blowup_ceiling`` is positive
+    and finite."""
 
     snapshot_stride: int = 1
     blowup_ceiling: float = 1e6
@@ -337,8 +339,8 @@ class RunOptions:
         if not self.snapshot_stride >= 1:
             raise ValueError(f"snapshot_stride must be at least 1, "
                              f"got {self.snapshot_stride!r}")
-        if not self.blowup_ceiling > 0.0:
-            raise ValueError(f"blowup_ceiling must be positive, "
+        if not 0.0 < self.blowup_ceiling < math.inf:
+            raise ValueError(f"blowup_ceiling must be positive and finite, "
                              f"got {self.blowup_ceiling!r}")
 
 
@@ -521,10 +523,8 @@ def run(data: GivenData, T: float, dt: float,
             min_n=min_n,
             min_c=min_c,
             # exactly 0 for a non-negative field: skip the sum
-            neg_energy_n=0.0 if min_n >= 0.0 else
-            float((np.minimum(st.nt + n_bar0, 0.0) ** 2).sum()) * vol,
-            neg_energy_c=0.0 if min_c >= 0.0 else
-            float((np.minimum(st.chi + c_shift, 0.0) ** 2).sum()) * vol,
+            neg_energy_n=0.0 if min_n >= 0.0 else negative_part_energy(st.n),
+            neg_energy_c=0.0 if min_c >= 0.0 else negative_part_energy(st.c),
         )
         if k % opts.snapshot_stride == 0 or k == n_steps:
             trajectory.append(st)

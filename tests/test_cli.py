@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import math
@@ -183,11 +184,15 @@ def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
     assert err.startswith(f"config error: {path}:{lineno}: {key}: "), err
 
 
-@pytest.mark.parametrize("section, key", [
-    (s, k) for s, sec in _SCHEMA.items() for k, (typ, _) in sec.items()
-    if typ is float])
-def test_nan_fails_closed_on_every_float_key(tmp_path, capsys, section, key):
-    path = write_cfg(tmp_path, f"# a comment\n[{section}]\n{key} = nan\n")
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param(s, k, value, id=f"{s}-{k}{suffix}")
+    for s, sec in _SCHEMA.items() for k, (typ, _) in sec.items()
+    if typ is float
+    for value, suffix in (("nan", ""), ("inf", "-inf"), ("-inf", "-neg-inf"))])
+def test_nan_fails_closed_on_every_float_key(tmp_path, capsys, section, key,
+                                             value):
+    # every non-finite value: nan, inf and -inf
+    path = write_cfg(tmp_path, f"# a comment\n[{section}]\n{key} = {value}\n")
     assert main(["run", "--config", path]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -727,14 +732,14 @@ def test_nonneg_verdict_reads_every_step_and_the_initial_fields(unit16):
     # dip at row 3 alone must fail the verdict
     ok, line = _nonneg_verdict(data, _series([0.9, 0.8, -0.1, 0.6]))
     assert not ok and line.startswith("FAIL non-negativity: min n -0.1,")
-    # negative initial data fails though no step dips below zero: one cell
-    # at -1e-7 passes the energy bound (3.9e-17 <= 1e-16) but not the minimum
+    # negative initial data fails though no step dips below zero: the
+    # initial minimum alone decides, the energies are the steps' own
     dip = np.ones(unit16.shape)
     dip[3, 5] = -1e-7
     neg = GivenData(n0=ScalarField(unit16, dip), c0=one, u0=data.u0,
                     phi_grad=data.phi_grad, S=data.S)
     ok, line = _nonneg_verdict(neg, _series([0.9, 0.8, 0.7, 0.6]))
-    assert not ok and "min n -1e-07," in line and "3.906e-17 /" in line
+    assert not ok and "min n -1e-07," in line and "0.000e+00 /" in line
 
 
 def test_run_omits_the_nonneg_verdict_on_negative_initial_data(tmp_path,
@@ -779,6 +784,97 @@ def test_lipschitz_stability_gate_is_one_percent(tmp_path, capsys,
             f"{ratio - 1.0:.3e} tol 1.0e-02") in stdout
 
 
+# a small-wave decay whose fit window [0.003, 0.008] holds 5 steps or more
+TINY_DECAY = """[domain]
+nx = 8
+ny = 8
+[time]
+dt = 0.001
+T = 0.008
+[diagnostics]
+fit_window_frac = 0.375
+"""
+
+
+@pytest.mark.parametrize("command, text, code, heads", [
+    # over 8 steps the n-deviation of the tiny decay still grows: one FAIL
+    ("decay", TINY_DECAY, 1, ["FAIL decay-n-deviation: fitted rate -",
+                              "PASS decay-c-deviation: fitted rate ",
+                              "INFO empirical n-rate -"]),
+    ("lipschitz", TINY_RUN.replace("preset = constant", "preset = small-wave"),
+     0, ["INFO delta 0.001: ratio ", "INFO delta 0.0001: ratio ",
+         "PASS lipschitz-ratio-stability: ", "PASS lipschitz-ratio-ceiling: "])])
+def test_judged_lines_follow_the_echo_in_order(tmp_path, capsys, command,
+                                               text, code, heads):
+    # stdout is the config echo, then the judge's lines: decay's verdicts
+    # before its INFO line, lipschitz's two INFO lines before its verdicts
+    path = write_cfg(tmp_path, text)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == code
+    lines = capsys.readouterr().out.splitlines()
+    echo = load_config(path).echo_lines()
+    assert lines[:len(echo)] == echo
+    assert len(lines) == len(echo) + len(heads), lines
+    for line, head in zip(lines[len(echo):], heads):
+        assert line.startswith(head), (line, head)
+    assert not (tmp_path / "o").exists()     # only run writes files
+
+
+def _output_callers(tree):
+    """For each function of the module (``Class.method`` for a method,
+    with the functions nested in it), the names of the calls in it that
+    print, write files or open a file in a writing mode."""
+    found = {}
+
+    def mode(call):
+        for kw in call.keywords:
+            if kw.arg == "mode":
+                return kw.value
+        return call.args[1] if len(call.args) > 1 else ast.Constant("r")
+
+    def visit(node, label):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "open":
+                m = mode(node)
+                name = ("open" if not isinstance(m, ast.Constant)
+                        or set(m.value) & set("wax+") else None)
+            if name in ("print", "open", "_write_outputs", "to_csv",
+                        "write_field_snapshot", "makedirs"):
+                found.setdefault(label, set()).add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, label)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            visit(node, node.name)
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                visit(m, f"{node.name}.{m.name}"
+                      if isinstance(m, ast.FunctionDef) else node.name)
+        else:
+            visit(node, "<module>")
+    return found
+
+
+def test_only_the_pipeline_prints_or_writes():
+    # the judges return their lines: _simulate prints them through
+    # _report, and writes run's files through its one _write_outputs call,
+    # the only code that writes them
+    found = _output_callers(ast.parse(Path(cli.__file__).read_text()))
+    talkers = {fn for fn, names in found.items()
+               if names & {"print", "open", "_write_outputs"}}
+    assert talkers == {"_report", "_simulate", "_cmd_eigen",
+                       "_compatibility_warning", "main"}, found
+    writers = {fn for fn, names in found.items()
+               if names & {"to_csv", "write_field_snapshot", "makedirs"}}
+    assert writers == {"_write_outputs"}, found
+    assert found["_simulate"] == {"print", "_write_outputs"}
+    assert not {fn.__name__ for fn in cli._JUDGES.values()} & set(found)
+
+
 def test_snapshot_stride_is_a_config_key_not_a_flag(capsys, monkeypatch):
     # [output] snapshot_stride is the one way to set the stride
     monkeypatch.setattr("ksns.cli.run", None)
@@ -817,17 +913,7 @@ def test_main_builds_the_library_types_only_in_the_loader(
         return cfg
 
     monkeypatch.setattr("ksns.cli.load_config", load_then_count)
-    # a small-wave decay whose fit window [0.003, 0.008] holds 5 steps or
-    # more
-    path = write_cfg(tmp_path, """[domain]
-nx = 8
-ny = 8
-[time]
-dt = 0.001
-T = 0.008
-[diagnostics]
-fit_window_frac = 0.375
-""")
+    path = write_cfg(tmp_path, TINY_DECAY)
     code = main([command, "--config", path, "--out", str(tmp_path / "o")])
     assert code in (0, 1), capsys.readouterr()
     assert loaded

@@ -8,9 +8,10 @@ from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns.diagnostics import (SERIES_COLUMNS, DiagnosticsConfig,
                               DiagnosticsSeries, _vector_wkr, fit_decay_rate, lipschitz_experiment,
-                              mass_identity_residuals, negative_part_energy,
+                              mass_identity_residuals,
                               smallness_functional, wall_condition_residual,
                               weighted_solution_norm)
+from ksns.grid import negative_part_energy
 from ksns.integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
                              run)
 from test_integrator import wave_data
@@ -33,6 +34,7 @@ def test_config_rejects_critical_line():
 @pytest.mark.parametrize("kw", [
     dict(r=2.0), dict(q=2.0), dict(lambda1=0.0), dict(lambda1=1.5),
     dict(lambda2=0.9),  # above lambda1
+    dict(r=math.inf), dict(q=math.inf),
 ])
 def test_config_rejects_bad_exponents(kw):
     with pytest.raises(ValueError):

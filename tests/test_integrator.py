@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns import diagnostics, integrator, linstep
-from ksns.diagnostics import (DiagnosticsConfig, fit_decay_rate,
-                              negative_part_energy)
-from ksns.grid import face_divergence, face_normal_values
+from ksns.diagnostics import DiagnosticsConfig, fit_decay_rate
+from ksns.grid import (face_divergence, face_normal_values,
+                       negative_part_energy)
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
                              density_rhs, run, step, step_count,
@@ -702,6 +702,7 @@ def test_run_does_no_wall_trace_work(unit16, rng, monkeypatch):
     (dict(blowup_ceiling=-1.0), "blowup_ceiling"),
     (dict(blowup_ceiling=0.0), "blowup_ceiling"),
     (dict(blowup_ceiling=math.nan), "blowup_ceiling"),
+    (dict(blowup_ceiling=math.inf), "blowup_ceiling"),
 ])
 def test_run_options_reject_bad_values_when_built(kw, name):
     # a stride of 0 used to divide by zero in run, and a negative ceiling
