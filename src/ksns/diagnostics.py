@@ -101,10 +101,13 @@ class DiagnosticsSeries:
             header = fh.readline().strip().split(",")
             if tuple(header) != SERIES_COLUMNS:
                 raise ValueError(f"unexpected diagnostics header in {path}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 vals = line.strip().split(",")
-                series.append(**{name: float(v)
-                                 for name, v in zip(SERIES_COLUMNS, vals)})
+                if len(vals) != len(SERIES_COLUMNS):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {len(SERIES_COLUMNS)} "
+                        f"fields, got {len(vals)}")
+                series.append(**dict(zip(SERIES_COLUMNS, map(float, vals))))
         return series
 
 

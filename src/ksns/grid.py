@@ -2,9 +2,10 @@
 
 Everything downstream (implicit solvers, eigenvalue extraction, the coupled
 integrator) builds on the primitives here: midpoint quadrature, difference
-operators with one-sided second-order stencils at the boundary, and a
+operators with one-sided second-order stencils at the boundary, face
+values that average the two cells of each interior face, and a
 finite-volume Laplacian whose boundary faces carry a prescribed outward
-normal derivative.
+normal derivative.  Each operator is one sliced stencil on every grid.
 
 Field arrays are indexed ``[j, i]`` with ``j`` running along y and ``i``
 along x, matching the snapshot file layout (one row per y line, increasing
@@ -15,7 +16,6 @@ and identical runs write identical bytes.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -205,66 +205,6 @@ def require_finite(values: np.ndarray, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # difference stencils (raw arrays)
-#
-# Numpy runs a ufunc over a column-sliced 2-D view row by row, so on a small
-# grid the sliced face values cost several times one contiguous pass.  An
-# axis of at most PRODUCT_MAX_CELLS cells applies them instead as one BLAS
-# product with a cached 1-D operator of small-integer entries, then halves
-# as the stencil does: the interior values are exact (two terms of weight
-# +-1 add without a second rounding), the wall values differ by a few ulp.
-# A whole IMEX step was faster as products up to 80 cells and slower from
-# about 84 on (timed on one core at 32..128 cells, when the step's
-# chemotactic flux used them), so the threshold sits at that crossover.  The
-# face gradient and central difference keep their stencils: no step calls
-# them, and their operators below serve ``integrator``'s density plan.
-
-PRODUCT_MAX_CELLS = 80
-
-
-class AxisOperators(NamedTuple):
-    """1-D operators on n cells, each (n, n_out) with one column per output
-    point, so ``vals @ M`` applies one along x (see ``_apply_along``)."""
-
-    interp: np.ndarray          # twice the face values
-    face_gradient: np.ndarray   # h times the compact face difference
-    central: np.ndarray         # 2h times the central cell difference
-
-
-def _padded_identity(n: int, ghost: tuple[float, ...]) -> np.ndarray:
-    """The (n, n+2) map from n cells to the cells plus one ghost per wall,
-    the ghost ``sum(ghost[k] * v[k])`` counted from the nearer wall."""
-    p = np.zeros((n, n + 2))
-    p[np.arange(n), np.arange(1, n + 1)] = 1.0
-    k = len(ghost)
-    p[:k, 0] = ghost
-    p[n - k:, -1] = ghost[::-1]
-    return p
-
-
-@lru_cache(maxsize=32)
-def _build_axis_operators(n: int) -> AxisOperators:
-    quad = _padded_identity(n, (3.0, -3.0, 1.0))    # as in _ghost_pad
-    lin = _padded_identity(n, (2.0, -1.0))          # linear extrapolation
-    ops = AxisOperators(
-        interp=lin[:, 1:] + lin[:, :-1],
-        face_gradient=quad[:, 1:] - quad[:, :-1],
-        central=quad[:, 2:] - quad[:, :-2])
-    for m in ops:
-        m.setflags(write=False)
-    return ops
-
-
-def _axis_operators(n: int) -> AxisOperators | None:
-    """The cached, read-only operators of an axis of ``n`` cells, or None
-    when the axis is longer than PRODUCT_MAX_CELLS and keeps the stencils."""
-    return _build_axis_operators(n) if n <= PRODUCT_MAX_CELLS else None
-
-
-def _apply_along(vals: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
-    """The 1-D operator ``m`` applied along ``axis`` (1: x, 0: y) as one
-    product: ``vals @ m`` along x, ``m.T @ vals`` along y."""
-    return vals @ m if axis == 1 else m.T @ vals
-
 
 def _ghost_pad(vals: np.ndarray, axis: int) -> np.ndarray:
     """``vals`` with one quadratic ghost layer on each wall along ``axis``
@@ -303,13 +243,10 @@ def ddy(vals: np.ndarray, hy: float) -> np.ndarray:
     return _central_difference(vals, hy, 0)
 
 
-def face_values(vals: np.ndarray, axis: int) -> np.ndarray:
+def _interior_face_average(vals: np.ndarray, axis: int) -> np.ndarray:
     """Values of a cell-centered array on the faces normal to ``axis``
-    (1: the (ny, nx+1) vertical faces, 0: the (ny+1, nx) horizontal ones):
-    interior average, one-sided second-order extrapolation at the walls."""
-    ops = _axis_operators(vals.shape[axis])
-    if ops is not None:
-        return _apply_along(vals, axis, ops.interp) * 0.5
+    (1: x, 0: y): the average of the two cells on each interior face, and
+    exactly 0 on the walls, the no-slip normal trace."""
     shape = list(vals.shape)
     shape[axis] += 1
     out = np.empty(shape)
@@ -317,32 +254,28 @@ def face_values(vals: np.ndarray, axis: int) -> np.ndarray:
     mid = o[:, 1:-1]
     np.add(v[:, 1:], v[:, :-1], out=mid)
     mid *= 0.5
+    o[:, 0] = 0.0
+    o[:, -1] = 0.0
+    return out
+
+
+def face_values(vals: np.ndarray, axis: int) -> np.ndarray:
+    """Values of a cell-centered array on the faces normal to ``axis``
+    (1: the (ny, nx+1) vertical faces, 0: the (ny+1, nx) horizontal ones):
+    interior average, one-sided second-order extrapolation at the walls."""
+    out = _interior_face_average(vals, axis)
+    v, o = (vals, out) if axis == 1 else (vals.T, out.T)
     o[:, 0] = 1.5 * v[:, 0] - 0.5 * v[:, 1]
     o[:, -1] = 1.5 * v[:, -1] - 0.5 * v[:, -2]
     return out
 
 
-def face_normal_values(v: VectorField, boundary: str = "extrapolate"
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Face-normal values of a vector field.
-
-    Returns the stored face arrays when present; otherwise interpolates the
-    cell-centered components (interior average).  Boundary faces use either
-    one-sided extrapolation (``"extrapolate"``) or the no-slip value 0
-    (``"zero"``).
-    """
+def face_normal_values(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
+    """Face-normal values of a vector field: the stored face arrays when
+    present, otherwise ``face_values`` of the cell-centered components."""
     if v.fx is not None and v.fy is not None:
         return v.fx, v.fy
-    fx = face_values(v.ux, 1)
-    fy = face_values(v.uy, 0)
-    if boundary == "zero":
-        fx[:, 0] = 0.0
-        fx[:, -1] = 0.0
-        fy[0, :] = 0.0
-        fy[-1, :] = 0.0
-    elif boundary != "extrapolate":
-        raise ValueError(f"unknown boundary mode {boundary!r}")
-    return fx, fy
+    return face_values(v.ux, 1), face_values(v.uy, 0)
 
 
 def face_divergence(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:

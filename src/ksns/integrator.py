@@ -26,10 +26,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
-                   _apply_along, _build_axis_operators, _ghost_pad,
-                   check_same_grid, face_divergence, face_gradient,
-                   face_normal_values, integrate, negative_part_energy,
-                   require_finite)
+                   _ghost_pad, _interior_face_average, check_same_grid,
+                   face_divergence, face_gradient, face_normal_values,
+                   integrate, negative_part_energy, require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
 
@@ -101,8 +100,9 @@ class SimState:
         interpolated ones with zero wall trace."""
         gamma = 1.0 - math.exp(-t)
         if u.fx is None or u.fy is None:
-            fx, fy = face_normal_values(u, boundary="zero")
-            u = VectorField(u.grid, u.ux, u.uy, fx, fy)
+            u = VectorField(u.grid, u.ux, u.uy,
+                            _interior_face_average(u.ux, 1),
+                            _interior_face_average(u.uy, 0))
         return cls(t=t, nt=n.values - n_bar0, chi=c.values - gamma * n_bar0,
                    u=u, gamma=gamma, n_bar0=n_bar0)
 
@@ -183,7 +183,7 @@ class GivenData:
 # timed alone on n x n grids (one core, one BLAS thread), density_rhs is
 # faster as products up to 48 cells (0.25-0.92 of the stencils' time at
 # b = 0 and b = 0.5) and no faster from 56 on (0.99-1.66 of it), so the
-# threshold sits below that crossover, apart from grid's PRODUCT_MAX_CELLS.
+# threshold sits below that crossover.
 
 DENSITY_PRODUCT_MAX_CELLS = 48
 
@@ -191,7 +191,7 @@ DENSITY_PRODUCT_MAX_CELLS = 48
 class _Products(NamedTuple):
     """The operators along an axis of n <= DENSITY_PRODUCT_MAX_CELLS cells,
     each with one row per input and one column per output point, applied
-    as ``grid._apply_along`` applies its operators."""
+    by ``_apply_along``."""
 
     grad: np.ndarray    # a/h times the interior face difference, then t/2h
                         # times the central cell difference when t != 0
@@ -214,12 +214,19 @@ def _axis_plan(n: int, h: float, a: float, t: float, dt: float
     weight ``t``."""
     if n > DENSITY_PRODUCT_MAX_CELLS:
         return _Stencils(a / h, t / (2.0 * h), -dt / h)
-    ops = _build_axis_operators(n)
-    diff = ops.face_gradient[:, 1:-1]       # +-1 on the interior faces
+    # the interior face difference and average: column k is face k + 1,
+    # between cells k and k + 1
+    below, above = np.eye(n, n - 1), np.eye(n, n - 1, k=-1)
+    diff = above - below
     grad = (a / h) * diff
     if t:
-        grad = np.hstack((grad, (t / (2.0 * h)) * ops.central))
-    plan = _Products(grad, 0.5 * ops.interp[:, 1:-1],
+        # the central cell difference, with _ghost_pad's quadratic ghost
+        # 3(v0 - v1) + v2 in each wall cell
+        central = np.eye(n, k=-1) - np.eye(n, k=1)
+        central[:3, 0] = (-3.0, 4.0, -1.0)
+        central[-3:, -1] = (1.0, -4.0, 3.0)
+        grad = np.hstack((grad, (t / (2.0 * h)) * central))
+    plan = _Products(grad, 0.5 * (above + below),
                      np.ascontiguousarray((dt / h) * diff.T))
     for m in plan:
         m.setflags(write=False)
@@ -233,6 +240,12 @@ def _density_plan(ny: int, nx: int, hy: float, hx: float, a: float,
     The tangential weight t is -b along y, whose central difference feeds
     the x faces, and b along x; b = 0 builds no central difference."""
     return _axis_plan(ny, hy, a, -b, dt), _axis_plan(nx, hx, a, b, dt)
+
+
+def _apply_along(vals: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
+    """The 1-D operator ``m`` applied along ``axis`` (1: x, 0: y) as one
+    product: ``vals @ m`` along x, ``m.T @ vals`` along y."""
+    return vals @ m if axis == 1 else m.T @ vals
 
 
 def _grad_and_central(c: np.ndarray, p, axis: int):
@@ -368,7 +381,7 @@ def _advance(grid: Grid, st: SimState, w: SimState, data: GivenData,
 
     adv_n, rhs_c = None, w.nt
     if not at_rest:
-        ufx, ufy = face_normal_values(w.u, boundary="zero")
+        ufx, ufy = w.u.fx, w.u.fy
         up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
         adv_n, adv_c, adv_ux, adv_uy = (
             upwind_divergence(grid, phi, ufx, ufy, up)

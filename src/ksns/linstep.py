@@ -1,5 +1,7 @@
 """Implicit linear substeps: Neumann heat with prescribed boundary flux,
-the shifted Neumann heat operator, and a Chorin-projected Stokes step.
+the shifted Neumann heat operator, and a Chorin-projected Stokes step,
+whose projection reads the no-slip faces of the viscous solution: the
+interior face averages, exactly 0 on the walls.
 
 Every implicit operator has the form ``shift*I - scale*lap_h`` with constant
 coefficients, so ``solve_spectral`` solves it exactly in the eigenbasis of
@@ -21,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (BoundaryData, Grid, VectorField, _boundary_source,
-                   face_divergence, face_normal_values)
+                   _interior_face_average, face_divergence, face_normal_values)
 
 
 def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
@@ -235,18 +237,17 @@ def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray
     return (psi[1:] - psi[:-1]) / grid.hy, (psi[:, :-1] - psi[:, 1:]) / grid.hx
 
 
-def helmholtz_project_core(v: VectorField, boundary: str = "extrapolate"
-                           ) -> VectorField:
+def helmholtz_project_core(v: VectorField) -> VectorField:
     """Project onto discretely divergence-free fields with zero normal trace.
 
     Returns v - grad(p) with lap(p) = div(v), grad(p).nu = v.nu, p not
     formed: the new face values are the discrete curl of a nodal stream
     function vanishing on the walls (``_project_core``), the cell values
     subtract the average of the removed face parts.  Face values ``v`` does
-    not carry come from ``face_normal_values(v, boundary)``.
+    not carry come from ``face_normal_values``.
     """
     g = v.grid
-    fx, fy = face_normal_values(v, boundary=boundary)
+    fx, fy = face_normal_values(v)
     fx_new, fy_new = _project_core(g, fx, fy)
     # cell-centered correction: the average of the removed face parts
     gpx = fx - fx_new
@@ -259,7 +260,10 @@ def stokes_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
                 force_x: np.ndarray, force_y: np.ndarray, dt: float
                 ) -> VectorField:
     """Implicit Euler Stokes step: the no-slip viscous solve
-    (I - dt*lap) u* = u + dt*force, then the Helmholtz projection."""
+    (I - dt*lap) u* = u + dt*force, then the Helmholtz projection of u*
+    with its no-slip faces: interior averages, 0 on the walls."""
     sx = solve_spectral(grid, ux + dt * force_x, 1.0, dt, "dirichlet0")
     sy = solve_spectral(grid, uy + dt * force_y, 1.0, dt, "dirichlet0")
-    return helmholtz_project_core(VectorField(grid, sx, sy), boundary="zero")
+    return helmholtz_project_core(VectorField(
+        grid, sx, sy, _interior_face_average(sx, 1),
+        _interior_face_average(sy, 0)))

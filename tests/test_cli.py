@@ -273,6 +273,11 @@ _INT_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 4, 5]),
 # range no library type checks
 _LOADER_RULES = {
     ("time", "theta"): (lambda v: v == 1.0, "must be 1 (implicit Euler)"),
+    ("eigen", "tol"): (lambda v: 0 < v <= 1e-3, "must lie in (0, 1e-3]"),
+    ("diagnostics", "fit_window_frac"): (lambda v: 0 < v < 1,
+                                         "must lie in (0, 1)"),
+    ("diagnostics", "lipschitz_ceiling"): (lambda v: 0 < v < math.inf,
+                                           "must be positive and finite"),
     **{key: (math.isfinite, "must be finite") for key in (
         ("data", "n_base"), ("data", "c_base"), ("data", "amplitude"),
         ("data", "u_amplitude"), ("potential", "g"),
@@ -285,9 +290,10 @@ _KEY_FIELDS = dict.fromkeys(_LOADER_RULES) | {k: n for n, k in _FIELDS.items()}
 @given(data=st.data())
 def test_loader_and_library_agree_on_every_range(data):
     # the loader rejects a value exactly when the library type does, with
-    # the library's message under the key of the field it names; only
-    # [time] theta and the preset floats (no library field) add rules of
-    # their own
+    # the library's message under the key of the field it names; the keys
+    # no library field holds ([time] theta, [eigen] tol, [diagnostics]
+    # fit_window_frac and lipschitz_ceiling, the preset floats) add rules
+    # of their own
     section, key = data.draw(st.sampled_from(sorted(_KEY_FIELDS)))
     name = _KEY_FIELDS[(section, key)]
     typ = _SCHEMA[section][key][0]

@@ -91,6 +91,26 @@ def test_series_csv_round_trip(tmp_path):
         DiagnosticsSeries.from_csv(old)
 
 
+@pytest.mark.parametrize("extra", [["99", "junk"], None])
+def test_series_csv_rejects_rows_of_the_wrong_length(tmp_path, extra):
+    # a row with fields past the header's, or with one missing, names its
+    # path:line
+    s = DiagnosticsSeries()
+    for t in (0.001, 0.002, 0.003):
+        s.append(**_dummy_row(t))
+    path = tmp_path / "diag.csv"
+    s.to_csv(path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields + extra if extra else fields[:-1])
+    path.write_text("\n".join(lines) + "\n")
+    got = len(SERIES_COLUMNS) + (len(extra) if extra else -1)
+    with pytest.raises(ValueError) as err:
+        DiagnosticsSeries.from_csv(path)
+    assert str(err.value) == (f"{path}:3: expected {len(SERIES_COLUMNS)} "
+                              f"fields, got {got}")
+
+
 def test_series_csv_bytes_match_per_cell_format(tmp_path):
     # the writer of every cell by f"{v:.15g}", kept here
     def per_cell(series, path):

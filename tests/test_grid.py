@@ -226,11 +226,10 @@ def test_laplacian_gauss_random_pairs(unit16, rng):
 @given(Lx=st.floats(0.1, 10.0), Ly=st.floats(0.1, 10.0),
        nx=st.integers(4, 120), ny=st.integers(4, 120),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(Lx=1.0, Ly=1.0, nx=grid_mod.PRODUCT_MAX_CELLS,
-         ny=grid_mod.PRODUCT_MAX_CELLS + 1, seed=0)
+@example(Lx=1.0, Ly=1.0, nx=80, ny=81, seed=0)
 def test_laplacian_gauss_identity_any_grid(Lx, Ly, nx, ny, seed):
-    # the identity on any aspect ratio and size, on both sides of
-    # PRODUCT_MAX_CELLS; the gap is scaled as in acceptance criterion 02
+    # the identity on any aspect ratio and size, with one even and one odd
+    # axis always tried; the gap is scaled as in acceptance criterion 02
     g = Grid(Lx, Ly, nx, ny)
     rng = np.random.default_rng(seed)
     f = ScalarField(g, rng.standard_normal(g.shape))
@@ -255,43 +254,20 @@ def test_face_values_exact_for_linear(unit32):
     assert abs(fx[0, 0]) <= 1e-12          # boundary extrapolation hits x = 0
 
 
-# ---------------------------------------------------------------------------
-# stencils as 1-D operator products
-
-def _both_forms(fn):
-    """``fn()`` with every axis on the sliced stencils, then on products."""
-    with mock.patch.object(grid_mod, "PRODUCT_MAX_CELLS", 0):
-        stencil = fn()
-    with mock.patch.object(grid_mod, "PRODUCT_MAX_CELLS", 10 ** 9):
-        product = fn()
-    return stencil, product
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(4, 100), m=st.integers(4, 100), axis=st.sampled_from([0, 1]),
-       Lx=st.floats(0.01, 100.0), Ly=st.floats(0.01, 100.0),
-       scale_exp=st.floats(-5.0, 5.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_stencil_products_match_sliced_stencils(n, m, axis, Lx, Ly,
-                                                scale_exp, seed):
-    nx, ny = (n, m) if axis == 1 else (m, n)
-    g = Grid(Lx, Ly, nx, ny)
-    v = np.random.default_rng(seed).standard_normal(g.shape) * 10.0 ** scale_exp
-    interior = tuple(slice(1, -1) if a == axis else slice(None) for a in (0, 1))
-    # face_values is the one primitive with a product form
-    stencil, product = _both_forms(lambda: face_values(v, axis))
-    assert product.shape == stencil.shape
-    # two terms of weight +-1 add with the stencil's one rounding
-    assert np.array_equal(product[interior], stencil[interior])
-    assert np.abs(product - stencil).max() <= 1e-14 * np.abs(stencil).max()
-
-
-def test_axis_operators_only_for_short_axes():
-    limit = grid_mod.PRODUCT_MAX_CELLS
-    ops = grid_mod._axis_operators(limit)
-    assert ops is grid_mod._axis_operators(limit)        # cached
-    assert all(not m.flags.writeable for m in ops)
-    assert all(np.array_equal(m, np.round(m)) for m in ops)
-    assert grid_mod._axis_operators(limit + 1) is None
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 100), m=st.integers(4, 100),
+       axis=st.sampled_from([0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_interior_face_average_has_zero_walls(n, m, axis, seed):
+    # face_values' interior, the two-cell average, with the walls exactly 0
+    v = np.random.default_rng(seed).standard_normal((m, n))
+    got = grid_mod._interior_face_average(v, axis)
+    want = face_values(v, axis)
+    mid = (slice(None), slice(1, -1)) if axis == 1 else (slice(1, -1),)
+    assert np.array_equal(got[mid], want[mid])
+    assert np.array_equal(got[mid], 0.5 * (v[:, 1:] + v[:, :-1]) if axis == 1
+                          else 0.5 * (v[1:] + v[:-1]))
+    walls = got[:, [0, -1]] if axis == 1 else got[[0, -1]]
+    assert walls.tobytes() == np.zeros_like(walls).tobytes()
 
 
 # ---------------------------------------------------------------------------

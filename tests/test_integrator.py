@@ -10,7 +10,7 @@ from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns import diagnostics, integrator, linstep
 from ksns.diagnostics import DiagnosticsConfig, fit_decay_rate
-from ksns.grid import (face_divergence, face_normal_values,
+from ksns.grid import (face_divergence, face_normal_values, face_values,
                        negative_part_energy)
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
@@ -132,7 +132,9 @@ def test_shift_round_trip(unit16, rng):
     assert np.abs(st.n.values - n.values).max() <= 2 * ulp
     assert np.abs(st.c.values - c.values).max() <= 2 * ulp
     # the missing face-normal velocity is filled with zero wall trace
-    fx, fy = face_normal_values(u, boundary="zero")
+    fx, fy = face_values(u.ux, 1), face_values(u.uy, 0)
+    fx[:, [0, -1]] = 0.0
+    fy[[0, -1], :] = 0.0
     np.testing.assert_array_equal(st.u.fx, fx)
     np.testing.assert_array_equal(st.u.fy, fy)
     assert st.u.ux is u.ux
@@ -407,7 +409,7 @@ def test_picard_iterate_density_freezes_the_flux_at_the_iterate(
         n = w.nt + st.n_bar0
         rhs = _interior_flux_rhs(unit32, st.nt, n, w.chi, data.S, 1e-3)
         if moving:
-            ufx, ufy = face_normal_values(w.u, boundary="zero")
+            ufx, ufy = w.u.fx, w.u.fy
             up = (ufx[:, 1:-1] > 0.0, ufy[1:-1, :] > 0.0)
             rhs -= 1e-3 * upwind_divergence(unit32, w.nt, ufx, ufy, up)
         want = neumann_heat_core(unit32, rhs, None, None, 1e-3)
@@ -549,8 +551,7 @@ def test_run_decides_rest_once_and_builds_each_solve_plan_once(
     data = wave_data(unit16, amp=0.1, S=SensitivitySpec(1.0, 0.5),
                      phi_grad=phi if gravity else None)
     stepping = []
-    calls = {"stokes_core": 0, "upwind_divergence": 0,
-             "face_normal_values": 0}
+    calls = {"stokes_core": 0, "upwind_divergence": 0}
 
     def counted(name):
         fn = getattr(integrator, name)
@@ -576,7 +577,6 @@ def test_run_decides_rest_once_and_builds_each_solve_plan_once(
     info = linstep._solve_plan.cache_info()
     if gravity:
         assert calls["stokes_core"] == 20
-        assert calls["face_normal_values"] == 20
         assert calls["upwind_divergence"] == 4 * 20
         assert info.misses == 4     # density, signal, viscous, stream function
         assert info.hits == 5 * 20 - 4
@@ -596,8 +596,7 @@ def test_step_checkerboard_velocity_goes_through_stokes(unit16, monkeypatch):
     st = SimState.from_fields(0.0, data.n0, data.c0,
                               VectorField(unit16, checker, np.zeros((ny, nx))),
                               data.initial_state().n_bar0)
-    fx, fy = face_normal_values(st.u, boundary="zero")
-    assert not (fx.any() or fy.any())
+    assert not (st.u.fx.any() or st.u.fy.any())
     calls = _count_stokes(monkeypatch)
     out = step(st, data, dt=1e-3)
     assert len(calls) == 1
@@ -769,15 +768,16 @@ def test_run_decay_rates_match_the_linearised_scheme():
 
 
 def test_small_axes_build_operators_and_large_ones_none():
-    # the run's first step builds the density plan, and with it the axis
-    # operators of a short axis
+    # the run's first step builds the density plan: operator products on a
+    # short axis, sliced stencils on a long one
     rotation = SensitivitySpec(1.0, 0.5)
-    for n, built in ((32, 1), (128, 0)):
-        grid_mod._build_axis_operators.cache_clear()
+    for n, kind in ((32, integrator._Products), (128, integrator._Stencils)):
         integrator._density_plan.cache_clear()
         g = Grid(1.0, 1.0, n, n)
         run(wave_data(g, S=rotation), T=2e-3, dt=1e-3)
-        assert grid_mod._build_axis_operators.cache_info().currsize == built
+        plan = integrator._density_plan(*g.shape, g.hy, g.hx, 1.0, 0.5, 1e-3)
+        assert integrator._density_plan.cache_info().currsize == 1  # the run's
+        assert [type(p) for p in plan] == [kind, kind]
 
 
 @pytest.mark.parametrize("cells", [32, 128])

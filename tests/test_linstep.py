@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ksns import BoundaryData, ScalarField, VectorField, integrate
+from ksns import BoundaryData, Grid, ScalarField, VectorField, integrate
 from ksns.diagnostics import fit_decay_rate
 from ksns.eigen import lambda_dirichlet, lambda_neumann
-from ksns.grid import _lap_zero_flux, face_divergence, face_normal_values
+from ksns.grid import (_lap_zero_flux, face_divergence, face_normal_values,
+                       face_values)
 from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
-                          shifted_heat_core, stokes_core)
+                          shifted_heat_core, solve_spectral, stokes_core)
 from cg_oracle import SolverError, neg_lap_diag as _neg_lap_diag, solve_cg
 from test_grid import random_smooth_field
 
@@ -261,6 +262,24 @@ def test_stokes_divergence_and_trace(unit32):
     div = face_divergence(unit32, out.fx, out.fy)
     assert np.sqrt((div ** 2).sum() * unit32.cell_volume) <= 1e-8
     assert np.abs(out.fx[:, 0]).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_stokes_core_projects_its_no_slip_face_averages(rng, n):
+    # the step written out: the viscous solves, face_values with its wall
+    # faces set to 0, then the projection; bit for bit
+    g = Grid(1.0, 1.0, n, n)
+    ux, uy, force_x, force_y = (rng.standard_normal(g.shape) for _ in range(4))
+    dt = 1e-3
+    sx = solve_spectral(g, ux + dt * force_x, 1.0, dt, "dirichlet0")
+    sy = solve_spectral(g, uy + dt * force_y, 1.0, dt, "dirichlet0")
+    fx, fy = face_values(sx, 1), face_values(sy, 0)
+    fx[:, [0, -1]] = 0.0
+    fy[[0, -1], :] = 0.0
+    want = helmholtz_project_core(VectorField(g, sx, sy, fx, fy))
+    got = stokes_core(g, ux, uy, force_x, force_y, dt)
+    for name in ("ux", "uy", "fx", "fy"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_stokes_decay_rate(unit32):
