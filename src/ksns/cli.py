@@ -11,9 +11,9 @@ alone prints them, writes ``run``'s files and sets the exit code.
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
 every value is checked at load time, by the library type it sets where it
-sets one (``_FIELDS``).  The loader builds each of those types once and
-keeps them on the ``RunConfig`` it returns, where every subcommand reads
-them.
+sets one (``_FIELDS``); a float key no library field holds must be finite.
+The loader builds each of those types once and keeps them on the
+``RunConfig`` it returns, where every subcommand reads them.
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
 error, 3 blow-up.
 """
@@ -150,23 +150,18 @@ def _validate(cfg: RunConfig) -> None:
         step_count(v[("time", "T")], v[("time", "dt")])
     cfg.options = _build(RunOptions, cfg)
     cfg.diag = _build(DiagnosticsConfig, cfg)
-    # identity ignores a and b and scaled ignores b, but both are checked
-    # whatever the kind
-    S = _build(SensitivitySpec, cfg)
+    cfg.S = _build(SensitivitySpec, cfg)
+    # S = a*I + b*J: identity fixes a = 1 and b = 0, scaled fixes b = 0;
+    # kind stays a key only while the benchmark workloads set it
     kind = v[("sensitivity", "kind")]
-    cfg.S = (SensitivitySpec() if kind == "identity"
-             else SensitivitySpec(S.a) if kind == "scaled" else S)
-    # the preset floats, checked whatever the presets so that a bad value
-    # never reaches a run
-    for s, k in (("data", "n_base"), ("data", "c_base"),
-                 ("data", "amplitude"), ("data", "u_amplitude"),
-                 ("potential", "g"), ("forcing", "amplitude"),
-                 ("forcing", "rate")):
-        if not math.isfinite(v[(s, k)]):
-            fail(s, k, "must be finite")
+    fixes = {"identity": {"a": 1.0, "b": 0.0}, "scaled": {"b": 0.0}}
+    for k, fixed in fixes.get(kind, {}).items():
+        if v[("sensitivity", k)] != fixed:
+            fail("sensitivity", k, f"must be {fixed} when kind = {kind}, "
+                 f"got {v[('sensitivity', k)]!r}")
     if not 0 < v[("diagnostics", "fit_window_frac")] < 1:
         fail("diagnostics", "fit_window_frac", "must lie in (0, 1)")
-    if not 0 < v[("diagnostics", "lipschitz_ceiling")] < math.inf:
+    if not v[("diagnostics", "lipschitz_ceiling")] > 0:
         fail("diagnostics", "lipschitz_ceiling", "must be positive and finite")
     # [eigen] tol and [time] theta stay keys only while the benchmark
     # workloads set them (ROADMAP item 3); every step is implicit Euler
@@ -226,6 +221,11 @@ def load_config(path: str | None) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: [{section}] {key}: "
                                   f"{exc}") from None
+            # the library types reject their own fields' non-finite values
+            if (typ is float and not math.isfinite(val)
+                    and (section, key) not in _FIELDS.values()):
+                raise ConfigError(f"{path}:{lineno}: [{section}] {key}: "
+                                  f"must be finite")
             values[(section, key)] = val
     cfg = RunConfig(values=values, where=where)
     _validate(cfg)

@@ -6,16 +6,19 @@ the smallest eigenvalue with homogeneous Dirichlet data.  Both are closed
 forms: the 1-D finite-volume symbols s = 4/h^2 sin^2(pi/2n) give
 lambda_N = min(sx, sy) and lambda_D = sx + sy, and the eigenfields are the
 first cosine (zero flux) and sine (Dirichlet) modes sampled at the cell
-centres, both taken from the eigenbases the implicit solves use.  The reported residual is ||A psi - lambda psi|| for the
-Euclidean-normalised psi, from one application of the operator.
+centres, both taken from the eigenbases the implicit solves use.  The
+reported residual is ||A psi - lambda psi|| for the Euclidean-normalised
+psi, from one application of ``grid.laplacian_flux_raw``: with zero wall
+data for the zero-flux operator, with the half-cell Dirichlet data
+(0 - psi)/(h/2) for the Dirichlet one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _lap_zero_flux
-from .linstep import _eigenbasis, _lap_dirichlet
+from .grid import BoundaryData, Grid, ScalarField, laplacian_flux_raw
+from .linstep import _eigenbasis
 
 
 @dataclass
@@ -25,9 +28,20 @@ class EigenResult:
     residual: float
 
 
-def _result(grid: Grid, lam: float, psi: np.ndarray, apply_op) -> EigenResult:
+def _dirichlet_data(grid: Grid, v: np.ndarray) -> BoundaryData:
+    """The outward normal derivative (0 - v)/(h/2) of zero Dirichlet data
+    half a cell beyond the wall cells of ``v``."""
+    sx, sy = 2.0 / grid.hx, 2.0 / grid.hy
+    return BoundaryData(-(v[:, 0] * sx), -(v[:, -1] * sx), -(v[0] * sy),
+                        -(v[-1] * sy))
+
+
+def _result(grid: Grid, lam: float, psi: np.ndarray, wall_data) -> EigenResult:
+    """(lam, psi) with its residual under -lap_h, wall data from
+    ``wall_data(grid, psi)``."""
     psi = psi / np.linalg.norm(psi)
-    res = float(np.linalg.norm(apply_op(psi) - lam * psi))
+    lap = laplacian_flux_raw(grid, psi, wall_data(grid, psi))
+    res = float(np.linalg.norm(-lap - lam * psi))
     vol_norm = np.sqrt(grid.cell_volume)
     return EigenResult(lam=lam, eigenfield=ScalarField(grid, psi / vol_norm),
                        residual=res)
@@ -48,7 +62,7 @@ def lambda_neumann(grid: Grid) -> EigenResult:
     else:
         psi = np.broadcast_to(Qy[:, 1:2], grid.shape)
     return _result(grid, float(min(lam_x[1], lam_y[1])), psi,
-                   lambda v: -_lap_zero_flux(grid, v))
+                   lambda g, v: BoundaryData.zeros(g))
 
 
 def lambda_dirichlet(grid: Grid) -> EigenResult:
@@ -58,5 +72,4 @@ def lambda_dirichlet(grid: Grid) -> EigenResult:
     Qx, lam_x = _eigenbasis(nx, grid.hx, "dirichlet0")
     Qy, lam_y = _eigenbasis(ny, grid.hy, "dirichlet0")
     psi = np.outer(Qy[:, 0], Qx[:, 0])
-    return _result(grid, float(lam_x[0] + lam_y[0]), psi,
-                   lambda v: -_lap_dirichlet(grid, v))
+    return _result(grid, float(lam_x[0] + lam_y[0]), psi, _dirichlet_data)

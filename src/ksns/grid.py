@@ -3,9 +3,11 @@
 Everything downstream (implicit solvers, eigenvalue extraction, the coupled
 integrator) builds on the primitives here: midpoint quadrature, difference
 operators with one-sided second-order stencils at the boundary, face
-values that average the two cells of each interior face, and a
-finite-volume Laplacian whose boundary faces carry a prescribed outward
-normal derivative.  Each operator is one sliced stencil on every grid.
+values that average the two cells of each interior face, and the one
+finite-volume Laplacian, whose wall faces carry a prescribed outward
+normal derivative: zero data give the zero-flux Laplacian, -2v/h of the
+wall cells the half-cell Dirichlet one.  Each operator is one sliced
+stencil on every grid.
 
 Field arrays are indexed ``[j, i]`` with ``j`` running along y and ``i``
 along x, matching the snapshot file layout (one row per y line, increasing
@@ -283,16 +285,6 @@ def face_divergence(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return (fx[:, 1:] - fx[:, :-1]) / grid.hx + (fy[1:, :] - fy[:-1, :]) / grid.hy
 
 
-def _lap_zero_flux(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """FV Laplacian with homogeneous Neumann (zero-flux) boundary faces."""
-    ny, nx = grid.shape
-    gx = np.zeros((ny, nx + 1))
-    gx[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / grid.hx
-    gy = np.zeros((ny + 1, nx))
-    gy[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / grid.hy
-    return face_divergence(grid, gx, gy)
-
-
 def _boundary_source(grid: Grid, b: BoundaryData) -> np.ndarray:
     """Cell source from prescribed boundary fluxes: b * face_len / volume."""
     src = np.zeros(grid.shape)
@@ -322,12 +314,17 @@ def laplacian_flux_raw(grid: Grid, vals: np.ndarray, b: BoundaryData) -> np.ndar
     """Finite-volume Laplacian with prescribed boundary normal derivative.
 
     For each cell the sum of face-normal diffusive fluxes divided by the
-    cell volume; at boundary faces the face gradient is replaced by the
-    prescribed outward normal derivative: the zero-flux Laplacian plus the
-    boundary source of ``b``.  Satisfies the discrete Gauss identity to
+    cell volume: the compact difference across each interior face, the
+    prescribed outward normal derivative ``b`` on the wall faces.  Zero
+    data give the zero-flux Laplacian and ``b = -2v/h`` of the wall cells
+    the half-cell Dirichlet one.  Satisfies the discrete Gauss identity to
     rounding: the integral equals the boundary flux sum.
     """
-    return _lap_zero_flux(grid, vals) + _boundary_source(grid, b)
+    gx = np.concatenate((-b.left[:, None], np.diff(vals, axis=1) / grid.hx,
+                         b.right[:, None]), axis=1)
+    gy = np.concatenate((-b.bottom[None], np.diff(vals, axis=0) / grid.hy,
+                         b.top[None]), axis=0)
+    return face_divergence(grid, gx, gy)
 
 
 _NORM_ORDERS = {"Lr": 0, "W1r": 1, "W2r": 2, "W3r": 3}

@@ -211,23 +211,16 @@ class _Stencils(NamedTuple):
 def _axis_plan(n: int, h: float, a: float, t: float, dt: float
                ) -> _Products | _Stencils:
     """The plan of an axis of ``n`` cells of width ``h``, with tangential
-    weight ``t``."""
+    weight ``t``: on a short axis, the stencils applied to the identity."""
+    stencils = _Stencils(a / h, t / (2.0 * h), -dt / h)
     if n > DENSITY_PRODUCT_MAX_CELLS:
-        return _Stencils(a / h, t / (2.0 * h), -dt / h)
-    # the interior face difference and average: column k is face k + 1,
-    # between cells k and k + 1
-    below, above = np.eye(n, n - 1), np.eye(n, n - 1, k=-1)
-    diff = above - below
-    grad = (a / h) * diff
-    if t:
-        # the central cell difference, with _ghost_pad's quadratic ghost
-        # 3(v0 - v1) + v2 in each wall cell
-        central = np.eye(n, k=-1) - np.eye(n, k=1)
-        central[:3, 0] = (-3.0, 4.0, -1.0)
-        central[-3:, -1] = (1.0, -4.0, 3.0)
-        grad = np.hstack((grad, (t / (2.0 * h)) * central))
-    plan = _Products(grad, 0.5 * (above + below),
-                     np.ascontiguousarray((dt / h) * diff.T))
+        return stencils
+    eye = np.eye(n)
+    grad, central = _grad_and_central(eye, stencils, 1)
+    div = np.zeros((n - 1, n))
+    _add_divergence(div, np.eye(n - 1), stencils, 1)
+    plan = _Products(grad if central is None else np.hstack((grad, central)),
+                     _face_average(eye, stencils, 1), div)
     for m in plan:
         m.setflags(write=False)
     return plan

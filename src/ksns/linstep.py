@@ -6,8 +6,9 @@ interior face averages, exactly 0 on the walls.
 Every implicit operator has the form ``shift*I - scale*lap_h`` with constant
 coefficients, so ``solve_spectral`` solves it exactly in the eigenbasis of
 the 1-D discrete Laplacian: cosines for zero-flux cell faces, sines for
-half-cell Dirichlet faces, and nodal sines for the stream function of the
-Helmholtz projection, which vanishes on the walls.
+half-cell Dirichlet faces (the cell lap_h is ``grid.laplacian_flux_raw``
+with zero or half-cell Dirichlet wall data), and nodal sines for the
+stream function of the Helmholtz projection, which vanishes on the walls.
 Each operator has one cached, read-only plan (its two bases and the symbol
 the solve divides by), keyed on the grid, the coefficients and the boundary
 condition: built by its first solve and reused by every later one.  An axis
@@ -23,24 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (BoundaryData, Grid, VectorField, _boundary_source,
-                   _interior_face_average, face_divergence, face_normal_values)
-
-
-def _lap_dirichlet(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """FV Laplacian with homogeneous Dirichlet data at the boundary faces.
-
-    The boundary face gradient uses the half-cell distance: (0 - v)/(h/2).
-    """
-    ny, nx = grid.shape
-    gx = np.empty((ny, nx + 1))
-    gx[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / grid.hx
-    gx[:, 0] = vals[:, 0] * (2.0 / grid.hx)
-    gx[:, -1] = -vals[:, -1] * (2.0 / grid.hx)
-    gy = np.empty((ny + 1, nx))
-    gy[1:-1, :] = (vals[1:, :] - vals[:-1, :]) / grid.hy
-    gy[0, :] = vals[0, :] * (2.0 / grid.hy)
-    gy[-1, :] = -vals[-1, :] * (2.0 / grid.hy)
-    return face_divergence(grid, gx, gy)
+                   _interior_face_average, face_normal_values)
 
 
 # ---------------------------------------------------------------------------

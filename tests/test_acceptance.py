@@ -9,12 +9,14 @@ asserted tolerance.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ksns import BoundaryData, Grid, ScalarField, VectorField, integrate
-from ksns import diagnostics, integrator
+from ksns import diagnostics, eigen, integrator
+from ksns import grid as grid_mod
 from ksns.cli import main
 from ksns.diagnostics import (DiagnosticsConfig, fit_decay_rate,
                               lipschitz_experiment, mass_identity_residuals,
@@ -22,7 +24,6 @@ from ksns.diagnostics import (DiagnosticsConfig, fit_decay_rate,
 from ksns.eigen import lambda_dirichlet, lambda_neumann
 from ksns.integrator import (BlowUpError, RunOptions,
                              SensitivitySpec, SimState, run)
-from ksns.grid import laplacian_flux_raw
 from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
                           stokes_core)
 from test_integrator import wave_data
@@ -92,7 +93,9 @@ def test_criterion_01_poincare_constants(eigen64):
            f"lambda_D={rD.lam:.5f} (2 pi^2 within 0.1), {elapsed:.2f}s <= 5s")
 
 
-def test_criterion_02_discrete_gauss_identity():
+def gauss_gap():
+    """The worst scaled gap |integral of lap f - boundary flux sum| of
+    grid.laplacian_flux_raw over 100 random pairs (f, b) at 32^2."""
     rng = np.random.default_rng(7)
     g = GRID32
     worst = 0.0
@@ -102,13 +105,34 @@ def test_criterion_02_discrete_gauss_identity():
                          right=rng.standard_normal(g.ny),
                          bottom=rng.standard_normal(g.nx),
                          top=rng.standard_normal(g.nx))
-        lap = ScalarField(g, laplacian_flux_raw(g, f.values, b))
+        lap = ScalarField(g, grid_mod.laplacian_flux_raw(g, f.values, b))
         bsum = b.boundary_sum(g)
         scale = max(1.0, abs(bsum), b.max_abs() * 2 * (g.nx + g.ny) * g.hx)
-        gap = abs(integrate(lap) - bsum) / scale
-        worst = max(worst, gap)
-        assert gap <= 1e-12
+        worst = max(worst, abs(integrate(lap) - bsum) / scale)
+    return worst
+
+
+def test_criterion_02_discrete_gauss_identity():
+    worst = gauss_gap()
+    assert worst <= 1e-12
     report("criterion-02", f"100 random pairs, worst scaled gap {worst:.2e}")
+
+
+def test_laplacian_left_wall_sign_mutant_fails_gauss_and_dirichlet_residual(
+        monkeypatch):
+    # laplacian_flux_raw with the sign of its left wall faces flipped, in
+    # the grid module and in eigen, which computes the residuals with it;
+    # the unmutated program is the control, criterion 02 and
+    # test_eigen's residual bound (<= 1e-8 at 32^2)
+    plain = grid_mod.laplacian_flux_raw
+
+    def mutant(grid, vals, b):
+        return plain(grid, vals, replace(b, left=-b.left))
+
+    monkeypatch.setattr(grid_mod, "laplacian_flux_raw", mutant)
+    monkeypatch.setattr(eigen, "laplacian_flux_raw", mutant)
+    assert gauss_gap() > 1e-12
+    assert lambda_dirichlet(GRID32).residual > 1e-8
 
 
 def test_criterion_03_neumann_heat_steady_state():

@@ -173,6 +173,7 @@ def test_config_errors_name_key_and_line(filler, bad):
     ("[forcing]\nkind = decaying\nrate = 0.1", "[forcing] rate"),
     ("[forcing]\nkind = decaying\nrate = inf", "[forcing] rate"),
     ("[sensitivity]\nkind = rotation\nb = nan", "[sensitivity] b"),
+    ("[sensitivity]\nkind = identity\nb = 0.5", "[sensitivity] b"),
     ("[data]\nn_base = inf", "[data] n_base"),
     ("[potential]\nkind = linear-gravity\ng = nan", "[potential] g")])
 def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
@@ -191,12 +192,15 @@ def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
     for value, suffix in (("nan", ""), ("inf", "-inf"), ("-inf", "-neg-inf"))])
 def test_nan_fails_closed_on_every_float_key(tmp_path, capsys, section, key,
                                              value):
-    # every non-finite value: nan, inf and -inf
+    # every non-finite value: nan, inf and -inf; a key no library field
+    # holds gets the loader's one message
     path = write_cfg(tmp_path, f"# a comment\n[{section}]\n{key} = {value}\n")
     assert main(["run", "--config", path]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"config error: {path}:3: [{section}] {key}: "), err
+    if (section, key) not in _FIELDS.values():
+        assert err.endswith(f"[{section}] {key}: must be finite\n"), err
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +245,23 @@ snapshot_stride = 7
     ("identity", SensitivitySpec()), ("scaled", SensitivitySpec(1.5)),
     ("rotation", SensitivitySpec(1.5, -0.25))])
 def test_sensitivity_kind_reads_its_own_fields(tmp_path, kind, S):
+    # a kind builds S from a and b that agree with it; identity fixes a = 1
+    # and b = 0, scaled fixes b = 0, and a fixed key set off its value is a
+    # config error naming the key and its line, never a value dropped
     cfg = load_config(write_cfg(
-        tmp_path, f"[sensitivity]\nkind = {kind}\na = 1.5\nb = -0.25\n"))
+        tmp_path, f"[sensitivity]\nkind = {kind}\na = {S.a!r}\nb = {S.b!r}\n"))
     assert cfg.S == S
+    path = write_cfg(tmp_path, f"[sensitivity]\nkind = {kind}\na = 1.5\n"
+                               f"b = -0.25\n")
+    if kind == "rotation":
+        assert load_config(path).S == S
+        return
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    line = ("3: [sensitivity] a: must be 1.0 when kind = identity, got 1.5"
+            if kind == "identity" else
+            "4: [sensitivity] b: must be 0.0 when kind = scaled, got -0.25")
+    assert str(err.value) == f"{path}:{line}"
 
 
 def _library_error(name, value):
@@ -269,8 +287,12 @@ _INT_VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 4, 5]),
                         st.integers(-10 ** 6, 64))
 
 
-# the loader's own rules: (accepts(value), message) of the keys whose
-# range no library type checks
+# the float keys no library field holds: the loader rejects their
+# non-finite values first, then applies its own rules,
+# (accepts(value), message), to the keys that have one
+_UNTYPED_FLOATS = [(s, k) for s, sec in _SCHEMA.items()
+                   for k, (typ, _) in sec.items()
+                   if typ is float and (s, k) not in _FIELDS.values()]
 _LOADER_RULES = {
     ("time", "theta"): (lambda v: v == 1.0, "must be 1 (implicit Euler)"),
     ("eigen", "tol"): (lambda v: 0 < v <= 1e-3, "must lie in (0, 1e-3]"),
@@ -278,12 +300,9 @@ _LOADER_RULES = {
                                          "must lie in (0, 1)"),
     ("diagnostics", "lipschitz_ceiling"): (lambda v: 0 < v < math.inf,
                                            "must be positive and finite"),
-    **{key: (math.isfinite, "must be finite") for key in (
-        ("data", "n_base"), ("data", "c_base"), ("data", "amplitude"),
-        ("data", "u_amplitude"), ("potential", "g"),
-        ("forcing", "amplitude"), ("forcing", "rate"))},
 }
-_KEY_FIELDS = dict.fromkeys(_LOADER_RULES) | {k: n for n, k in _FIELDS.items()}
+_KEY_FIELDS = (dict.fromkeys(_UNTYPED_FLOATS)
+               | {k: n for n, k in _FIELDS.items()})
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,30 +310,34 @@ _KEY_FIELDS = dict.fromkeys(_LOADER_RULES) | {k: n for n, k in _FIELDS.items()}
 def test_loader_and_library_agree_on_every_range(data):
     # the loader rejects a value exactly when the library type does, with
     # the library's message under the key of the field it names; the keys
-    # no library field holds ([time] theta, [eigen] tol, [diagnostics]
-    # fit_window_frac and lipschitz_ceiling, the preset floats) add rules
-    # of their own
+    # no library field holds must be finite, and [time] theta, [eigen] tol
+    # and [diagnostics] fit_window_frac and lipschitz_ceiling add rules of
+    # their own.  a and b are drawn under kind = rotation, which takes any
     section, key = data.draw(st.sampled_from(sorted(_KEY_FIELDS)))
     name = _KEY_FIELDS[(section, key)]
     typ = _SCHEMA[section][key][0]
     value = data.draw(_INT_VALUES if typ is int else _FLOAT_VALUES)
     want = None if name is None else _library_error(name, value)
     accepts, rule = _LOADER_RULES.get((section, key), (lambda v: True, ""))
+    if name is None and not math.isfinite(value):
+        accepts, rule = (lambda v: False), "must be finite"
+    kind = "kind = rotation\n" if section == "sensitivity" else ""
+    lineno = 3 if kind else 2
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "range.cfg")
         with open(path, "w") as fh:
-            fh.write(f"[{section}]\n{key} = {value!r}\n")
+            fh.write(f"[{section}]\n{kind}{key} = {value!r}\n")
         if want is None and accepts(value):
             load_config(path)
             return
         with pytest.raises(ConfigError) as err:
             load_config(path)
     if want is None:
-        assert str(err.value) == f"{path}:2: [{section}] {key}: {rule}"
+        assert str(err.value) == f"{path}:{lineno}: [{section}] {key}: {rule}"
         return
     field, _, rest = want.partition(" ")
     s, k = _FIELDS[field]
-    where = f"{path}:2: " if (s, k) == (section, key) else ""
+    where = f"{path}:{lineno}: " if (s, k) == (section, key) else ""
     assert str(err.value) == f"{where}[{s}] {k}: {rest}"
 
 

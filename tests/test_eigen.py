@@ -2,10 +2,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksns import Grid
-from ksns.eigen import lambda_dirichlet, lambda_neumann
-from ksns.grid import _lap_zero_flux
-from ksns.linstep import _lap_dirichlet
+from ksns import BoundaryData, Grid
+from ksns.eigen import _dirichlet_data, lambda_dirichlet, lambda_neumann
+from ksns.grid import laplacian_flux_raw
 
 
 def discrete_neumann_eigenvalue(h, L=1.0):
@@ -59,11 +58,13 @@ def test_dirichlet_domain_monotonicity(unit32, rect2x1):
 def test_rayleigh_quotient_consistency(unit32):
     res = lambda_neumann(unit32)
     v = res.eigenfield.values
-    rq = float((v * -_lap_zero_flux(unit32, v)).sum() / (v * v).sum())
+    lap = laplacian_flux_raw(unit32, v, BoundaryData.zeros(unit32))
+    rq = float((v * -lap).sum() / (v * v).sum())
     assert abs(rq - res.lam) <= 10.0 * max(res.residual, 1e-15)
     resD = lambda_dirichlet(unit32)
     vD = resD.eigenfield.values
-    rqD = float((vD * -_lap_dirichlet(unit32, vD)).sum() / (vD * vD).sum())
+    lapD = laplacian_flux_raw(unit32, vD, _dirichlet_data(unit32, vD))
+    rqD = float((vD * -lapD).sum() / (vD * vD).sum())
     assert abs(rqD - resD.lam) <= 10.0 * max(resD.residual, 1e-15)
 
 

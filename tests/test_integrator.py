@@ -10,6 +10,7 @@ from ksns import Grid, ScalarField, VectorField, integrate
 from ksns import grid as grid_mod
 from ksns import diagnostics, integrator, linstep
 from ksns.diagnostics import DiagnosticsConfig, fit_decay_rate
+from ksns.eigen import _dirichlet_data
 from ksns.grid import (face_divergence, face_normal_values, face_values,
                        negative_part_energy)
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
@@ -27,7 +28,8 @@ def _imposed_source_gap(grid, x, explicit, src, dt):
     h = max(hx, hy): the recovered source is (x - dt*L0 x - explicit) / dt,
     the cell source a solve of (I - dt*L0) x = explicit + dt*src imposed, in
     the units of a face flux.  Rounding error for an exact solve."""
-    recovered = (x - dt * grid_mod._lap_zero_flux(grid, x) - explicit) / dt
+    lap = grid_mod.laplacian_flux_raw(grid, x, BoundaryData.zeros(grid))
+    recovered = (x - dt * lap - explicit) / dt
     return max(grid.hx, grid.hy) * float(np.abs(recovered - src).max())
 
 
@@ -767,6 +769,69 @@ def test_run_decay_rates_match_the_linearised_scheme():
     assert abs(got_c - want_c) <= 1e-5 * want_c
 
 
+def _lap_oracle(grid, v, dirichlet):
+    """The finite-volume Laplacian written out: compact differences on the
+    interior faces, zero flux or the half-cell Dirichlet gradient
+    (0 - v)/(h/2) on the wall faces."""
+    ny, nx = grid.shape
+    gx = np.zeros((ny, nx + 1))
+    gx[:, 1:-1] = (v[:, 1:] - v[:, :-1]) / grid.hx
+    gy = np.zeros((ny + 1, nx))
+    gy[1:-1, :] = (v[1:, :] - v[:-1, :]) / grid.hy
+    if dirichlet:
+        gx[:, 0] = v[:, 0] * (2.0 / grid.hx)
+        gx[:, -1] = -v[:, -1] * (2.0 / grid.hx)
+        gy[0, :] = v[0, :] * (2.0 / grid.hy)
+        gy[-1, :] = -v[-1, :] * (2.0 / grid.hy)
+    return face_divergence(grid, gx, gy)
+
+
+def _axis_products_oracle(n, h, a, t, dt):
+    """The matrices of a short axis's density plan written out: column k of
+    the face operators is face k + 1, the central difference's wall
+    columns hold the quadratic ghost's one-sided weights."""
+    below, above = np.eye(n, n - 1), np.eye(n, n - 1, k=-1)
+    diff = above - below
+    grad = (a / h) * diff
+    if t:
+        central = np.eye(n, k=-1) - np.eye(n, k=1)
+        central[:3, 0] = (-3.0, 4.0, -1.0)
+        central[-3:, -1] = (1.0, -4.0, 3.0)
+        grad = np.hstack((grad, (t / (2.0 * h)) * central))
+    return grad, 0.5 * (above + below), np.ascontiguousarray((dt / h) * diff.T)
+
+
+def _same_bits(x, y):
+    return (x.shape == y.shape and x.strides == y.strides
+            and x.tobytes() == y.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 120), ny=st.integers(4, 120),
+       Lx=st.floats(0.1, 10.0), Ly=st.floats(0.1, 10.0),
+       a=st.sampled_from([1.0, 0.5, 1.7, -0.3]),
+       t=st.sampled_from([0.0, 0.5, -0.5, 1.3]),
+       dt=st.floats(1e-5, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_laplacian_and_axis_plans_match_their_written_out_forms(
+        nx, ny, Lx, Ly, a, t, dt, seed):
+    # laplacian_flux_raw with zero or half-cell Dirichlet wall data is each
+    # written-out Laplacian bit for bit, and a short axis's plan, built by
+    # applying the stencils to the identity, is the written-out matrices
+    g = Grid(Lx, Ly, nx, ny)
+    v = np.random.default_rng(seed).standard_normal(g.shape)
+    for b, dirichlet in ((BoundaryData.zeros(g), False),
+                         (_dirichlet_data(g, v), True)):
+        assert _same_bits(grid_mod.laplacian_flux_raw(g, v, b),
+                          _lap_oracle(g, v, dirichlet))
+    for n, h in ((nx, g.hx), (ny, g.hy)):
+        plan = integrator._axis_plan(n, h, a, t, dt)
+        if n > integrator.DENSITY_PRODUCT_MAX_CELLS:
+            assert plan == (a / h, t / (2.0 * h), -dt / h)
+            continue
+        for got, want in zip(plan, _axis_products_oracle(n, h, a, t, dt)):
+            assert _same_bits(got, want) and not got.flags.writeable
+
+
 def test_small_axes_build_operators_and_large_ones_none():
     # the run's first step builds the density plan: operator products on a
     # short axis, sliced stencils on a long one
@@ -784,10 +849,14 @@ def test_small_axes_build_operators_and_large_ones_none():
 def test_flux_pads_c_once_per_axis_on_long_axes(monkeypatch, rng, cells):
     # density_rhs pads c once per axis on a long axis's sliced stencils,
     # shared by the face difference and the central difference there, and
-    # never on a short axis's products or without a tangential term
+    # never on a short axis's products or without a tangential term.  A
+    # short axis's plan pads the identity once, when it is built, so the
+    # plans are built before the count
     g = Grid(1.0, 1.0, cells, cells)
     n = 2.0 + 0.1 * rng.standard_normal(g.shape)
     c = 1.0 + 0.1 * rng.standard_normal(g.shape)
+    for S in (SensitivitySpec(1.0, 0.5), SensitivitySpec()):
+        integrator._density_plan(*g.shape, g.hy, g.hx, S.a, S.b, 1e-3)
     pads = []
     plain_pad = integrator._ghost_pad
 

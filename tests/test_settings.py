@@ -56,9 +56,9 @@ def _public_defs_and_uses(trees):
 
 def test_every_public_function_has_a_program_caller():
     # a public function or method that nothing in the package names outside
-    # its own body is dead code or a test-only helper; the three kept on
-    # purpose are the Gauss-identity helpers and the series reader.  By
-    # name, so a name shared with another use only makes this lenient.
+    # its own body is dead code or a test-only helper; the two kept on
+    # purpose are the Gauss identity's boundary sum and the series reader.
+    # By name, so a name shared with another use only makes this lenient.
     src = Path(ksns.__file__).parent
     trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
     defs, uses = _public_defs_and_uses(trees)
@@ -66,4 +66,4 @@ def test_every_public_function_has_a_program_caller():
                       if not any(id(node) not in around
                                  for around in uses.get(node.name, ())))
     assert uncalled == ["BoundaryData.boundary_sum",
-                        "DiagnosticsSeries.from_csv", "laplacian_flux_raw"]
+                        "DiagnosticsSeries.from_csv"]

@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cg_oracle import neg_lap_diag, pressure_project_faces, solve_cg
-from ksns import Grid, VectorField
+from ksns import BoundaryData, Grid, VectorField
 from ksns import linstep
-from ksns.grid import _lap_zero_flux, face_divergence, face_normal_values
-from ksns.linstep import (_eigenbasis, _Folded, _lap_dirichlet,
-                          _project_core, _solve_plan, helmholtz_project_core,
-                          solve_spectral)
+from ksns.eigen import _dirichlet_data
+from ksns.grid import face_divergence, face_normal_values, laplacian_flux_raw
+from ksns.linstep import (_eigenbasis, _Folded, _project_core, _solve_plan,
+                          helmholtz_project_core, solve_spectral)
 
 cases = st.fixed_dictionaries({
     "nx": st.integers(4, 40), "ny": st.integers(4, 40),
@@ -61,6 +61,14 @@ def _lap_nodal(grid, psi):
             + (p[2:, 1:-1] - 2.0 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / grid.hy ** 2)
 
 
+# the cell Laplacians of the solves: laplacian_flux_raw with zero wall data
+# or with the half-cell Dirichlet data, and the nodal one
+_LAPS = {
+    "neumann0": lambda g, v: laplacian_flux_raw(g, v, BoundaryData.zeros(g)),
+    "dirichlet0": lambda g, v: laplacian_flux_raw(g, v, _dirichlet_data(g, v)),
+    "nodal0": _lap_nodal}
+
+
 def _operators(dt):
     """(name, shift, scale, bc) of the implicit operators of a step and the
     stream-function operator."""
@@ -77,8 +85,7 @@ def test_spectral_solves_match_operator_and_cg_oracle(case):
     rng = np.random.default_rng(case["seed"])
     ny, nx = grid.shape
     for name, shift, scale, bc in _operators(case["dt"]):
-        lap = {"neumann0": _lap_zero_flux, "dirichlet0": _lap_dirichlet,
-               "nodal0": _lap_nodal}[bc]
+        lap = _LAPS[bc]
         b = rng.standard_normal((ny - 1, nx - 1) if bc == "nodal0"
                                 else grid.shape)
 
@@ -185,8 +192,7 @@ def test_folded_solve_matches_full_basis_formula(nx, ny, Lx, Ly, shift, scale,
     # bound is the 1e-12 of the small grids or 1e-15 * kappa, the larger
     plan = _solve_plan(ny, nx, grid.hy, grid.hx, shift, scale, bc)
     kappa = plan[2].max() / plan[2].min()
-    lap = {"neumann0": _lap_zero_flux, "dirichlet0": _lap_dirichlet,
-           "nodal0": _lap_nodal}[bc]
+    lap = _LAPS[bc]
     res = np.linalg.norm(shift * x - scale * lap(grid, x) - b)
     assert res <= 1e-15 * max(kappa, 1e3) * np.linalg.norm(b), (res, kappa)
     zero = solve_spectral(grid, np.zeros_like(b), shift, scale, bc)
