@@ -11,7 +11,9 @@ alone prints them, writes ``run``'s files and sets the exit code.
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
 every value is checked at load time, by the library type it sets where it
-sets one (``_FIELDS``); a float key no library field holds must be finite.
+sets one (``_FIELDS``); a float key no library field holds must be finite,
+and a key that a choice ignores must hold the one value that agrees with
+it (``_FIXED``).
 The loader builds each of those types once and keeps them on the
 ``RunConfig`` it returns, where every subcommand reads them.
 Exit codes: 0 all enabled checks pass, 1 check failure, 2 configuration
@@ -33,7 +35,8 @@ from .diagnostics import (FIT_MIN_SAMPLES, DiagnosticsConfig, fit_decay_rate,
                           lipschitz_experiment, mass_identity_residuals,
                           wall_condition_residual)
 from .eigen import lambda_dirichlet, lambda_neumann
-from .grid import Grid, ScalarField, VectorField, integrate, write_field_snapshot
+from .grid import (Grid, ScalarField, VectorField, face_values, integrate,
+                   write_field_snapshot)
 from .integrator import (BlowUpError, GivenData, RunOptions, SensitivitySpec,
                          _check_initial, run, step_count)
 from .linstep import helmholtz_project_core
@@ -87,6 +90,17 @@ _CHOICES = {
     ("sensitivity", "kind"): ("identity", "scaled", "rotation"),
     ("potential", "kind"): ("zero", "linear-gravity"),
     ("forcing", "kind"): ("zero", "decaying"),
+}
+
+# (section, choice key) -> choice -> the keys it ignores, each fixed at the
+# one value that agrees with it.  [sensitivity] kind stays a key only while
+# the benchmark workloads set it.
+_FIXED = {
+    ("sensitivity", "kind"): {"identity": {"a": 1.0, "b": 0.0},
+                              "scaled": {"b": 0.0}},
+    ("data", "u_preset"): {"zero": {"u_amplitude": 0.0}},
+    ("potential", "kind"): {"zero": {"g": 0.0}},
+    ("forcing", "kind"): {"zero": {"amplitude": 0.0}},
 }
 
 
@@ -151,14 +165,11 @@ def _validate(cfg: RunConfig) -> None:
     cfg.options = _build(RunOptions, cfg)
     cfg.diag = _build(DiagnosticsConfig, cfg)
     cfg.S = _build(SensitivitySpec, cfg)
-    # S = a*I + b*J: identity fixes a = 1 and b = 0, scaled fixes b = 0;
-    # kind stays a key only while the benchmark workloads set it
-    kind = v[("sensitivity", "kind")]
-    fixes = {"identity": {"a": 1.0, "b": 0.0}, "scaled": {"b": 0.0}}
-    for k, fixed in fixes.get(kind, {}).items():
-        if v[("sensitivity", k)] != fixed:
-            fail("sensitivity", k, f"must be {fixed} when kind = {kind}, "
-                 f"got {v[('sensitivity', k)]!r}")
+    for (s, c), by_choice in _FIXED.items():
+        for k, fixed in by_choice.get(v[(s, c)], {}).items():
+            if v[(s, k)] != fixed:
+                fail(s, k, f"must be {fixed} when {c} = {v[(s, c)]}, "
+                     f"got {v[(s, k)]!r}")
     if not 0 < v[("diagnostics", "fit_window_frac")] < 1:
         fail("diagnostics", "fit_window_frac", "must lie in (0, 1)")
     if not v[("diagnostics", "lipschitz_ceiling")] > 0:
@@ -245,7 +256,8 @@ def _vortex(grid: Grid, amplitude: float) -> VectorField:
             * np.sin(np.pi * y / Ly) * np.cos(np.pi * y / Ly),
             lambda x, y: -amplitude * 2 * np.pi * np.sin(np.pi * x / Lx)
             * np.cos(np.pi * x / Lx) * np.sin(np.pi * y / Ly) ** 2)
-        return helmholtz_project_core(u)
+        return helmholtz_project_core(grid, u.ux, u.uy, face_values(u.ux, 1),
+                                      face_values(u.uy, 0))
 
 
 def given_data_from_config(cfg: RunConfig,
@@ -440,23 +452,28 @@ def _judge_decay(cfg, data, trajectory, series, *, window, lamN,
 def _judge_lipschitz(cfg, data, trajectory, series) -> list[tuple[bool, str]]:
     T, dt = cfg.get("time", "T"), cfg.get("time", "dt")
     amp = cfg.get("data", "amplitude")
-    out, ratios = [], []
+    out, ratios, degenerate = [], [], False
     for delta in (1e-3, 1e-4):
         pert = given_data_from_config(cfg, amplitude=amp + delta)
         res = lipschitz_experiment(data, pert, cfg.diag, T, dt,
                                    cfg.options, base_trajectory=trajectory)
         ratios.append(res.ratio)
+        degenerate |= res.degenerate
         out.append((True, f"INFO delta {delta:g}: ratio {res.ratio:.6g} "
                           f"data gap {res.data_gap:.6g}"))
     ceiling = cfg.get("diagnostics", "lipschitz_ceiling")
     # the ratio is differentiable in the amplitude, so the two ratios
     # differ by O(delta): gated at 10 times the larger delta
     gap = abs(ratios[0] - ratios[1]) / max(ratios[1], 1e-300)
+    # data a perturbation left unchanged (as under preset = constant) give
+    # ratio 0, which measures nothing
+    why = "; a perturbation left the data unchanged" if degenerate else ""
     return out + [
-        _verdict("lipschitz-ratio-stability", gap <= 1e-2,
-                 f"relative gap {gap:.3e} tol 1.0e-02"),
-        _verdict("lipschitz-ratio-ceiling", max(ratios) <= ceiling,
-                 f"max ratio {max(ratios):.4g} ceiling {ceiling:g}")]
+        _verdict("lipschitz-ratio-stability", gap <= 1e-2 and not degenerate,
+                 f"relative gap {gap:.3e} tol 1.0e-02{why}"),
+        _verdict("lipschitz-ratio-ceiling",
+                 max(ratios) <= ceiling and not degenerate,
+                 f"max ratio {max(ratios):.4g} ceiling {ceiling:g}{why}")]
 
 
 # each judge maps (cfg, data, trajectory, series) to its verdict lines and

@@ -16,13 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import ScalarField, VectorField, check_same_grid, discrete_norm
-from .integrator import (GivenData, RunOptions, SensitivitySpec, SimState,
-                         _advance, _stays_at_rest, run)
-
-SERIES_COLUMNS = (
-    "t", "mass_n", "mass_c", "sup_n_dev", "sup_c_dev", "sup_u",
-    "min_n", "min_c", "neg_energy_n", "neg_energy_c",
-)
+# the per-step record is integrator's, which writes every row of it
+from .integrator import (SERIES_COLUMNS, DiagnosticsSeries, GivenData,
+                         RunOptions, SensitivitySpec, SimState, _advance,
+                         _stays_at_rest, run)
 
 
 @dataclass
@@ -63,52 +60,6 @@ class DiagnosticsConfig:
         if not self.lambda1 < hi1:
             raise ValueError(
                 f"lambda1 must lie below min(1, lambda_N/q) = {hi1:.6g}")
-
-
-class DiagnosticsSeries:
-    """Per-step record of masses, deviations, minima, and residuals."""
-
-    def __init__(self):
-        self._data = {name: [] for name in SERIES_COLUMNS}
-
-    def append(self, **row) -> None:
-        if set(row) != set(SERIES_COLUMNS):
-            missing = set(SERIES_COLUMNS) - set(row)
-            extra = set(row) - set(SERIES_COLUMNS)
-            raise ValueError(f"bad diagnostics row (missing {missing}, extra {extra})")
-        if self._data["t"] and row["t"] <= self._data["t"][-1]:
-            raise ValueError("diagnostics times must be strictly increasing")
-        for name in SERIES_COLUMNS:
-            self._data[name].append(row[name])
-
-    def __len__(self) -> int:
-        return len(self._data["t"])
-
-    def column(self, name: str) -> np.ndarray:
-        return np.asarray(self._data[name], dtype=float)
-
-    def to_csv(self, path) -> None:
-        row = ",".join(["%.15g"] * len(SERIES_COLUMNS)) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(SERIES_COLUMNS) + "\n")
-            fh.writelines(row % r for r in
-                          zip(*(self._data[name] for name in SERIES_COLUMNS)))
-
-    @classmethod
-    def from_csv(cls, path) -> "DiagnosticsSeries":
-        series = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if tuple(header) != SERIES_COLUMNS:
-                raise ValueError(f"unexpected diagnostics header in {path}")
-            for lineno, line in enumerate(fh, start=2):
-                vals = line.strip().split(",")
-                if len(vals) != len(SERIES_COLUMNS):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {len(SERIES_COLUMNS)} "
-                        f"fields, got {len(vals)}")
-                series.append(**dict(zip(SERIES_COLUMNS, map(float, vals))))
-        return series
 
 
 # ---------------------------------------------------------------------------

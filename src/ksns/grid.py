@@ -7,7 +7,7 @@ values that average the two cells of each interior face, and the one
 finite-volume Laplacian, whose wall faces carry a prescribed outward
 normal derivative: zero data give the zero-flux Laplacian, -2v/h of the
 wall cells the half-cell Dirichlet one.  Each operator is one sliced
-stencil on every grid.
+stencil on every grid, on raw arrays, with axis 1 along x and 0 along y.
 
 Field arrays are indexed ``[j, i]`` with ``j`` running along y and ``i``
 along x, matching the snapshot file layout (one row per y line, increasing
@@ -231,18 +231,11 @@ def face_gradient(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     return (p[:, 1:] - p[:, :-1] if axis == 1 else p[1:] - p[:-1]) / h
 
 
-def _central_difference(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
+def central_difference(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Cell derivative along ``axis`` (1: x, 0: y): central in the interior,
+    one-sided second order (the quadratic ghost) in the wall cells."""
     p = _ghost_pad(vals, axis)
     return (p[:, 2:] - p[:, :-2] if axis == 1 else p[2:] - p[:-2]) / (2.0 * h)
-
-
-def ddx(vals: np.ndarray, hx: float) -> np.ndarray:
-    """d/dx: central in the interior, one-sided second order at i=0, nx-1."""
-    return _central_difference(vals, hx, 1)
-
-
-def ddy(vals: np.ndarray, hy: float) -> np.ndarray:
-    return _central_difference(vals, hy, 0)
 
 
 def _interior_face_average(vals: np.ndarray, axis: int) -> np.ndarray:
@@ -270,14 +263,6 @@ def face_values(vals: np.ndarray, axis: int) -> np.ndarray:
     o[:, 0] = 1.5 * v[:, 0] - 0.5 * v[:, 1]
     o[:, -1] = 1.5 * v[:, -1] - 0.5 * v[:, -2]
     return out
-
-
-def face_normal_values(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """Face-normal values of a vector field: the stored face arrays when
-    present, otherwise ``face_values`` of the cell-centered components."""
-    if v.fx is not None and v.fy is not None:
-        return v.fx, v.fy
-    return face_values(v.ux, 1), face_values(v.uy, 0)
 
 
 def face_divergence(grid: Grid, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -353,9 +338,9 @@ def discrete_norm(f: ScalarField, kind: str = "Lr", r: float = 2.0) -> float:
     for k in range(1, order + 1):
         new_level = {}
         for (ax, ay), arr in level.items():
-            new_level[(ax + 1, ay)] = ddx(arr, g.hx)
+            new_level[(ax + 1, ay)] = central_difference(arr, g.hx, 1)
             if ax == 0:
-                new_level[(ax, ay + 1)] = ddy(arr, g.hy)
+                new_level[(ax, ay + 1)] = central_difference(arr, g.hy, 0)
         for arr in new_level.values():
             total += float((np.abs(arr) ** r).sum()) * vol
         level = new_level

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    _ghost_pad, _interior_face_average, check_same_grid,
-                   face_divergence, face_gradient, face_normal_values,
+                   face_divergence, face_gradient, face_values,
                    integrate, negative_part_energy, require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
@@ -151,7 +151,9 @@ class GivenData:
             raise ValueError(
                 f"c0 violates the zero-flux condition: max |grad(c0).nu| = "
                 f"{bnd.max_abs():.3e} > {tol_c:.3e}")
-        fx, fy = face_normal_values(self.u0)
+        u0 = self.u0
+        fx, fy = ((u0.fx, u0.fy) if u0.fx is not None and u0.fy is not None
+                  else (face_values(u0.ux, 1), face_values(u0.uy, 0)))
         scale_u = 1.0 + max(np.abs(fx).max(), np.abs(fy).max())
         tol_u = 50.0 * max(g.hx, g.hy) ** 2 * scale_u
         trace = max(np.abs(fx[:, 0]).max(), np.abs(fx[:, -1]).max(),
@@ -461,6 +463,61 @@ def step(state: SimState, data: GivenData, dt: float,
 
 
 # ---------------------------------------------------------------------------
+# the per-step record, which ``run`` writes and ``diagnostics`` reads
+
+SERIES_COLUMNS = (
+    "t", "mass_n", "mass_c", "sup_n_dev", "sup_c_dev", "sup_u",
+    "min_n", "min_c", "neg_energy_n", "neg_energy_c",
+)
+
+
+class DiagnosticsSeries:
+    """Per-step record of masses, deviations, minima, and residuals."""
+
+    def __init__(self):
+        self._data = {name: [] for name in SERIES_COLUMNS}
+
+    def append(self, **row) -> None:
+        if set(row) != set(SERIES_COLUMNS):
+            missing = set(SERIES_COLUMNS) - set(row)
+            extra = set(row) - set(SERIES_COLUMNS)
+            raise ValueError(f"bad diagnostics row (missing {missing}, extra {extra})")
+        if self._data["t"] and row["t"] <= self._data["t"][-1]:
+            raise ValueError("diagnostics times must be strictly increasing")
+        for name in SERIES_COLUMNS:
+            self._data[name].append(row[name])
+
+    def __len__(self) -> int:
+        return len(self._data["t"])
+
+    def column(self, name: str) -> np.ndarray:
+        return np.asarray(self._data[name], dtype=float)
+
+    def to_csv(self, path) -> None:
+        row = ",".join(["%.15g"] * len(SERIES_COLUMNS)) + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(SERIES_COLUMNS) + "\n")
+            fh.writelines(row % r for r in
+                          zip(*(self._data[name] for name in SERIES_COLUMNS)))
+
+    @classmethod
+    def from_csv(cls, path) -> "DiagnosticsSeries":
+        series = cls()
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if tuple(header) != SERIES_COLUMNS:
+                raise ValueError(f"unexpected diagnostics header in {path}")
+            for lineno, line in enumerate(fh, start=2):
+                vals = line.strip().split(",")
+                if len(vals) != len(SERIES_COLUMNS):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {len(SERIES_COLUMNS)} "
+                        f"fields, got {len(vals)}")
+                series.append(**dict(zip(SERIES_COLUMNS, map(float, vals))))
+        return series
+
+
+# ---------------------------------------------------------------------------
 # the time loop
 
 def step_count(T: float, dt: float) -> int:
@@ -491,8 +548,6 @@ def run(data: GivenData, T: float, dt: float,
     per-step diagnostics.  A blow-up raises ``BlowUpError``: at t = 0 with no
     state on bad given fields, else with the last valid state and series.
     """
-    from .diagnostics import DiagnosticsSeries
-
     opts = options or RunOptions()
     n_steps = step_count(T, dt)
     _check_initial(data, opts.blowup_ceiling)

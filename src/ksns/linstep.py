@@ -14,8 +14,8 @@ the solve divides by), keyed on the grid, the coefficients and the boundary
 condition: built by its first solve and reused by every later one.  An axis
 of at least ``FOLD_MIN_CELLS`` cells or nodes holds its basis as two
 half-size parity blocks, which halve the arithmetic of its products.
-Each operator is one function on raw arrays, the one the integrator calls.
-Every step is implicit Euler.
+Each operator is one function on raw arrays, the one the integrator calls;
+the projection takes the faces its caller names.  Every step is implicit Euler.
 """
 
 from functools import lru_cache
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (BoundaryData, Grid, VectorField, _boundary_source,
-                   _interior_face_average, face_normal_values)
+                   _interior_face_average)
 
 
 # ---------------------------------------------------------------------------
@@ -206,38 +206,28 @@ def shifted_heat_core(grid: Grid, c: np.ndarray, rhs_src: np.ndarray,
 # ---------------------------------------------------------------------------
 # Helmholtz projection and the Stokes step
 
-def _project_core(grid: Grid, fx: np.ndarray, fy: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-free part of face-normal values: the discrete curl of the
-    nodal stream function psi with -lap_h psi = curl^T v and psi = 0 on the
-    walls.  The wall faces of the result are exactly zero and its
-    divergence telescopes to rounding.  Returns (fx', fy').
+def helmholtz_project_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
+                           fx: np.ndarray, fy: np.ndarray) -> VectorField:
+    """Project onto discretely divergence-free fields with zero normal trace.
+
+    Of v given by its cells ``ux``, ``uy`` and its faces ``fx``, ``fy``,
+    returns v - grad(p) with lap(p) = div(v), grad(p).nu = v.nu, p not
+    formed: the new faces are the discrete curl of the nodal stream
+    function psi with -lap_h psi = curl^T v and psi = 0 on the walls, exactly
+    0 on the walls with a divergence that telescopes to rounding; the cells
+    subtract the average of the removed face parts.
     """
     ny, nx = grid.shape
     w = ((fy[1:-1, 1:] - fy[1:-1, :-1]) / grid.hx
          - (fx[1:, 1:-1] - fx[:-1, 1:-1]) / grid.hy)   # nodal vorticity
     psi = np.zeros((ny + 1, nx + 1))
     psi[1:-1, 1:-1] = solve_spectral(grid, w, 0.0, 1.0, "nodal0")
-    return (psi[1:] - psi[:-1]) / grid.hy, (psi[:, :-1] - psi[:, 1:]) / grid.hx
-
-
-def helmholtz_project_core(v: VectorField) -> VectorField:
-    """Project onto discretely divergence-free fields with zero normal trace.
-
-    Returns v - grad(p) with lap(p) = div(v), grad(p).nu = v.nu, p not
-    formed: the new face values are the discrete curl of a nodal stream
-    function vanishing on the walls (``_project_core``), the cell values
-    subtract the average of the removed face parts.  Face values ``v`` does
-    not carry come from ``face_normal_values``.
-    """
-    g = v.grid
-    fx, fy = face_normal_values(v)
-    fx_new, fy_new = _project_core(g, fx, fy)
-    # cell-centered correction: the average of the removed face parts
+    fx_new = (psi[1:] - psi[:-1]) / grid.hy
+    fy_new = (psi[:, :-1] - psi[:, 1:]) / grid.hx
     gpx = fx - fx_new
     gpy = fy - fy_new
-    return VectorField(g, v.ux - 0.5 * (gpx[:, 1:] + gpx[:, :-1]),
-                       v.uy - 0.5 * (gpy[1:, :] + gpy[:-1, :]), fx_new, fy_new)
+    return VectorField(grid, ux - 0.5 * (gpx[:, 1:] + gpx[:, :-1]),
+                       uy - 0.5 * (gpy[1:, :] + gpy[:-1, :]), fx_new, fy_new)
 
 
 def stokes_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
@@ -248,6 +238,5 @@ def stokes_core(grid: Grid, ux: np.ndarray, uy: np.ndarray,
     with its no-slip faces: interior averages, 0 on the walls."""
     sx = solve_spectral(grid, ux + dt * force_x, 1.0, dt, "dirichlet0")
     sy = solve_spectral(grid, uy + dt * force_y, 1.0, dt, "dirichlet0")
-    return helmholtz_project_core(VectorField(
-        grid, sx, sy, _interior_face_average(sx, 1),
-        _interior_face_average(sy, 0)))
+    return helmholtz_project_core(grid, sx, sy, _interior_face_average(sx, 1),
+                                  _interior_face_average(sy, 0))

@@ -24,9 +24,9 @@ from ksns.diagnostics import (DiagnosticsConfig, fit_decay_rate,
 from ksns.eigen import lambda_dirichlet, lambda_neumann
 from ksns.integrator import (BlowUpError, RunOptions,
                              SensitivitySpec, SimState, run)
-from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
-                          stokes_core)
+from ksns.linstep import neumann_heat_core, stokes_core
 from test_integrator import wave_data
+from test_linstep import project_cells
 
 GRID32 = Grid(1.0, 1.0, 32, 32)
 GRID64 = Grid(1.0, 1.0, 64, 64)
@@ -177,7 +177,7 @@ def test_criterion_04_semigroup_decay(eigen32):
 
     # homogeneous Stokes decay
     t0 = time.perf_counter()
-    u = helmholtz_project_core(VectorField.from_functions(
+    u = project_cells(VectorField.from_functions(
         g,
         lambda x, y: 2 * np.pi * np.sin(np.pi * x) ** 2
         * np.sin(np.pi * y) * np.cos(np.pi * y),

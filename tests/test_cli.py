@@ -19,6 +19,7 @@ from ksns import Grid, ScalarField, VectorField, cli, linstep
 from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _compatibility_warning,
                       _nonneg_verdict, given_data_from_config, load_config,
                       main)
+from ksns.grid import _interior_face_average, face_values
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               LipschitzResult, SERIES_COLUMNS)
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
@@ -175,7 +176,12 @@ def test_config_errors_name_key_and_line(filler, bad):
     ("[sensitivity]\nkind = rotation\nb = nan", "[sensitivity] b"),
     ("[sensitivity]\nkind = identity\nb = 0.5", "[sensitivity] b"),
     ("[data]\nn_base = inf", "[data] n_base"),
-    ("[potential]\nkind = linear-gravity\ng = nan", "[potential] g")])
+    ("[potential]\nkind = linear-gravity\ng = nan", "[potential] g"),
+    # a zero choice fixes its size key at 0
+    ("[data]\nu_amplitude = 0.5", "[data] u_amplitude"),
+    ("[data]\nu_preset = zero\nu_amplitude = -1e-12", "[data] u_amplitude"),
+    ("[potential]\ng = 3.0", "[potential] g"),
+    ("[forcing]\nkind = zero\namplitude = 2.0", "[forcing] amplitude")])
 def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
     path = write_cfg(tmp_path, "# a comment\n" + text + "\n")
     lineno = text.count("\n") + 2
@@ -303,6 +309,12 @@ _LOADER_RULES = {
 }
 _KEY_FIELDS = (dict.fromkeys(_UNTYPED_FLOATS)
                | {k: n for n, k in _FIELDS.items()})
+# the choice under which a key the default choice fixes takes any value
+_FREEING_CHOICE = {("sensitivity", "a"): "kind = rotation",
+                   ("sensitivity", "b"): "kind = rotation",
+                   ("data", "u_amplitude"): "u_preset = vortex",
+                   ("potential", "g"): "kind = linear-gravity",
+                   ("forcing", "amplitude"): "kind = decaying"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,7 +324,8 @@ def test_loader_and_library_agree_on_every_range(data):
     # the library's message under the key of the field it names; the keys
     # no library field holds must be finite, and [time] theta, [eigen] tol
     # and [diagnostics] fit_window_frac and lipschitz_ceiling add rules of
-    # their own.  a and b are drawn under kind = rotation, which takes any
+    # their own.  A key that the default choice fixes is drawn under the
+    # choice that frees it, written above it
     section, key = data.draw(st.sampled_from(sorted(_KEY_FIELDS)))
     name = _KEY_FIELDS[(section, key)]
     typ = _SCHEMA[section][key][0]
@@ -321,12 +334,13 @@ def test_loader_and_library_agree_on_every_range(data):
     accepts, rule = _LOADER_RULES.get((section, key), (lambda v: True, ""))
     if name is None and not math.isfinite(value):
         accepts, rule = (lambda v: False), "must be finite"
-    kind = "kind = rotation\n" if section == "sensitivity" else ""
-    lineno = 3 if kind else 2
+    choice = _FREEING_CHOICE.get((section, key))
+    choice = f"{choice}\n" if choice else ""
+    lineno = 3 if choice else 2
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "range.cfg")
         with open(path, "w") as fh:
-            fh.write(f"[{section}]\n{kind}{key} = {value!r}\n")
+            fh.write(f"[{section}]\n{choice}{key} = {value!r}\n")
         if want is None and accepts(value):
             load_config(path)
             return
@@ -563,6 +577,31 @@ def test_run_outputs_match_the_row_writer(tmp_path, capsys, monkeypatch):
             vals = np.loadtxt(tmp_path / "a" / name, delimiter=",", skiprows=1)
             tiny += int(((vals != 0.0) & (np.abs(vals) < 1e-5)).sum())
     assert tiny > 0
+
+
+def test_vortex_preset_projects_its_extrapolated_faces(tmp_path):
+    # the sampled eddy is projected with the faces face_values extrapolates
+    # from its cells, bit for bit; the no-slip faces (walls exactly 0) the
+    # Stokes step projects would give another field
+    cfg = load_config(write_cfg(tmp_path, "[domain]\nLx = 2.0\nnx = 24\n"
+                                "ny = 16\n[data]\nu_preset = vortex\n"
+                                "u_amplitude = 0.3\n"))
+    g, amp = cfg.grid, 0.3
+    u = VectorField.from_functions(
+        g,
+        lambda x, y: amp * 2 * np.pi * np.sin(np.pi * x / 2.0) ** 2
+        * np.sin(np.pi * y / 1.0) * np.cos(np.pi * y / 1.0),
+        lambda x, y: -amp * 2 * np.pi * np.sin(np.pi * x / 2.0)
+        * np.cos(np.pi * x / 2.0) * np.sin(np.pi * y / 1.0) ** 2)
+    want = linstep.helmholtz_project_core(
+        g, u.ux, u.uy, face_values(u.ux, 1), face_values(u.uy, 0))
+    got = given_data_from_config(cfg).u0
+    for name in ("ux", "uy", "fx", "fy"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    no_slip = linstep.helmholtz_project_core(
+        g, u.ux, u.uy, _interior_face_average(u.ux, 1),
+        _interior_face_average(u.uy, 0))
+    assert not np.array_equal(no_slip.ux, got.ux)
 
 
 def test_run_blowup_exits_3(tmp_path, capsys):
@@ -832,7 +871,16 @@ fit_window_frac = 0.375
                               "INFO empirical n-rate -"]),
     ("lipschitz", TINY_RUN.replace("preset = constant", "preset = small-wave"),
      0, ["INFO delta 0.001: ratio ", "INFO delta 0.0001: ratio ",
-         "PASS lipschitz-ratio-stability: ", "PASS lipschitz-ratio-ceiling: "])])
+         "PASS lipschitz-ratio-stability: ", "PASS lipschitz-ratio-ceiling: "]),
+    # the constant preset ignores the perturbed amplitude: ratio 0 measures
+    # nothing, so both gates fail
+    ("lipschitz", TINY_RUN, 1, [
+        "INFO delta 0.001: ratio 0 data gap 0",
+        "INFO delta 0.0001: ratio 0 data gap 0",
+        "FAIL lipschitz-ratio-stability: relative gap 0.000e+00 tol 1.0e-02; "
+        "a perturbation left the data unchanged",
+        "FAIL lipschitz-ratio-ceiling: max ratio 0 ceiling 10; a perturbation "
+        "left the data unchanged"])])
 def test_judged_lines_follow_the_echo_in_order(tmp_path, capsys, command,
                                                text, code, heads):
     # stdout is the config echo, then the judge's lines: decay's verdicts

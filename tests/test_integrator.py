@@ -11,16 +11,15 @@ from ksns import grid as grid_mod
 from ksns import diagnostics, integrator, linstep
 from ksns.diagnostics import DiagnosticsConfig, fit_decay_rate
 from ksns.eigen import _dirichlet_data
-from ksns.grid import (face_divergence, face_normal_values, face_values,
-                       negative_part_energy)
+from ksns.grid import face_divergence, face_values, negative_part_energy
 from ksns.integrator import (BlowUpError, GivenData, RunOptions,
                              SensitivitySpec, SimState, _check_blowup,
                              density_rhs, run, step, step_count,
                              upwind_divergence)
 from ksns.grid import BoundaryData
-from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
-                          stokes_core)
+from ksns.linstep import neumann_heat_core, stokes_core
 from decay_oracle import linearised_decay_rates
+from test_linstep import project_cells
 
 
 def _imposed_source_gap(grid, x, explicit, src, dt):
@@ -56,7 +55,7 @@ def rich_data(grid, rng, amp=0.01):
         * np.sin(np.pi * y) * np.cos(np.pi * y),
         lambda x, y: -amp * 2 * np.pi * np.sin(np.pi * x)
         * np.cos(np.pi * x) * np.sin(np.pi * y) ** 2)
-    u0 = helmholtz_project_core(stream)
+    u0 = project_cells(stream)
     phi = VectorField.from_functions(grid, lambda x, y: 0.0 * x,
                                      lambda x, y: -0.5 + 0.0 * x)
     base_f = VectorField.from_functions(grid, lambda x, y: np.cos(np.pi * y),
@@ -1009,7 +1008,7 @@ def test_run_records_negative_part_energy(unit16):
 def test_run_row_matches_full_array_reductions(unit16, skew):
     # the row takes its minima and sups from the blow-up check's extrema;
     # they must equal the reductions of the recorded fields
-    u0 = helmholtz_project_core(VectorField.from_functions(
+    u0 = project_cells(VectorField.from_functions(
         unit16, lambda x, y: np.sin(np.pi * y), lambda x, y: np.sin(np.pi * x)))
     # skewed profiles: the sup deviation of one field is its maximum, of the
     # other its minimum (swapped by ``skew``), and both fields dip below zero
@@ -1058,7 +1057,8 @@ def test_given_data_validation_rejects_nan_velocity():
     data.u0.ux[2, 3] = np.nan
     with pytest.raises(ValueError, match="u0.ux contains non-finite"):
         data.validate()
-    fx, fy = face_normal_values(VectorField.zero(grid))
+    zero = VectorField.zero(grid)
+    fx, fy = zero.fx, zero.fy
     fy[4, 5] = np.nan
     faces = replace(data, u0=VectorField(grid, np.zeros(grid.shape),
                                          np.zeros(grid.shape), fx, fy))

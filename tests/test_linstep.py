@@ -4,8 +4,7 @@ import pytest
 from ksns import BoundaryData, Grid, ScalarField, VectorField, integrate
 from ksns.diagnostics import fit_decay_rate
 from ksns.eigen import lambda_dirichlet, lambda_neumann
-from ksns.grid import (face_divergence, face_normal_values, face_values,
-                       laplacian_flux_raw)
+from ksns.grid import face_divergence, face_values, laplacian_flux_raw
 from ksns.linstep import (helmholtz_project_core, neumann_heat_core,
                           shifted_heat_core, solve_spectral, stokes_core)
 from cg_oracle import SolverError, neg_lap_diag as _neg_lap_diag, solve_cg
@@ -21,10 +20,17 @@ def zero_vec(grid):
     return VectorField(grid, np.zeros((ny, nx)), np.zeros((ny, nx)))
 
 
+def project_cells(v):
+    """The projection of a field's cells with the faces ``face_values``
+    extrapolates from them, as the vortex preset calls it."""
+    return helmholtz_project_core(v.grid, v.ux, v.uy, face_values(v.ux, 1),
+                                  face_values(v.uy, 0))
+
+
 def divergence_form_step(grid, u, F_B, f_E, dt):
     """The density step's call: du/dt = lap(u) - div(F_B) + f_E with
-    grad(u).nu = F_B.nu, from the face-normal values of F_B."""
-    fx, fy = face_normal_values(F_B)
+    grad(u).nu = F_B.nu, from the face values of F_B's cells."""
+    fx, fy = face_values(F_B.ux, 1), face_values(F_B.uy, 0)
     return neumann_heat_core(grid, u, BoundaryData.from_faces(fx, fy),
                              -face_divergence(grid, fx, fy) + f_E, dt)
 
@@ -173,7 +179,7 @@ def test_shifted_heat_eigenmode(unit64):
 
 def test_projection_annihilates_gradients(unit64):
     v = VectorField.from_functions(unit64, lambda x, y: x, lambda x, y: y)
-    out = helmholtz_project_core(v)
+    out = project_cells(v)
     assert max(np.abs(out.ux).max(), np.abs(out.uy).max()) <= 1e-10
     div = face_divergence(unit64, out.fx, out.fy)
     assert np.sqrt((div ** 2).sum() * unit64.cell_volume) <= 1e-9
@@ -184,13 +190,13 @@ def test_projection_identity_on_solenoidal(unit64):
         unit64,
         lambda x, y: -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
         lambda x, y: np.pi * np.cos(np.pi * x) * np.sin(np.pi * y))
-    out = helmholtz_project_core(v)
+    out = project_cells(v)
     err = max(np.abs(out.ux - v.ux).max(), np.abs(out.uy - v.uy).max())
     assert err <= 6e-5                       # measured 4.64e-5 at h = 1/64
 
 
 def test_projection_zero(unit16):
-    out = helmholtz_project_core(zero_vec(unit16))
+    out = project_cells(zero_vec(unit16))
     assert np.abs(out.ux).max() == 0.0 and np.abs(out.uy).max() == 0.0
 
 
@@ -198,8 +204,8 @@ def test_projection_idempotent(unit32, rng):
     ny, nx = unit32.shape
     v = VectorField(unit32, rng.standard_normal((ny, nx)),
                     rng.standard_normal((ny, nx)))
-    once = helmholtz_project_core(v)
-    twice = helmholtz_project_core(once)
+    once = project_cells(v)
+    twice = helmholtz_project_core(unit32, once.ux, once.uy, once.fx, once.fy)
     scale = max(np.abs(once.ux).max(), np.abs(once.uy).max(), 1.0)
     assert max(np.abs(twice.ux - once.ux).max(),
                np.abs(twice.uy - once.uy).max()) <= 1e-11 * scale
@@ -210,9 +216,8 @@ def test_projection_face_orthogonality(unit32, rng):
     ny, nx = unit32.shape
     v = VectorField(unit32, rng.standard_normal((ny, nx)),
                     rng.standard_normal((ny, nx)))
-    fx, fy = face_normal_values(v)
-    v = VectorField(unit32, v.ux, v.uy, fx.copy(), fy.copy())
-    out = helmholtz_project_core(v)
+    fx, fy = face_values(v.ux, 1), face_values(v.uy, 0)
+    out = helmholtz_project_core(unit32, v.ux, v.uy, fx, fy)
     w = unit32.cell_volume
     ip = ((fx - out.fx) * out.fx).sum() * w + ((fy - out.fy) * out.fy).sum() * w
     norm2 = (fx ** 2).sum() * w + (fy ** 2).sum() * w
@@ -223,11 +228,32 @@ def test_projection_zero_normal_trace(unit32, rng):
     ny, nx = unit32.shape
     v = VectorField(unit32, rng.standard_normal((ny, nx)),
                     rng.standard_normal((ny, nx)))
-    out = helmholtz_project_core(v)
+    out = project_cells(v)
     assert np.abs(out.fx[:, 0]).max() == 0.0
     assert np.abs(out.fx[:, -1]).max() == 0.0
     assert np.abs(out.fy[0, :]).max() == 0.0
     assert np.abs(out.fy[-1, :]).max() == 0.0
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (33, 20), (128, 128)])
+def test_projection_matches_field_level_oracle_bitwise(rng, nx, ny):
+    # the projection of a field without faces written out: the faces from
+    # face_values, the stream function's curl, then the cell correction by
+    # the average of the removed face parts; 128 nodes fold the nodal basis
+    g = Grid(1.0, 0.75, nx, ny)
+    ux, uy = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    fx, fy = face_values(ux, 1), face_values(uy, 0)
+    w = ((fy[1:-1, 1:] - fy[1:-1, :-1]) / g.hx
+         - (fx[1:, 1:-1] - fx[:-1, 1:-1]) / g.hy)
+    psi = np.zeros((ny + 1, nx + 1))
+    psi[1:-1, 1:-1] = solve_spectral(g, w, 0.0, 1.0, "nodal0")
+    px, py = (psi[1:] - psi[:-1]) / g.hy, (psi[:, :-1] - psi[:, 1:]) / g.hx
+    gpx, gpy = fx - px, fy - py
+    want = {"ux": ux - 0.5 * (gpx[:, 1:] + gpx[:, :-1]),
+            "uy": uy - 0.5 * (gpy[1:, :] + gpy[:-1, :]), "fx": px, "fy": py}
+    got = helmholtz_project_core(g, ux, uy, fx, fy)
+    for name, arr in want.items():
+        assert getattr(got, name).tobytes() == arr.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +275,7 @@ def test_stokes_zero(unit16):
 
 
 def test_stokes_energy_nonincreasing(unit32):
-    u = helmholtz_project_core(vortex(unit32, 0.01))
+    u = project_cells(vortex(unit32, 0.01))
     zero = np.zeros(unit32.shape)
     energies = []
     for _ in range(50):
@@ -260,7 +286,7 @@ def test_stokes_energy_nonincreasing(unit32):
 
 
 def test_stokes_divergence_and_trace(unit32):
-    u = helmholtz_project_core(vortex(unit32))
+    u = project_cells(vortex(unit32))
     zero = np.zeros(unit32.shape)
     out = stokes_core(unit32, u.ux, u.uy, zero, zero, dt=1e-3)
     div = face_divergence(unit32, out.fx, out.fy)
@@ -280,7 +306,7 @@ def test_stokes_core_projects_its_no_slip_face_averages(rng, n):
     fx, fy = face_values(sx, 1), face_values(sy, 0)
     fx[:, [0, -1]] = 0.0
     fy[[0, -1], :] = 0.0
-    want = helmholtz_project_core(VectorField(g, sx, sy, fx, fy))
+    want = helmholtz_project_core(g, sx, sy, fx, fy)
     got = stokes_core(g, ux, uy, force_x, force_y, dt)
     for name in ("ux", "uy", "fx", "fy"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -289,7 +315,7 @@ def test_stokes_core_projects_its_no_slip_face_averages(rng, n):
 def test_stokes_decay_rate(unit32):
     # homogeneous decay no slower than 0.8 * lambda_D (slowest mode check)
     lam_d = lambda_dirichlet(unit32).lam
-    u = helmholtz_project_core(vortex(unit32))
+    u = project_cells(vortex(unit32))
     zero = np.zeros(unit32.shape)
     dt = 5e-4
     samples = []

@@ -67,3 +67,16 @@ def test_every_public_function_has_a_program_caller():
                                  for around in uses.get(node.name, ())))
     assert uncalled == ["BoundaryData.boundary_sum",
                         "DiagnosticsSeries.from_csv"]
+
+
+def test_no_import_inside_a_function():
+    # an import in a function body hides a dependency of its module, such
+    # as an import cycle; every module of the package imports at the top
+    src = Path(ksns.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
