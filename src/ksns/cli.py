@@ -6,7 +6,10 @@ CSV line), ``decay`` (stabilization rate fits), ``lipschitz``
 (data-perturbation experiment), ``version``.  ``run``, ``decay`` and
 ``lipschitz`` share one pass, ``_simulate``: build the scenario, run it,
 then judge the run.  Each judge returns its verdict lines; ``_simulate``
-alone prints them, writes ``run``'s files and sets the exit code.
+alone prints them, after one ``INFO wall-condition-trace`` line with the
+wall condition's residual at t = 0 and on the last state, writes
+``run``'s files and sets the exit code.  Every line after the config
+echo goes through ``_report``, except a blow-up's.
 
 Config files are plain ``key = value`` text with ``[section]`` headers and
 ``#`` comments; unknown sections or keys are errors (fail-closed), and
@@ -38,7 +41,7 @@ from .eigen import lambda_dirichlet, lambda_neumann
 from .grid import (Grid, ScalarField, VectorField, face_values, integrate,
                    write_field_snapshot)
 from .integrator import (BlowUpError, GivenData, RunOptions, SensitivitySpec,
-                         _check_initial, run, step_count)
+                         run, step_count)
 from .linstep import helmholtz_project_core
 
 
@@ -350,13 +353,6 @@ def _run_checks(cfg, data, trajectory, series) -> list[tuple[bool, str]]:
     scale = max(1.0, abs(M_c0) + abs(M_n0))
     out.append(_verdict("c-mass-recursion", rec <= 1e-9 * scale,
                         f"max residual {rec:.3e} tol {1e-9 * scale:.1e}"))
-    # the presets' data miss the wall condition under rotation at t = 0,
-    # and dt is not tied to h^2, so the residual is recorded, not gated
-    last = trajectory[-1]
-    res, scale = wall_condition_residual(last.n, last.c, data.S)
-    out.append((True, f"INFO wall-condition-trace: residual {res:.3e} "
-                      f"(scale {scale:.3e}) at t = {last.t:.6g} (recorded, "
-                      f"not asserted)"))
     if data.n0.values.min() >= 0.0 and data.c0.values.min() >= 0.0:
         out.append(_nonneg_verdict(data, series))
     if cfg.get("data", "preset") == "constant":
@@ -397,18 +393,6 @@ def _write_outputs(out_dir, trajectory, series) -> None:
             write_field_snapshot(
                 os.path.join(out_dir, f"snap_{idx:06d}_{name}.csv"),
                 ScalarField(state.u.grid, comp), name, state.t)
-
-
-def _compatibility_warning(cfg, data) -> None:
-    """Warn when the exponents require the initial flux balance (the wall
-    condition at t = 0) and the data miss it in the trace sense."""
-    if 1.0 / cfg.diag.r + 2.0 / cfg.diag.q < 1.0:
-        resid, _ = wall_condition_residual(data.n0, data.c0, data.S)
-        h2 = max(cfg.grid.hx, cfg.grid.hy) ** 2
-        scale = 1.0 + float(np.abs(data.n0.values).max())
-        if resid > 50.0 * h2 * scale:
-            print(f"warning: initial flux-balance residual {resid:.6g} "
-                  f"(balance required at these exponents, 1/r + 2/q < 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +469,8 @@ _JUDGES = {"run": _run_checks, "decay": _judge_decay,
 def _simulate(cfg, args) -> int:
     """Echo the config, build and run the scenario, judge the run with the
     judge of ``args.command`` and print its lines: the one place that
-    prints a verdict and writes ``run``'s files.  Exit code 0 when every
+    prints a verdict and writes ``run``'s files.  The judge's lines follow
+    one ``INFO wall-condition-trace`` line.  Exit code 0 when every
     verdict passes, 1 otherwise, 3 on a blow-up, also of initial data
     already above the ceiling (``run`` then writes the diagnostics
     recorded up to it).  For ``decay`` the fit window and the rate window
@@ -512,11 +497,18 @@ def _simulate(cfg, args) -> int:
     data = given_data_from_config(cfg)
     trajectory, series, verdicts = [], None, None
     try:
-        _check_initial(data, cfg.options.blowup_ceiling)
-        _compatibility_warning(cfg, data)
         trajectory, series = run(data, cfg.get("time", "T"),
                                  cfg.get("time", "dt"), cfg.options)
-        verdicts = judge(cfg, data, trajectory, series)
+        lines = judge(cfg, data, trajectory, series)
+        # read once run has checked the data at t = 0; the presets' data
+        # miss the wall condition under rotation there, and dt is not tied
+        # to h^2, so both residuals are recorded, not gated
+        last = trajectory[-1]
+        r0, _ = wall_condition_residual(data.n0, data.c0, data.S)
+        res, scale = wall_condition_residual(last.n, last.c, data.S)
+        verdicts = [(True, f"INFO wall-condition-trace: residual {r0:.3e} at "
+                           f"t = 0, {res:.3e} (scale {scale:.3e}) at t = "
+                           f"{last.t:.6g} (recorded, not asserted)")] + lines
     except BlowUpError as exc:
         print(f"blow-up: {exc}")
         series = exc.series

@@ -1,8 +1,9 @@
 """Quantitative verdicts on runs: mass identities, decay-rate fits,
 smallness and weighted solution norms (discrete Sobolev proxies), the
-wall condition in the trace sense, the one measurement of it, read on the
-initial data and on a run's last state, and the paper's solution map on
-whole trajectories, which acceptance criterion 12 iterates.
+wall condition in the trace sense, the one measurement of it, which the
+CLI's ``INFO wall-condition-trace`` line reads on the initial data and on
+a run's last state, and the paper's solution map on whole trajectories,
+which acceptance criterion 12 iterates.
 
 The smoothness-graded norms here are integer-order difference-quotient
 proxies for the interpolation-space norms the analysis works with; they

@@ -27,8 +27,8 @@ import numpy as np
 
 from .grid import (BoundaryData, Grid, ScalarField, VectorField,
                    _ghost_pad, _interior_face_average, check_same_grid,
-                   face_divergence, face_gradient, face_values,
-                   integrate, negative_part_energy, require_finite)
+                   face_divergence, face_gradient, integrate,
+                   negative_part_energy, require_finite)
 from .linstep import neumann_heat_core, shifted_heat_core, stokes_core
 
 
@@ -69,6 +69,14 @@ class SensitivitySpec:
 # ---------------------------------------------------------------------------
 # state and given data
 
+def _faces(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
+    """The face-normal values of ``u``: its own when it holds both, else
+    the interior averages of its cells with zero wall trace (no-slip)."""
+    if u.fx is not None and u.fy is not None:
+        return u.fx, u.fy
+    return _interior_face_average(u.ux, 1), _interior_face_average(u.uy, 0)
+
+
 @dataclass
 class SimState:
     """The state the loop carries, in the paper's shifted variables.
@@ -96,15 +104,11 @@ class SimState:
     def from_fields(cls, t: float, n: ScalarField, c: ScalarField,
                     u: VectorField, n_bar0: float) -> "SimState":
         """The state of the fields (n, c, u) at time ``t``, shifted with
-        gamma = 1 - e^{-t}.  A velocity without face-normal values gets the
-        interpolated ones with zero wall trace."""
+        gamma = 1 - e^{-t}; the velocity carries the faces ``_faces`` gives."""
         gamma = 1.0 - math.exp(-t)
-        if u.fx is None or u.fy is None:
-            u = VectorField(u.grid, u.ux, u.uy,
-                            _interior_face_average(u.ux, 1),
-                            _interior_face_average(u.uy, 0))
         return cls(t=t, nt=n.values - n_bar0, chi=c.values - gamma * n_bar0,
-                   u=u, gamma=gamma, n_bar0=n_bar0)
+                   u=VectorField(u.grid, u.ux, u.uy, *_faces(u)), gamma=gamma,
+                   n_bar0=n_bar0)
 
     @property
     def n(self) -> ScalarField:
@@ -134,7 +138,8 @@ class GivenData:
 
     def validate(self) -> None:
         """Check the hypotheses on the data at discretization accuracy:
-        zero normal signal gradient, divergence-free no-slip velocity."""
+        zero normal signal gradient, divergence-free no-slip velocity on
+        the faces the run steps (``_faces``)."""
         g = self.grid
         check_same_grid(self.n0, self.c0, self.u0, self.phi_grad)
         require_finite(self.n0.values, "n0")
@@ -151,9 +156,7 @@ class GivenData:
             raise ValueError(
                 f"c0 violates the zero-flux condition: max |grad(c0).nu| = "
                 f"{bnd.max_abs():.3e} > {tol_c:.3e}")
-        u0 = self.u0
-        fx, fy = ((u0.fx, u0.fy) if u0.fx is not None and u0.fy is not None
-                  else (face_values(u0.ux, 1), face_values(u0.uy, 0)))
+        fx, fy = _faces(self.u0)
         scale_u = 1.0 + max(np.abs(fx).max(), np.abs(fy).max())
         tol_u = 50.0 * max(g.hx, g.hy) ** 2 * scale_u
         trace = max(np.abs(fx[:, 0]).max(), np.abs(fx[:, -1]).max(),
@@ -337,16 +340,17 @@ def upwind_divergence(grid: Grid, phi: np.ndarray, ufx: np.ndarray,
 @dataclass(frozen=True)
 class RunOptions:
     """The options of a step and a run.  Raises ValueError unless
-    ``snapshot_stride`` is at least 1 and ``blowup_ceiling`` is positive
-    and finite."""
+    ``snapshot_stride`` is an integer of at least 1 and ``blowup_ceiling``
+    is positive and finite."""
 
     snapshot_stride: int = 1
     blowup_ceiling: float = 1e6
 
     def __post_init__(self):
-        if not self.snapshot_stride >= 1:
-            raise ValueError(f"snapshot_stride must be at least 1, "
-                             f"got {self.snapshot_stride!r}")
+        v = self.snapshot_stride
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError(f"snapshot_stride must be an integer >= 1, "
+                             f"got {v!r}")
         if not 0.0 < self.blowup_ceiling < math.inf:
             raise ValueError(f"blowup_ceiling must be positive and finite, "
                              f"got {self.blowup_ceiling!r}")
@@ -453,9 +457,10 @@ def step(state: SimState, data: GivenData, dt: float,
          options: RunOptions | None = None) -> SimState:
     """Advance one IMEX step of size ``dt``, the step ``run`` takes.  A
     given state that is not finite or above the ceiling raises
-    ``BlowUpError`` at its own time, carrying no state, before any step."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    ``BlowUpError`` at its own time, carrying no state, before any step;
+    a ``dt`` that is not positive and finite raises ValueError."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     opts = options or RunOptions()
     at_rest = _stays_at_rest(data, state.u)
     _check_blowup(state, opts.blowup_ceiling, None, at_rest)

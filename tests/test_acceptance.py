@@ -9,13 +9,12 @@ asserted tolerance.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ksns import BoundaryData, Grid, ScalarField, VectorField, integrate
-from ksns import diagnostics, eigen, integrator
+from ksns import diagnostics
 from ksns import grid as grid_mod
 from ksns.cli import main
 from ksns.diagnostics import (DiagnosticsConfig, fit_decay_rate,
@@ -116,23 +115,6 @@ def test_criterion_02_discrete_gauss_identity():
     worst = gauss_gap()
     assert worst <= 1e-12
     report("criterion-02", f"100 random pairs, worst scaled gap {worst:.2e}")
-
-
-def test_laplacian_left_wall_sign_mutant_fails_gauss_and_dirichlet_residual(
-        monkeypatch):
-    # laplacian_flux_raw with the sign of its left wall faces flipped, in
-    # the grid module and in eigen, which computes the residuals with it;
-    # the unmutated program is the control, criterion 02 and
-    # test_eigen's residual bound (<= 1e-8 at 32^2)
-    plain = grid_mod.laplacian_flux_raw
-
-    def mutant(grid, vals, b):
-        return plain(grid, vals, replace(b, left=-b.left))
-
-    monkeypatch.setattr(grid_mod, "laplacian_flux_raw", mutant)
-    monkeypatch.setattr(eigen, "laplacian_flux_raw", mutant)
-    assert gauss_gap() > 1e-12
-    assert lambda_dirichlet(GRID32).residual > 1e-8
 
 
 def test_criterion_03_neumann_heat_steady_state():
@@ -330,40 +312,6 @@ def test_criterion_09_boundary_condition_identity():
            f"{WALL_ORDER_MIN}; 64^2 {res[2]:.2e} <= {WALL_BOUND_64:.0e} "
            f"(margin x{WALL_BOUND_64 / res[2]:.2f}); violation detector "
            f"reports {det:.4f} (pi within 0.05)")
-
-
-# Mutants of the density source's plan, integrator._density_plan(ny, nx,
-# hy, hx, a, b, dt) -> (y plan, x plan).  The flux is linear in S, so the
-# plan of 1.05 S is the flux scaled by 1.05; the y plan's central
-# difference feeds the x faces only.
-
-def _flux_times_105(plain):
-    return lambda ny, nx, hy, hx, a, b, dt: plain(ny, nx, hy, hx, 1.05 * a,
-                                                  1.05 * b, dt)
-
-
-def _x_face_tangential_sign(plain):
-    def plan(ny, nx, hy, hx, a, b, dt):
-        return (plain(ny, nx, hy, hx, a, -b, dt)[0],
-                plain(ny, nx, hy, hx, a, b, dt)[1])
-    return plan
-
-
-def _divergence_sign(plain):
-    return lambda *key: tuple(p._replace(div=-p.div) for p in plain(*key))
-
-
-@pytest.mark.parametrize("mutant", [_flux_times_105, _x_face_tangential_sign,
-                                    _divergence_sign],
-                         ids=["flux-x1.05", "x-face-tangential-sign",
-                              "divergence-sign"])
-def test_criterion_09_fails_under_scheme_mutants(monkeypatch, mutant):
-    # the unmutated program is the control, criterion 09 itself
-    monkeypatch.setattr(integrator, "_density_plan",
-                        mutant(integrator._density_plan))
-    res = wall_ladder()
-    passed, orders = wall_gate(res)
-    assert not passed, (res, orders)
 
 
 def test_criterion_10_compatibility_detector():

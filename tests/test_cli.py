@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksns import Grid, ScalarField, VectorField, cli, linstep
-from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _compatibility_warning,
-                      _nonneg_verdict, given_data_from_config, load_config,
-                      main)
+from ksns.cli import (_FIELDS, _SCHEMA, ConfigError, _nonneg_verdict,
+                      given_data_from_config, load_config, main)
 from ksns.grid import _interior_face_average, face_values
 from ksns.diagnostics import (DiagnosticsConfig, DiagnosticsSeries,
                               LipschitzResult, SERIES_COLUMNS)
@@ -181,7 +180,8 @@ def test_config_errors_name_key_and_line(filler, bad):
     ("[data]\nu_amplitude = 0.5", "[data] u_amplitude"),
     ("[data]\nu_preset = zero\nu_amplitude = -1e-12", "[data] u_amplitude"),
     ("[potential]\ng = 3.0", "[potential] g"),
-    ("[forcing]\nkind = zero\namplitude = 2.0", "[forcing] amplitude")])
+    ("[forcing]\nkind = zero\namplitude = 2.0", "[forcing] amplitude"),
+    ("[output]\nsnapshot_stride = 2.5", "[output] snapshot_stride")])
 def test_config_range_errors_name_key_and_line(tmp_path, capsys, text, key):
     path = write_cfg(tmp_path, "# a comment\n" + text + "\n")
     lineno = text.count("\n") + 2
@@ -628,6 +628,7 @@ def test_judging_subcommands_exit_3_on_blowup(tmp_path, capsys, command,
     stdout = capsys.readouterr().out
     assert f"blow-up: blow-up detected at t = {t_abort}:" in stdout
     assert "PASS" not in stdout and "FAIL" not in stdout
+    assert "INFO" not in stdout
     assert not out.exists()     # only run writes the partial diagnostics
 
 
@@ -641,11 +642,14 @@ def test_huge_data_blows_up_without_warnings(tmp_path, capsys, given, t_abort):
     # step; a huge vortex amplitude overflows into non-finite velocities
     reason = "non-finite values" if "vortex" in given else "sup "
     text = "[domain]\nnx = 8\nny = 8\n[time]\ndt = 0.005\nT = 0.01\n" + given
+    path = write_cfg(tmp_path, text)
     out = tmp_path / "o"
-    assert main(["run", "--config", write_cfg(tmp_path, text),
-                 "--out", str(out)]) == 3
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
     stdout, stderr = capsys.readouterr()
-    assert f"blow-up: blow-up detected at t = {t_abort}: {reason}" in stdout
+    *echo, last = stdout.splitlines()
+    assert echo == load_config(path).echo_lines()
+    assert last.startswith(f"blow-up: blow-up detected at t = {t_abort}: "
+                           f"{reason}")
     assert stderr == ""
     assert not out.exists()
 
@@ -864,17 +868,21 @@ fit_window_frac = 0.375
 """
 
 
+WALL = "INFO wall-condition-trace: residual "
+
+
 @pytest.mark.parametrize("command, text, code, heads", [
     # over 8 steps the n-deviation of the tiny decay still grows: one FAIL
-    ("decay", TINY_DECAY, 1, ["FAIL decay-n-deviation: fitted rate -",
+    ("decay", TINY_DECAY, 1, [WALL, "FAIL decay-n-deviation: fitted rate -",
                               "PASS decay-c-deviation: fitted rate ",
                               "INFO empirical n-rate -"]),
     ("lipschitz", TINY_RUN.replace("preset = constant", "preset = small-wave"),
-     0, ["INFO delta 0.001: ratio ", "INFO delta 0.0001: ratio ",
+     0, [WALL, "INFO delta 0.001: ratio ", "INFO delta 0.0001: ratio ",
          "PASS lipschitz-ratio-stability: ", "PASS lipschitz-ratio-ceiling: "]),
     # the constant preset ignores the perturbed amplitude: ratio 0 measures
     # nothing, so both gates fail
     ("lipschitz", TINY_RUN, 1, [
+        WALL + "0.000e+00 at t = 0, ",
         "INFO delta 0.001: ratio 0 data gap 0",
         "INFO delta 0.0001: ratio 0 data gap 0",
         "FAIL lipschitz-ratio-stability: relative gap 0.000e+00 tol 1.0e-02; "
@@ -883,8 +891,9 @@ fit_window_frac = 0.375
         "left the data unchanged"])])
 def test_judged_lines_follow_the_echo_in_order(tmp_path, capsys, command,
                                                text, code, heads):
-    # stdout is the config echo, then the judge's lines: decay's verdicts
-    # before its INFO line, lipschitz's two INFO lines before its verdicts
+    # stdout is the config echo, the wall-condition line, then the judge's
+    # lines: decay's verdicts before its INFO line, lipschitz's two INFO
+    # lines before its verdicts
     path = write_cfg(tmp_path, text)
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) == code
@@ -943,8 +952,7 @@ def test_only_the_pipeline_prints_or_writes():
     found = _output_callers(ast.parse(Path(cli.__file__).read_text()))
     talkers = {fn for fn, names in found.items()
                if names & {"print", "open", "_write_outputs"}}
-    assert talkers == {"_report", "_simulate", "_cmd_eigen",
-                       "_compatibility_warning", "main"}, found
+    assert talkers == {"_report", "_simulate", "_cmd_eigen", "main"}, found
     writers = {fn for fn, names in found.items()
                if names & {"to_csv", "write_field_snapshot", "makedirs"}}
     assert writers == {"_write_outputs"}, found
@@ -1018,9 +1026,10 @@ lambda1 = 0.5
         f"min(1, lambda_N/q) = 0.152241\n")
 
 
-def test_compatibility_warning_emitted(tmp_path, capsys):
-    # rotated tensor against a pure-y signal wave: the initial flux balance
-    # is violated, which the startup check reports (without refusing to run)
+def test_wall_condition_trace_reports_the_initial_residual(tmp_path, capsys):
+    # rotated tensor against a pure-y signal wave: the data miss the wall
+    # condition at t = 0, which the one INFO line after the config echo
+    # reports on every grid, with the last state's residual
     text = """
 [domain]
 nx = 16
@@ -1037,20 +1046,30 @@ b = 1.0
 """
     path = write_cfg(tmp_path, text)
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert "warning: initial flux-balance residual" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    echo = load_config(path).echo_lines()
+    assert lines[:len(echo)] == echo
+    assert re.fullmatch(
+        r"INFO wall-condition-trace: residual 6\.503e-01 at t = 0, "
+        r"\S+ \(scale \S+\) at t = 0\.01 \(recorded, not asserted\)",
+        lines[len(echo)]), lines[len(echo)]
+    assert sum("wall-condition-trace" in ln for ln in lines) == 1
 
 
-@pytest.mark.parametrize("workload, line", [
-    ("flow-128", "warning: initial flux-balance residual 0.031567 (balance "
-                 "required at these exponents, 1/r + 2/q < 1)\n"),
-    ("no-flow-32", ""), ("verdicts-48", "")])
-def test_benchmark_workload_warnings(capsys, workload, line):
-    # the start-up warning is the one line of the benchmark's stdout that
-    # the wall-condition measurement writes: rotation's residual on the
-    # small wave, about 0.0316, passes 50 h^2 (1 + sup n0) = 0.0092 at 128^2
-    # and not 0.147 at 32^2; the identity's is 8.0e-6 at 48^2
-    path = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
-            / f"{workload}.cfg")
-    cfg = load_config(str(path))
-    _compatibility_warning(cfg, given_data_from_config(cfg))
-    assert capsys.readouterr().out == line
+@pytest.mark.parametrize("workload, command, r0", [
+    ("no-flow-32", "run", "3.146e-02"), ("flow-128", "run", "3.157e-02"),
+    ("verdicts-48", "lipschitz", "8.028e-06")])
+def test_benchmark_workload_wall_condition_trace(tmp_path, capsys, workload,
+                                                 command, r0):
+    # rotation's residual on the small wave is about 0.0316 on every grid,
+    # the identity's 8.0e-6 at 48^2; the workloads' data, run for two steps
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+            / f"{workload}.cfg").read_text()
+    path = write_cfg(tmp_path, re.sub(r"(?m)^T = .*$", "T = 0.002", text))
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    info = lines[len(load_config(path).echo_lines())]
+    assert info.startswith(f"INFO wall-condition-trace: residual {r0} at "
+                           f"t = 0, "), info
+    assert info.endswith(" at t = 0.002 (recorded, not asserted)"), info

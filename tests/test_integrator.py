@@ -614,9 +614,14 @@ def test_step_mass_conserved_with_rich_data(unit32, rng):
 
 
 def test_step_rejects_bad_dt(unit16):
+    # nan used to fail in the time rounding, and inf in the solve's
+    # arithmetic, with messages that did not name dt
     data = wave_data(unit16)
-    with pytest.raises(ValueError):
-        step(data.initial_state(), data, dt=0.0)
+    st = data.initial_state()
+    for dt in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^dt must be positive and "
+                                             "finite"):
+            step(st, data, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +708,12 @@ def test_run_does_no_wall_trace_work(unit16, rng, monkeypatch):
     (dict(blowup_ceiling=0.0), "blowup_ceiling"),
     (dict(blowup_ceiling=math.nan), "blowup_ceiling"),
     (dict(blowup_ceiling=math.inf), "blowup_ceiling"),
+    (dict(snapshot_stride=2.5), "snapshot_stride"),
+    (dict(snapshot_stride=2.0), "snapshot_stride"),
 ])
 def test_run_options_reject_bad_values_when_built(kw, name):
-    # a stride of 0 used to divide by zero in run, and a negative ceiling
-    # to report a false blow-up
+    # a stride of 0 used to divide by zero in run, a negative ceiling to
+    # report a false blow-up, and a stride of 2.5 to keep every 5th step
     with pytest.raises(ValueError, match=f"^{name} must "):
         RunOptions(**kw)
 
@@ -1064,6 +1071,33 @@ def test_given_data_validation_rejects_nan_velocity():
                                          np.zeros(grid.shape), fx, fy))
     with pytest.raises(ValueError, match="u0.fy contains non-finite"):
         faces.validate()
+
+
+def _verdict(data):
+    """validate's error message, None when the data pass."""
+    try:
+        data.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fn_x, fn_y, passes", [
+    (lambda x, y: 1.0 + 0.0 * x, lambda x, y: 0.0 * x, True),
+    (lambda x, y: np.sin(np.pi * x) ** 2 * np.sin(2 * np.pi * y),
+     lambda x, y: -np.sin(2 * np.pi * x) * np.sin(np.pi * y) ** 2, True),
+    (lambda x, y: np.sin(8 * np.pi * x), lambda x, y: 0.0 * x, False),
+], ids=["uniform", "stream", "divergent"])
+def test_validate_checks_the_faces_the_run_steps(unit16, fn_x, fn_y, passes):
+    # cells without faces are checked on the no-slip face averages the run
+    # fills in, not on faces extrapolated to the walls: a uniform flow's
+    # cells used to fail the wall-trace test the stepped faces pass
+    faceless = wave_data(unit16, u0=VectorField.from_functions(unit16, fn_x,
+                                                               fn_y))
+    filled = replace(faceless, u0=faceless.initial_state().u)
+    assert filled.u0.fx is not None and filled.u0.fy is not None
+    assert _verdict(faceless) == _verdict(filled)
+    assert (_verdict(filled) is None) == passes, _verdict(filled)
 
 
 def test_step_checks_the_given_state_first():

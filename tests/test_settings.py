@@ -16,6 +16,11 @@ def test_warnings_are_errors_except_one_import_message(pytestconfig):
         "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
 
 
+def test_a_passing_xfail_row_fails_the_suite(pytestconfig):
+    # a mutant row that a new check starts to catch must lose its mark
+    assert pytestconfig.getini("xfail_strict") is True
+
+
 def test_blas_runs_one_thread_set_before_numpy_loads():
     # conftest sets the thread count; it takes effect only if numpy (and
     # with it OpenBLAS) was not loaded before conftest ran
